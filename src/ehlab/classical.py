@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -68,6 +69,9 @@ class MapParams:
     tau: float = 1.0
 
     def __post_init__(self):
+        if not (isfinite(self.lam) and isfinite(self.tau)):
+            raise ConfigurationError(
+                f"lam and tau must be finite, got {self.lam}, {self.tau}")
         if self.lam < 0:
             raise ConfigurationError(f"kick strength must be >= 0, got {self.lam}")
         if self.tau <= 0:
@@ -114,12 +118,11 @@ def step_jacobian(x: PhasePoint, params: MapParams) -> np.ndarray:
     return np.array([[1.0 + params.tau * c, params.tau], [c, 1.0]])
 
 
-def _lyapunov_batch(theta, p, params: MapParams, n_steps: int,
-                    transient: int = LYAPUNOV_TRANSIENT):
+def _lyapunov_batch(theta, p, params: MapParams, n_steps: int):
     """Largest Lyapunov exponent for arrays of initial conditions.
 
     Tangent vectors are renormalized every step to avoid overflow; the
-    first `transient` iterations are discarded before accumulating.
+    first LYAPUNOV_TRANSIENT iterations are discarded before accumulating.
     """
     theta = _wrap(np.asarray(theta, dtype=float))
     p = _wrap(np.asarray(p, dtype=float))
@@ -127,7 +130,7 @@ def _lyapunov_batch(theta, p, params: MapParams, n_steps: int,
     v_p = np.zeros_like(theta)
     log_sum = np.zeros_like(theta)
     lam, tau = params.lam, params.tau
-    for i in range(transient + n_steps):
+    for i in range(LYAPUNOV_TRANSIENT + n_steps):
         c = lam * np.cos(theta)
         theta, p = _advance(theta, p, lam, tau)
         # advance the tangent vector with the Jacobian at the pre-step point
@@ -136,7 +139,7 @@ def _lyapunov_batch(theta, p, params: MapParams, n_steps: int,
         norm = np.hypot(w_theta, w_p)
         v_theta = w_theta / norm
         v_p = w_p / norm
-        if i >= transient:
+        if i >= LYAPUNOV_TRANSIENT:
             log_sum += np.log(norm)
     return log_sum / n_steps
 
@@ -174,6 +177,8 @@ def estimate_chaotic_measure(params: MapParams, grid_side: int, n_steps: int,
     """
     if grid_side < 16:
         raise ConfigurationError(f"grid_side must be >= 16, got {grid_side}")
+    if n_steps < 1:
+        raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
     if threshold <= 0:
         raise ConfigurationError(f"threshold must be > 0, got {threshold}")
     # cell-centered grid, avoids the measure-zero fixed lines at 0

@@ -92,11 +92,14 @@ class IdentityCheck:
 def verify_theorem2(projector: RegionProjector) -> IdentityCheck:
     """Evaluate the distance-measure identity on one diagonal projector.
 
-    Returns the matrix-computed d^2(rho_A, 1/N) and the identity
+    Both states are diagonal, so d^2(rho_A, 1/N) is the squared
+    Euclidean distance of their diagonals. Returns it with the identity
     residual, which must vanish to 1e-12 for exact diagonal projectors.
     """
     n = projector.dim
     mu = projector.mu_rank
-    d2 = hs_distance(projector.uniform_state(), np.eye(n) / n) ** 2
+    diag = np.zeros(n)
+    diag[list(projector.indices)] = 1.0 / mu
+    d2 = float(np.sum((diag - 1.0 / n) ** 2))
     residual = (d2 + 1.0 / n) * mu - 1.0
     return IdentityCheck(dim=n, mu=mu, d_squared=d2, residual=float(residual))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 import warnings
@@ -74,30 +75,58 @@ class ExperimentConfig:
         if not isinstance(params, dict):
             raise ConfigurationError("field 'parameters' must be an object")
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigurationError("field 'seed' must be an integer")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigurationError("field 'seed' must be an integer >= 0")
         out = raw.get("output_dir", ".")
+        if not isinstance(out, str):
+            raise ConfigurationError("field 'output_dir' must be a string")
         return cls(kind=kind, parameters=params, seed=seed, output_dir=out,
                    raw=raw)
 
 
-def _need(params: dict, key: str, typ, what: str):
-    if key not in params:
-        raise ConfigurationError(f"parameters.{key} is required ({what})")
-    val = params[key]
-    if typ is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, typ):
-        raise ConfigurationError(
-            f"parameters.{key} must be {what}, got {type(val).__name__}")
+_REQUIRED = object()
+
+
+def _check(name: str, val, typ, what: str):
+    """Return `val` as a `typ` or raise a ConfigurationError.
+
+    An int stands for a float, a bool is never a number, and a float
+    must be finite (JSON admits NaN and Infinity).
+    """
+    is_number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if typ is float and is_number:
+        try:
+            val = float(val)
+        except OverflowError:
+            val = math.inf
+    ok = isinstance(val, typ) and (typ is bool or not isinstance(val, bool))
+    if not ok or (typ is float and not math.isfinite(val)):
+        raise ConfigurationError(f"{name} must be {what}, got {val!r}")
     return val
 
 
+def _need(params: dict, key: str, typ, what: str, default=_REQUIRED):
+    """Read `params[key]` as a `typ`, or `default` when the key is absent."""
+    if key not in params:
+        if default is _REQUIRED:
+            raise ConfigurationError(f"parameters.{key} is required ({what})")
+        return default
+    return _check(f"parameters.{key}", params[key], typ, what)
+
+
+def _need_list(params: dict, key: str, typ, what: str) -> list:
+    """Read `params[key]` as a list whose entries are each a `typ`."""
+    items = _need(params, key, list, f"a list, each entry {what}")
+    return [_check(f"parameters.{key}[{i}]", v, typ, what)
+            for i, v in enumerate(items)]
+
+
 def _observable_from_spec(spec: dict, dim: int, hbar: float) -> quantum.ObservableMatrix:
-    kind = spec.get("type")
+    kind = _need(spec, "type", str, "an observable type")
     if kind == "momentum_window":
         return quantum.momentum_window_projector(
-            dim, float(spec["k_lo"]), float(spec["k_hi"]), hbar=hbar)
+            dim, _need(spec, "k_lo", float, "a number"),
+            _need(spec, "k_hi", float, "a number"), hbar=hbar)
     if kind == "cos_theta":
         return quantum.cos_theta_observable(dim)
     if kind == "l_squared":
@@ -109,8 +138,8 @@ def _quantum_params(params: dict) -> quantum.QuantumParams:
     return quantum.QuantumParams(
         dim=_need(params, "dim", int, "an odd integer"),
         lam=_need(params, "lambda", float, "a number"),
-        hbar=float(params.get("hbar", 1.0)),
-        tau=float(params.get("tau", 1.0)))
+        hbar=_need(params, "hbar", float, "a number > 0", 1.0),
+        tau=_need(params, "tau", float, "a number > 0", 1.0))
 
 
 class _Artifacts:
@@ -145,12 +174,13 @@ class _Artifacts:
 
 def _run_classical_scan(config: ExperimentConfig, art: _Artifacts):
     p = config.parameters
-    lambdas = _need(p, "lambdas", list, "a list of kick strengths")
+    lambdas = _need_list(p, "lambdas", float, "a kick strength >= 0")
     grid_side = _need(p, "grid_side", int, "an integer >= 16")
-    n_steps = _need(p, "n_steps", int, "an integer")
-    threshold = float(p.get("threshold", classical.DEFAULT_THRESHOLD))
-    tau = float(p.get("tau", 1.0))
-    param_list = [classical.MapParams(float(lam), tau) for lam in lambdas]
+    n_steps = _need(p, "n_steps", int, "an integer >= 1")
+    threshold = _need(p, "threshold", float, "a number > 0",
+                      classical.DEFAULT_THRESHOLD)
+    tau = _need(p, "tau", float, "a number > 0", 1.0)
+    param_list = [classical.MapParams(lam, tau) for lam in lambdas]
     if grid_side < 16:
         raise ConfigurationError("parameters.grid_side must be >= 16")
     if threshold <= 0:
@@ -189,7 +219,8 @@ def _run_transition_fit(config: ExperimentConfig, art: _Artifacts):
     if not Path(csv_path).is_file():
         raise ConfigurationError(f"parameters.input_csv: no such file {csv_path}")
     samples = read_region_csv(csv_path)
-    eps_factor = float(p.get("eps_factor", transition.FIT_EPS_FACTOR))
+    eps_factor = _need(p, "eps_factor", float, "a number",
+                       transition.FIT_EPS_FACTOR)
     fit = transition.fit_transition(samples, eps_factor=eps_factor)
     art.add_json("fit_result.json", fit.as_dict())
 
@@ -198,7 +229,9 @@ def _run_quantum_evolve(config: ExperimentConfig, art: _Artifacts):
     p = config.parameters
     qp = _quantum_params(p)
     n_kicks = _need(p, "n_kicks", int, "an integer >= 0")
-    initial_k = int(p.get("initial_k", 0))
+    if n_kicks < 0:
+        raise ConfigurationError("parameters.n_kicks must be >= 0")
+    initial_k = _need(p, "initial_k", int, "an integer", 0)
     system = quantum.build_floquet(qp)
     ladder = quantum.momentum_ladder(qp.dim)
     psi0 = np.zeros(qp.dim, dtype=complex)
@@ -237,17 +270,19 @@ def _run_correlation_series(config: ExperimentConfig, art: _Artifacts):
     horizon = _need(p, "horizon", int, "an integer >= 2")
     obs_spec = _need(p, "observable", dict, "an observable spec object")
     obs = _observable_from_spec(obs_spec, qp.dim, qp.hbar)
-    allow_deg = bool(p.get("allow_degenerate", True))
-    system = quantum.build_floquet(qp)
-    state_spec = p.get("state", {"type": "haar"})
-    if state_spec.get("type") == "momentum":
-        rho0 = quantum.momentum_eigenstate(qp.dim, int(state_spec.get("k", 0)))
-    elif state_spec.get("type") == "haar":
+    allow_deg = _need(p, "allow_degenerate", bool, "a boolean", True)
+    state_spec = _need(p, "state", dict, "a state spec object",
+                       {"type": "haar"})
+    state_type = _need(state_spec, "type", str, "a state type")
+    if state_type == "momentum":
+        rho0 = quantum.momentum_eigenstate(
+            qp.dim, _need(state_spec, "k", int, "an integer", 0))
+    elif state_type == "haar":
         rho0 = quantum.haar_random_pure(qp.dim,
                                         np.random.default_rng(config.seed))
     else:
-        raise ConfigurationError(
-            f"unknown state type {state_spec.get('type')!r}")
+        raise ConfigurationError(f"unknown state type {state_type!r}")
+    system = quantum.build_floquet(qp)
     series = quantum.correlation_series(rho0, system, obs, horizon,
                                         allow_degenerate=allow_deg)
     art.add_csv("correlation_series.csv", "t,c_q,cesaro",
@@ -264,7 +299,7 @@ def _run_volume_fraction(config: ExperimentConfig, art: _Artifacts):
     n_states = _need(p, "n_states", int, "an integer >= 100")
     horizon = _need(p, "horizon", int, "an integer >= 2")
     tol = _need(p, "tol", float, "a number > 0")
-    obs_specs = _need(p, "observables", list, "a list of observable specs")
+    obs_specs = _need_list(p, "observables", dict, "an observable spec object")
     o_set = [_observable_from_spec(s, qp.dim, qp.hbar) for s in obs_specs]
     system = quantum.build_floquet(qp)
     frac = quantum.mixing_volume_fraction(system, o_set, n_states, horizon,
@@ -276,12 +311,13 @@ def _run_volume_fraction(config: ExperimentConfig, art: _Artifacts):
 
 def _run_geometry_check(config: ExperimentConfig, art: _Artifacts):
     p = config.parameters
-    dims = _need(p, "dims", list, "a list of dimensions")
-    ranks_per_dim = int(p.get("ranks_per_dim", 8))
+    dims = _need_list(p, "dims", int, "an integer >= 2")
+    ranks_per_dim = _need(p, "ranks_per_dim", int, "an integer >= 1", 8)
+    if ranks_per_dim < 1:
+        raise ConfigurationError("parameters.ranks_per_dim must be >= 1")
     rng = np.random.default_rng(config.seed)
     rows = []
     for n in dims:
-        n = int(n)
         if n < 2:
             raise ConfigurationError("parameters.dims entries must be >= 2")
         ranks = sorted(set(int(r) for r in

@@ -2,14 +2,15 @@
 
 The one-period propagator is F = exp(-i (lam/hbar) cos theta) *
 exp(-i tau hbar k^2 / 2) on an odd-dimensional symmetric momentum ladder.
-The kick factor is built on the angle grid theta_j = 2 pi j / N and
-moved to the momentum basis with the unitary DFT between the two grids.
+The kick factor is diagonal on the angle grid theta_j = 2 pi j / N, so in
+the momentum basis it is circulant in k - k': each entry is one
+coefficient of the FFT of the grid values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf
+from math import inf, isfinite
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +22,8 @@ from .errors import (ConfigurationError, DegenerateSpectrumError,
 DEFAULT_GAP_TOL = 1e-9
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
+# Times per block of the correlation phase sum; bounds its T x N work arrays.
+_TIME_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,8 @@ class QuantumParams:
     def __post_init__(self):
         if self.dim < 1 or self.dim % 2 == 0:
             raise ConfigurationError(f"dim must be odd and positive, got {self.dim}")
+        if not all(isfinite(x) for x in (self.lam, self.hbar, self.tau)):
+            raise ConfigurationError("lam, hbar and tau must be finite")
         if self.hbar <= 0 or self.tau <= 0:
             raise ConfigurationError("hbar and tau must be > 0")
         if self.lam < 0:
@@ -137,12 +142,27 @@ def momentum_window_projector(dim: int, k_lo: float, k_hi: float,
                             label=f"P[{k_lo},{k_hi})")
 
 
+def _angle_grid(dim: int) -> np.ndarray:
+    """theta_j = 2 pi j / N."""
+    return 2.0 * np.pi * np.arange(dim) / dim
+
+
+def _angle_diagonal_in_momentum(values: np.ndarray) -> np.ndarray:
+    """Momentum-basis matrix of the operator diagonal on the angle grid.
+
+    With |theta_j> = sum_k exp(-i k theta_j)|k>/sqrt(N), the entry at
+    (k, k') is sum_j values_j exp(-i (k - k') theta_j) / N, which is
+    the FFT coefficient of index (k - k') mod N.
+    """
+    n = len(values)
+    coeffs = np.fft.fft(values) / n
+    ladder = momentum_ladder(n)
+    return coeffs[np.subtract.outer(ladder, ladder) % n]
+
+
 def cos_theta_observable(dim: int) -> ObservableMatrix:
     """cos(theta) on the angle grid, expressed in the momentum basis."""
-    u = _dft_momentum_to_angle(dim)
-    diag = np.cos(2.0 * np.pi * np.arange(dim) / dim)
-    m = u.conj().T @ (diag[:, None] * u)
-    m = 0.5 * (m + m.conj().T)
+    m = _angle_diagonal_in_momentum(np.cos(_angle_grid(dim)))
     return ObservableMatrix(m, label="cos_theta")
 
 
@@ -151,13 +171,6 @@ def l_squared_observable(dim: int, hbar: float = 1.0) -> ObservableMatrix:
     ladder = momentum_ladder(dim)
     return ObservableMatrix(np.diag((hbar * ladder).astype(complex) ** 2),
                             label="L_squared")
-
-
-def _dft_momentum_to_angle(dim: int) -> np.ndarray:
-    """Unitary with U[j, k] = exp(i k theta_j)/sqrt(N), theta_j = 2 pi j / N."""
-    j = np.arange(dim)
-    k = momentum_ladder(dim)
-    return np.exp(1j * np.outer(2.0 * np.pi * j / dim, k)) / np.sqrt(dim)
 
 
 @dataclass
@@ -190,12 +203,10 @@ class FloquetSystem:
 
 
 def kick_operator(params: QuantumParams) -> np.ndarray:
-    """exp(-i (lam/hbar) cos theta) in the momentum basis, via the DFT."""
-    n = params.dim
-    u = _dft_momentum_to_angle(n)
-    theta = 2.0 * np.pi * np.arange(n) / n
-    diag = np.exp(-1j * (params.lam / params.hbar) * np.cos(theta))
-    return u.conj().T @ (diag[:, None] * u)
+    """exp(-i (lam/hbar) cos theta) in the momentum basis (circulant)."""
+    theta = _angle_grid(params.dim)
+    return _angle_diagonal_in_momentum(
+        np.exp(-1j * (params.lam / params.hbar) * np.cos(theta)))
 
 
 def free_propagator_diagonal(params: QuantumParams) -> np.ndarray:
@@ -303,16 +314,16 @@ class CorrelationSeries:
 
 
 def _offdiag_series(m_offdiag: np.ndarray, phi: np.ndarray,
-                    times: np.ndarray, block: int = 512) -> np.ndarray:
+                    times: np.ndarray) -> np.ndarray:
     """sum_{k != k'} M_kk' exp(-i t (phi_k - phi_k')) for each t.
 
     M must already have a zero diagonal.
     """
     out = np.empty(len(times))
-    for start in range(0, len(times), block):
-        t = times[start:start + block]
+    for start in range(0, len(times), _TIME_BLOCK):
+        t = times[start:start + _TIME_BLOCK]
         e = np.exp(-1j * np.outer(t, phi))
-        out[start:start + block] = np.einsum(
+        out[start:start + _TIME_BLOCK] = np.einsum(
             "tk,tk->t", e @ m_offdiag, e.conj()).real
     return out
 
@@ -354,6 +365,8 @@ def mixing_volume_fraction(system: FloquetSystem,
         raise ConfigurationError("observable set must not be empty")
     if n_states < 100:
         raise ConfigurationError(f"n_states must be >= 100, got {n_states}")
+    if not tol > 0:
+        raise ConfigurationError(f"tol must be > 0, got {tol}")
     times = np.arange(int(np.ceil(0.9 * horizon)), horizon)
     obs_e = [system.to_eigenbasis(o.matrix) for o in o_set]
     phi = system.quasi_energies

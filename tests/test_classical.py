@@ -54,6 +54,11 @@ class TestStepMap:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigurationError):
             cl.MapParams(-1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigurationError):
+                cl.MapParams(bad)
+            with pytest.raises(ConfigurationError):
+                cl.MapParams(1.0, tau=bad)
 
 
 def two_orbit_divergence(x0, params, n_steps, d0=1e-9):
@@ -153,6 +158,9 @@ class TestChaoticMeasure:
     def test_grid_side_precondition(self):
         with pytest.raises(ConfigurationError):
             cl.estimate_chaotic_measure(cl.MapParams(1.0), 8, 1000)
+        for n_steps in (0, -1):
+            with pytest.raises(ConfigurationError):
+                cl.estimate_chaotic_measure(cl.MapParams(10.0), 16, n_steps)
 
 
 WHOLE_TORUS = [cl.Cell(0.0, TWO_PI, 0.0, TWO_PI)]

@@ -90,11 +90,15 @@ class TestDistanceMeasureIdentity:
         mu = data.draw(st.integers(1, dim))
         indices = tuple(data.draw(
             st.permutations(range(dim)))[:mu])
-        check = g.verify_theorem2(g.RegionProjector(dim=dim, indices=indices))
+        proj = g.RegionProjector(dim=dim, indices=indices)
+        check = g.verify_theorem2(proj)
         assert check.mu == mu
         assert abs(check.residual) < 1e-12
         # closed form d^2 = 1/mu - 1/N
         assert check.d_squared == pytest.approx(1.0 / mu - 1.0 / dim, abs=1e-12)
+        # the diagonal path agrees with the dense Hilbert-Schmidt distance
+        dense = g.hs_distance(proj.uniform_state(), np.eye(dim) / dim) ** 2
+        assert abs(check.d_squared - dense) <= 1e-13
 
     def test_large_dimensions(self):
         for dim in (256, 1024, 4096):

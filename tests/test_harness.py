@@ -200,7 +200,75 @@ class TestPlotScripts:
             harness.emit_plot_scripts(tmp_path / "manifest.json")
 
 
+SCAN = {"lambdas": [1.0], "grid_side": 16, "n_steps": 1000}
+EVOLVE = {"dim": 33, "lambda": 1.0, "n_kicks": 10}
+SERIES = {"dim": 33, "lambda": 1.0, "horizon": 16,
+          "observable": {"type": "cos_theta"}}
+FRACTION = {"dim": 33, "lambda": 1.0, "n_states": 100, "horizon": 20,
+            "tol": 0.5, "observables": [{"type": "cos_theta"}]}
+GEOMETRY = {"dims": [8]}
+
+# each case must end in exit 2 before any artifact is written
+MALFORMED = [
+    pytest.param("classical-scan", {**SCAN, "lambdas": [float("inf")]}, {},
+                 id="lambda-inf"),
+    pytest.param("classical-scan", {**SCAN, "lambdas": ["a"]}, {},
+                 id="lambda-str"),
+    pytest.param("classical-scan", {**SCAN, "n_steps": 0}, {},
+                 id="n_steps-0"),
+    pytest.param("classical-scan", {**SCAN, "threshold": float("nan")}, {},
+                 id="threshold-nan"),
+    pytest.param("quantum-evolve", {**EVOLVE, "lambda": float("nan")}, {},
+                 id="lambda-nan"),
+    pytest.param("quantum-evolve", {**EVOLVE, "lambda": 10 ** 400}, {},
+                 id="lambda-overflow"),
+    pytest.param("quantum-evolve", {**EVOLVE, "hbar": "x"}, {},
+                 id="hbar-str"),
+    pytest.param("quantum-evolve", {**EVOLVE, "tau": float("inf")}, {},
+                 id="tau-inf"),
+    pytest.param("quantum-evolve", {**EVOLVE, "dim": True}, {},
+                 id="dim-bool"),
+    pytest.param("quantum-evolve", {**EVOLVE, "n_kicks": -5}, {},
+                 id="n_kicks-negative"),
+    pytest.param("quantum-evolve", EVOLVE, {"output_dir": 5},
+                 id="output_dir-int"),
+    pytest.param("transition-fit", {"eps_factor": "x"}, {},
+                 id="eps_factor-str"),
+    pytest.param("volume-fraction", {**FRACTION, "tol": -1}, {},
+                 id="tol-negative"),
+    pytest.param("volume-fraction",
+                 {**FRACTION, "observables": ["cos_theta"]}, {},
+                 id="observable-str"),
+    pytest.param("correlation-series",
+                 {**SERIES, "observable": {"type": "momentum_window",
+                                           "k_hi": 5}}, {},
+                 id="window-without-k_lo"),
+    pytest.param("correlation-series", {**SERIES, "state": "haar"}, {},
+                 id="state-str"),
+    pytest.param("geometry-check", {"dims": ["x"]}, {}, id="dim-str"),
+    pytest.param("geometry-check", {**GEOMETRY, "ranks_per_dim": -1}, {},
+                 id="ranks_per_dim-negative"),
+    pytest.param("geometry-check", GEOMETRY, {"seed": True}, id="seed-bool"),
+    pytest.param("geometry-check", GEOMETRY, {"seed": -1},
+                 id="seed-negative"),
+]
+
+
 class TestCli:
+    @pytest.mark.parametrize("kind,params,top", MALFORMED)
+    def test_malformed_config_is_exit_2(self, tmp_path, monkeypatch,
+                                        kind, params, top):
+        monkeypatch.chdir(tmp_path)
+        if kind == "transition-fit":
+            harness.run(harness.ExperimentConfig.from_dict(
+                scan_config(tmp_path / "scan", lambdas=(0.0, 0.5, 1.0, 1.5))))
+            params = {**params, "input_csv": "scan/region_estimates.csv"}
+        payload = {"kind": kind, "output_dir": "out", "parameters": params,
+                   **top}
+        config = write_config(tmp_path, payload)
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert not (tmp_path / str(payload["output_dir"])).exists()
+
     def test_run_exit_codes(self, tmp_path, capsys):
         config = write_config(tmp_path, scan_config(tmp_path / "out"))
         assert cli.main(["run", "--config", str(config)]) == 0

@@ -13,6 +13,20 @@ def random_density(dim, rng):
     return q.DensityState(m / np.trace(m).real)
 
 
+def dense_angle_diagonal(values):
+    """U^dagger diag(values) U with U[j, k] = exp(i k theta_j)/sqrt(N)."""
+    dim = len(values)
+    theta = 2.0 * np.pi * np.arange(dim) / dim
+    u = np.exp(1j * np.outer(theta, q.momentum_ladder(dim))) / np.sqrt(dim)
+    return u.conj().T @ (values[:, None] * u)
+
+
+def dense_kick(params):
+    theta = 2.0 * np.pi * np.arange(params.dim) / params.dim
+    return dense_angle_diagonal(
+        np.exp(-1j * (params.lam / params.hbar) * np.cos(theta)))
+
+
 def random_observable(dim, rng, label="random"):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = (a + a.conj().T) / 2.0
@@ -23,6 +37,10 @@ class TestParamsAndStates:
     def test_even_dim_rejected(self):
         with pytest.raises(ConfigurationError):
             q.QuantumParams(dim=64, lam=1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            for field in ("lam", "hbar", "tau"):
+                with pytest.raises(ConfigurationError):
+                    q.QuantumParams(dim=65, **{"lam": 1.0, field: bad})
 
     def test_resonance_rejected(self):
         # tau*hbar = 4*pi is the exact principal resonance
@@ -102,6 +120,29 @@ class TestFloquet:
             # aliasing from the finite grid only affects |m-n| ~ N
             bulk = np.abs(d) <= dim // 2
             assert np.max(np.abs((u - expected)[bulk])) < 1e-8
+
+    @pytest.mark.parametrize("dim", [1, 3, 65, 257, 1025])
+    def test_angle_operators_match_dense_dft(self, dim):
+        # the circulant construction against U^dagger diag(values) U
+        for lam in (0.0, 1.0, 10.0):
+            for hbar in (1.0, 0.7):
+                params = q.QuantumParams(dim=dim, lam=lam, hbar=hbar)
+                err = np.max(np.abs(q.kick_operator(params)
+                                    - dense_kick(params)))
+                assert err <= 1e-12
+        theta = 2.0 * np.pi * np.arange(dim) / dim
+        dense_cos = dense_angle_diagonal(np.cos(theta))
+        obs = q.cos_theta_observable(dim)
+        assert np.max(np.abs(obs.matrix - dense_cos)) <= 1e-12
+
+    def test_spectrum_matches_dense_kick(self, monkeypatch):
+        params = q.QuantumParams(dim=257, lam=10.0)
+        system = q.build_floquet(params)
+        monkeypatch.setattr(q, "kick_operator", dense_kick)
+        dense = q.build_floquet(params)
+        assert np.max(np.abs(system.quasi_energies
+                             - dense.quasi_energies)) <= 1e-12
+        assert system.degeneracy_flags == dense.degeneracy_flags
 
     def test_unitary_and_spectrum(self):
         params = q.QuantumParams(dim=65, lam=10.0)
@@ -360,3 +401,7 @@ class TestVolumeFraction:
         with pytest.raises(ConfigurationError):
             q.mixing_volume_fraction(system, [q.cos_theta_observable(33)],
                                      10, 100, 0.1, seed=0)
+        for tol in (0.0, -1.0):
+            with pytest.raises(ConfigurationError):
+                q.mixing_volume_fraction(system, [q.cos_theta_observable(33)],
+                                         100, 100, tol, seed=0)
