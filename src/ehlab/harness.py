@@ -162,12 +162,27 @@ class _Artifacts:
         self.add_text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def write(self, out_dir: Path) -> dict[str, str]:
-        out_dir.mkdir(parents=True, exist_ok=True)
         checksums = {}
         for name, blob in self.files.items():
-            (out_dir / name).write_bytes(blob)
+            _write_atomic(out_dir / name, blob)
             checksums[name] = hashlib.sha256(blob).hexdigest()
         return checksums
+
+
+def _write_atomic(path: Path, blob: bytes):
+    """Write `blob` to a temp file beside `path`, then rename it into place.
+
+    An OSError becomes a ConfigurationError naming `path`; the temp file
+    is removed.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(blob)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp.is_file():
+            tmp.unlink()
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- kinds
@@ -343,13 +358,21 @@ def run(config: ExperimentConfig) -> dict:
     """Execute one experiment and write its artifacts plus a manifest.
 
     All artifacts are computed in memory first, so an invalid config or
-    a numeric failure never leaves partial output files behind.
+    a numeric failure never leaves partial output files behind. Any old
+    manifest is removed before the first write and each file is replaced
+    whole, so `manifest.json` is present only after a complete write.
     """
     art = _Artifacts()
     start = time.perf_counter()
     _RUNNERS[config.kind](config, art)
     wall = time.perf_counter() - start
     out_dir = Path(config.output_dir)
+    manifest_path = out_dir / "manifest.json"
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        manifest_path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot prepare {out_dir}: {exc}") from exc
     checksums = art.write(out_dir)
     manifest = {
         "config": config.raw or {
@@ -358,9 +381,9 @@ def run(config: ExperimentConfig) -> dict:
         "artifacts": checksums,
         "wall_time_s": wall,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    manifest["manifest_path"] = str(out_dir / "manifest.json")
+    _write_atomic(manifest_path,
+                  (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    manifest["manifest_path"] = str(manifest_path)
     return manifest
 
 

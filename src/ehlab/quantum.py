@@ -5,6 +5,13 @@ exp(-i tau hbar k^2 / 2) on an odd-dimensional symmetric momentum ladder.
 The kick factor is diagonal on the angle grid theta_j = 2 pi j / N, so in
 the momentum basis it is circulant in k - k': each entry is one
 coefficient of the FFT of the grid values.
+
+The spectrum comes from the model's two symmetries. Splitting the free
+factor in half, F = D^-1 F_s D with F_s = D K D and D = exp(-i tau hbar
+k^2 / 4), makes F_s complex symmetric (time reversal). Parity k -> -k
+splits F_s into an even and an odd block. Each is a complex symmetric
+unitary A + iB whose real and imaginary parts commute, so one real
+symmetric eigensolve per half-size block diagonalises F.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from math import inf, isfinite
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (ConfigurationError, DegenerateSpectrumError,
                      HermiticityError, NumericError)
@@ -24,6 +30,12 @@ _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
 # Times per block of the correlation phase sum; bounds its T x N work arrays.
 _TIME_BLOCK = 512
+# Fixed irrational weight in eigh(A + _MIX B): the commuting real and
+# imaginary parts of a parity block share one real orthonormal eigenbasis.
+_MIX = np.sqrt(2.0) - 1.0
+# eigh's eigenvectors for values g apart are accurate to about 1e-16/g, so
+# eigenvalues of A + _MIX B closer than this are refined together.
+_CLUSTER_GAP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -215,27 +227,109 @@ def free_propagator_diagonal(params: QuantumParams) -> np.ndarray:
     return np.exp(-0.5j * params.tau * params.hbar * k.astype(float) ** 2)
 
 
+def _parity_blocks(kick: np.ndarray, half_free: np.ndarray):
+    """Even and odd blocks of F_s = D K D in the parity basis.
+
+    The basis is |0>, (|k> + |-k>)/sqrt(2) (even) and (|k> - |-k>)/sqrt(2)
+    (odd) for k = 1..(N-1)/2. K and D are parity invariant, so each block
+    entry is K[k, k'] +- K[k, -k'] scaled by the half-ladder phases, with
+    1/sqrt(2) on the k = 0 row and column of the even block.
+    """
+    h = (len(kick) - 1) // 2
+    upper = kick[h:]  # rows k >= 0
+    even = upper[:, h:] + upper[:, h::-1]
+    odd = upper[1:, h + 1:] - upper[1:, :h][:, ::-1]
+    s = half_free[h:].copy()
+    s[0] /= np.sqrt(2.0)
+    even *= s[:, None]
+    even *= s[None, :]
+    odd *= s[1:, None]
+    odd *= s[None, 1:]
+    return even, odd
+
+
+def _block_eigensystem(block: np.ndarray):
+    """Eigenvalues, real orthonormal eigenvectors and eigen-residual of one
+    complex symmetric unitary block A + iB.
+
+    A + _MIX B takes each value twice on the unit circle, so eigh can mix
+    the eigenvectors of two distinct eigenvalues whose values nearly
+    coincide. A Rayleigh-Ritz step with the orthogonal weighting
+    B - _MIX A separates each such cluster again.
+    """
+    a = np.ascontiguousarray(block.real)
+    b = np.ascontiguousarray(block.imag)
+    w, v = np.linalg.eigh(a + _MIX * b)
+    av, bv = a @ v, b @ v
+    for c in _clusters(w):
+        m = v[:, c].T @ (bv[:, c] - _MIX * av[:, c])
+        _, r = np.linalg.eigh(m)
+        v[:, c], av[:, c], bv[:, c] = v[:, c] @ r, av[:, c] @ r, bv[:, c] @ r
+    re = np.einsum("ij,ij->j", v, av)
+    im = np.einsum("ij,ij->j", v, bv)
+    residual = np.max(np.hypot(av - v * re, bv - v * im), initial=0.0)
+    return re + 1j * im, v, residual
+
+
+def _clusters(w: np.ndarray) -> list[slice]:
+    """Runs of at least two sorted eigenvalues closer than _CLUSTER_GAP."""
+    cuts = np.flatnonzero(np.diff(w) >= _CLUSTER_GAP) + 1
+    bounds = zip(np.r_[0, cuts], np.r_[cuts, len(w)])
+    return [slice(lo, hi) for lo, hi in bounds if hi - lo > 1]
+
+
+def _parity_eigenbasis(half_free: np.ndarray, v_even: np.ndarray,
+                       v_odd: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """D^-1 (parity basis) blockdiag(V_e, V_o), block eigenvector j going
+    to column col[j]."""
+    n = len(half_free)
+    h = (n - 1) // 2
+    back = half_free[h:].conj()
+    back[1:] /= np.sqrt(2.0)
+    col_e, col_o = col[:h + 1], col[h + 1:]
+    z = np.empty((n, n), dtype=complex)
+    up = back[:, None] * v_even
+    z[h:, col_e] = up
+    z[:h, col_e] = up[:0:-1]
+    up = back[1:, None] * v_odd
+    z[h + 1:, col_o] = up
+    z[:h, col_o] = -up[::-1]
+    z[h, col_o] = 0.0
+    return z
+
+
 def build_floquet(params: QuantumParams,
                   gap_tol: float = DEFAULT_GAP_TOL) -> FloquetSystem:
     """Construct F = kick * free and its spectral decomposition.
 
-    The complex Schur form is used so the eigenbasis of the normal
-    matrix F is orthonormal to machine precision.
+    The spectrum comes from the parity blocks of the symmetrised F_s (see
+    the module docstring): two real symmetric eigensolves of sizes
+    (N+1)/2 and (N-1)/2. Their real orthonormal bases, mapped back through
+    the parity basis and D^-1, give an eigenbasis of F orthonormal to
+    machine precision.
     """
-    f = kick_operator(params) * free_propagator_diagonal(params)[None, :]
     n = params.dim
+    kick = kick_operator(params)
+    f = kick * free_propagator_diagonal(params)[None, :]
+    k = momentum_ladder(n).astype(float)
+    half_free = np.exp(-0.25j * params.tau * params.hbar * k ** 2)
+    even, odd = _parity_blocks(kick, half_free)
+    del kick  # one N x N array fewer during the dense check
     err = np.max(np.abs(f @ f.conj().T - np.eye(n)))
     if err > 1e-10:
         raise NumericError(f"Floquet operator not unitary: max |FF^† - I| = {err}")
-    t, z = scipy.linalg.schur(f, output="complex")
-    eigvals = np.diag(t)
-    offdiag = np.max(np.abs(t - np.diag(eigvals))) if n > 1 else 0.0
-    if offdiag > 1e-8:
-        raise NumericError(f"eigensolve failed: Schur off-diagonal {offdiag}")
-    phi = np.mod(-np.angle(eigvals), 2.0 * np.pi)
+    eig_e, v_e, res_e = _block_eigensystem(even)
+    eig_o, v_o, res_o = _block_eigensystem(odd)
+    residual = max(res_e, res_o)
+    if residual > 1e-8:
+        raise NumericError(f"eigensolve failed: block eigen-residual {residual}")
+    phi = np.mod(-np.angle(np.concatenate([eig_e, eig_o])), 2.0 * np.pi)
+    phi[phi == 2.0 * np.pi] = 0.0  # np.mod(-tiny, 2 pi) rounds up to 2 pi
     order = np.argsort(phi, kind="stable")
     phi = phi[order]
-    z = z[:, order]
+    col = np.empty(n, dtype=np.intp)
+    col[order] = np.arange(n)
+    z = _parity_eigenbasis(half_free, v_e, v_o, col)
     gaps = np.diff(phi)
     flags = [(int(i), int(i + 1)) for i in np.flatnonzero(gaps < gap_tol)]
     if n > 1 and (phi[0] + 2.0 * np.pi - phi[-1]) < gap_tol:

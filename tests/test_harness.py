@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ehlab
 from ehlab import cli, harness
 from ehlab.errors import ConfigurationError
 
@@ -279,6 +281,25 @@ class TestCli:
                            name="bad.json")
         assert cli.main(["run", "--config", str(bad)]) == 2
 
+    def test_failed_rewrite_leaves_no_manifest(self, tmp_path, capsys):
+        # a rerun into a reused output_dir that cannot be rewritten must not
+        # leave the old manifest behind as a completion marker
+        out = tmp_path / "out"
+        payload = {"kind": "quantum-evolve", "output_dir": str(out),
+                   "parameters": {"dim": 33, "lambda": 5.0, "n_kicks": 10}}
+        assert cli.main(["run", "--config",
+                         str(write_config(tmp_path, payload))]) == 0
+        (out / "spectrum.csv").unlink()
+        (out / "spectrum.csv").mkdir()
+        payload["parameters"]["n_kicks"] = 20
+        capsys.readouterr()
+        assert cli.main(["run", "--config",
+                         str(write_config(tmp_path, payload))]) == 2
+        assert "spectrum.csv" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "localization.json", "momentum_distribution.csv", "params.json",
+            "spectrum.csv"]
+
     def test_numeric_error_exit_code(self, tmp_path):
         # constant mu_A sweep makes the fit singular: exit 3
         csv = tmp_path / "flat.csv"
@@ -301,7 +322,10 @@ class TestCli:
 
     def test_installed_entry_point(self, tmp_path):
         config = write_config(tmp_path, scan_config(tmp_path / "out"))
+        # the child imports the same ehlab as the tests, installed or not
+        src = str(Path(ehlab.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ehlab.cli", "run", "--config", str(config)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0

@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
+from ehlab import cli
 from ehlab import quantum as q
 from ehlab.errors import (ConfigurationError, DegenerateSpectrumError,
-                          HermiticityError)
+                          HermiticityError, NumericError)
 
 
 def random_density(dim, rng):
@@ -25,6 +29,43 @@ def dense_kick(params):
     theta = 2.0 * np.pi * np.arange(params.dim) / params.dim
     return dense_angle_diagonal(
         np.exp(-1j * (params.lam / params.hbar) * np.cos(theta)))
+
+
+def schur_floquet(params, gap_tol=q.DEFAULT_GAP_TOL):
+    """The Floquet system by the complex Schur form of F (exact oracle)."""
+    f = q.kick_operator(params) * q.free_propagator_diagonal(params)[None, :]
+    t, z = scipy.linalg.schur(f, output="complex")
+    phi = np.mod(-np.angle(np.diag(t)), 2.0 * np.pi)
+    order = np.argsort(phi, kind="stable")
+    phi, z = phi[order], z[:, order]
+    n = params.dim
+    flags = [(int(i), int(i + 1))
+             for i in np.flatnonzero(np.diff(phi) < gap_tol)]
+    if n > 1 and (phi[0] + 2.0 * np.pi - phi[-1]) < gap_tol:
+        flags.append((n - 1, 0))
+    return q.FloquetSystem(params=params, unitary=f, quasi_energies=phi,
+                           eigenbasis=z, degeneracy_flags=flags,
+                           gap_tol=gap_tol)
+
+
+def assert_same_spectrum(system, oracle):
+    """Quasi-energies within 1e-12 on the circle and the same flagged pairs.
+
+    A quasi-energy within rounding of 0 may sit at either end of
+    [0, 2 pi), which shifts the sorted order by one place.
+    """
+    n = system.dim
+    for shift in (0, 1, -1):
+        d = np.abs(system.quasi_energies
+                   - np.roll(oracle.quasi_energies, shift))
+        if np.max(np.minimum(d, 2.0 * np.pi - d)) <= 1e-12:
+            break
+    else:
+        pytest.fail("quasi-energies differ from the Schur oracle")
+    moved = {frozenset(((i + shift) % n, (j + shift) % n))
+             for i, j in oracle.degeneracy_flags}
+    assert len(system.degeneracy_flags) == len(oracle.degeneracy_flags)
+    assert {frozenset(p) for p in system.degeneracy_flags} == moved
 
 
 def random_observable(dim, rng, label="random"):
@@ -143,6 +184,55 @@ class TestFloquet:
         assert np.max(np.abs(system.quasi_energies
                              - dense.quasi_energies)) <= 1e-12
         assert system.degeneracy_flags == dense.degeneracy_flags
+
+    @pytest.mark.parametrize("dim", [1, 3, 5, 65, 257, 1025])
+    def test_spectrum_matches_schur_oracle(self, dim):
+        # parity blocks of sizes (N+1)/2 and (N-1)/2: at dim 1 the odd one
+        # is empty
+        even, odd = q._parity_blocks(np.eye(dim, dtype=complex),
+                                     np.ones(dim, dtype=complex))
+        assert even.shape == ((dim + 1) // 2,) * 2
+        assert odd.shape == ((dim - 1) // 2,) * 2
+        # eigenvectors are compared only through quantities that do not
+        # depend on the basis chosen inside a degenerate cluster
+        for lam in (0.0, 0.5, 2.0, 10.0):
+            for hbar in (1.0, 0.7):
+                params = q.QuantumParams(dim=dim, lam=lam, hbar=hbar)
+                system = q.build_floquet(params)
+                assert_same_spectrum(system, schur_floquet(params))
+                z, phi = system.eigenbasis, system.quasi_energies
+                assert np.max(np.abs(system.unitary @ z
+                                     - z * np.exp(-1j * phi))) <= 1e-10
+                assert np.max(np.abs(z.conj().T @ z - np.eye(dim))) <= 1e-12
+                assert phi[0] >= 0.0 and phi[-1] < 2.0 * np.pi
+
+    def test_long_evolution_matches_schur_oracle(self):
+        params = q.QuantumParams(dim=257, lam=10.0)
+        psi = np.zeros(257, dtype=complex)
+        psi[128] = 1.0  # |k=0>
+        out = q.evolve_vector(psi, q.build_floquet(params), 10_000)
+        ref = q.evolve_vector(psi, schur_floquet(params), 10_000)
+        assert np.max(np.abs(out - ref)) <= 1e-10
+
+    def test_eigensolve_gate(self, monkeypatch, tmp_path):
+        # a basis rotated inside one 2x2 pair of a block is not an eigenbasis
+        eigh = np.linalg.eigh
+
+        def rotated(m):
+            w, v = eigh(m)
+            if len(w) > 1:
+                v[:, :2] = v[:, :2] @ (np.array([[1.0, -1.0], [1.0, 1.0]])
+                                       / np.sqrt(2.0))
+            return w, v
+        monkeypatch.setattr(np.linalg, "eigh", rotated)
+        with pytest.raises(NumericError, match="eigen-residual"):
+            q.build_floquet(q.QuantumParams(dim=33, lam=5.0))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kind": "quantum-evolve", "output_dir": str(tmp_path / "out"),
+            "parameters": {"dim": 33, "lambda": 5.0, "n_kicks": 10}}))
+        assert cli.main(["run", "--config", str(config)]) == 3
+        assert not (tmp_path / "out").exists()
 
     def test_unitary_and_spectrum(self):
         params = q.QuantumParams(dim=65, lam=10.0)
