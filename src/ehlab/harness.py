@@ -23,9 +23,6 @@ import numpy as np
 from . import classical, geometry, quantum, transition
 from .errors import ConfigurationError
 
-KINDS = ("classical-scan", "transition-fit", "quantum-evolve",
-         "correlation-series", "volume-fraction", "geometry-check")
-
 REGION_CSV_HEADER = "lambda,mu_A,mu_E,n_samples,threshold,ci_halfwidth"
 
 
@@ -65,29 +62,40 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigurationError("config must be a JSON object")
-        kind = raw.get("kind")
-        if kind not in KINDS:
+        top = _read(raw, _CONFIG, "config")
+        if top["kind"] not in KINDS:
             raise ConfigurationError(
-                f"field 'kind' must be one of {KINDS}, got {kind!r}")
-        params = raw.get("parameters")
-        if not isinstance(params, dict):
-            raise ConfigurationError("field 'parameters' must be an object")
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigurationError("field 'seed' must be an integer >= 0")
-        out = raw.get("output_dir", ".")
-        if not isinstance(out, str):
-            raise ConfigurationError("field 'output_dir' must be a string")
-        return cls(kind=kind, parameters=params, seed=seed, output_dir=out,
-                   raw=raw)
+                f"config.kind must be one of {KINDS}, got {top['kind']!r}")
+        return cls(**top, raw=raw)
 
 
-_REQUIRED = object()
+# ------------------------------------------------------------ parameters
+#
+# A parameter table maps each key of a config object to its rule: a type
+# marks a required key, [rule] a required list, a _Spec a nested spec
+# object, and any other value is the default of an optional key of that
+# value's type. A key the table does not list is a configuration error.
 
 
-def _check(name: str, val, typ, what: str):
+@dataclass(frozen=True)
+class _Spec:
+    """A nested spec object whose "type" picks one of `tables`; an absent
+    spec reads as `default`, and without a default it is required."""
+    tables: dict
+    default: dict | None = None
+
+
+_OBSERVABLE = _Spec({"momentum_window": {"k_lo": float, "k_hi": float},
+                     "cos_theta": {}, "l_squared": {}})
+_STATE = _Spec({"momentum": {"k": 0}, "haar": {}}, default={"type": "haar"})
+_QUANTUM = {"dim": int, "lambda": float, "hbar": 1.0, "tau": 1.0}
+_CONFIG = {"kind": str, "parameters": dict, "seed": 0, "output_dir": "."}
+
+# lower bounds that no library call checks; a list bound holds per entry
+_AT_LEAST = {"seed": 0, "n_kicks": 0, "ranks_per_dim": 1, "dims": 2}
+
+
+def _check(name: str, val, typ):
     """Return `val` as a `typ` or raise a ConfigurationError.
 
     An int stands for a float, a bool is never a number, and a float
@@ -101,45 +109,66 @@ def _check(name: str, val, typ, what: str):
             val = math.inf
     ok = isinstance(val, typ) and (typ is bool or not isinstance(val, bool))
     if not ok or (typ is float and not math.isfinite(val)):
+        what = "a finite number" if typ is float else f"of type {typ.__name__}"
         raise ConfigurationError(f"{name} must be {what}, got {val!r}")
     return val
 
 
-def _need(params: dict, key: str, typ, what: str, default=_REQUIRED):
-    """Read `params[key]` as a `typ`, or `default` when the key is absent."""
-    if key not in params:
-        if default is _REQUIRED:
-            raise ConfigurationError(f"parameters.{key} is required ({what})")
-        return default
-    return _check(f"parameters.{key}", params[key], typ, what)
+def _read(spec, table: dict, where: str) -> dict:
+    """Validate the object `spec` against a parameter table.
+
+    Returns a new dict with every key of the table, defaults filled in.
+    """
+    _check(where, spec, dict)
+    unknown = [key for key in spec if key not in table]
+    if unknown:
+        raise ConfigurationError(
+            f"{where}: unknown keys {unknown}; known keys are {list(table)}")
+    out = {}
+    for key, rule in table.items():
+        name = f"{where}.{key}"
+        if key in spec:
+            out[key] = _value(name, spec[key], rule)
+        elif isinstance(rule, _Spec) and rule.default is not None:
+            out[key] = _value(name, rule.default, rule)
+        elif isinstance(rule, (type, list, _Spec)):
+            raise ConfigurationError(f"{name} is required")
+        else:
+            out[key] = rule
+        low = _AT_LEAST.get(key)
+        if low is not None:
+            for v in out[key] if isinstance(rule, list) else [out[key]]:
+                if v < low:
+                    raise ConfigurationError(f"{name} must be >= {low}, got {v}")
+    return out
 
 
-def _need_list(params: dict, key: str, typ, what: str) -> list:
-    """Read `params[key]` as a list whose entries are each a `typ`."""
-    items = _need(params, key, list, f"a list, each entry {what}")
-    return [_check(f"parameters.{key}[{i}]", v, typ, what)
-            for i, v in enumerate(items)]
+def _value(name: str, val, rule):
+    """`val` checked against one table rule."""
+    if isinstance(rule, list):
+        return [_value(f"{name}[{i}]", v, rule[0])
+                for i, v in enumerate(_check(name, val, list))]
+    if isinstance(rule, _Spec):
+        kind = _check(name, val, dict).get("type")
+        if not isinstance(kind, str) or kind not in rule.tables:
+            raise ConfigurationError(f"{name}.type must be one of "
+                                     f"{list(rule.tables)}, got {kind!r}")
+        return _read(val, {"type": str, **rule.tables[kind]}, name)
+    return _check(name, val, rule if isinstance(rule, type) else type(rule))
 
 
-def _observable_from_spec(spec: dict, dim: int, hbar: float) -> quantum.ObservableMatrix:
-    kind = _need(spec, "type", str, "an observable type")
-    if kind == "momentum_window":
-        return quantum.momentum_window_projector(
-            dim, _need(spec, "k_lo", float, "a number"),
-            _need(spec, "k_hi", float, "a number"), hbar=hbar)
-    if kind == "cos_theta":
-        return quantum.cos_theta_observable(dim)
-    if kind == "l_squared":
-        return quantum.l_squared_observable(dim, hbar=hbar)
-    raise ConfigurationError(f"unknown observable type {kind!r}")
+def _observable(spec: dict, qp: quantum.QuantumParams) -> quantum.ObservableMatrix:
+    if spec["type"] == "momentum_window":
+        return quantum.momentum_window_projector(qp.dim, spec["k_lo"],
+                                                 spec["k_hi"], hbar=qp.hbar)
+    if spec["type"] == "cos_theta":
+        return quantum.cos_theta_observable(qp.dim)
+    return quantum.l_squared_observable(qp.dim, hbar=qp.hbar)
 
 
-def _quantum_params(params: dict) -> quantum.QuantumParams:
-    return quantum.QuantumParams(
-        dim=_need(params, "dim", int, "an odd integer"),
-        lam=_need(params, "lambda", float, "a number"),
-        hbar=_need(params, "hbar", float, "a number > 0", 1.0),
-        tau=_need(params, "tau", float, "a number > 0", 1.0))
+def _quantum_params(p: dict) -> quantum.QuantumParams:
+    return quantum.QuantumParams(dim=p["dim"], lam=p["lambda"],
+                                 hbar=p["hbar"], tau=p["tau"])
 
 
 class _Artifacts:
@@ -187,23 +216,12 @@ def _write_atomic(path: Path, blob: bytes):
 
 # ---------------------------------------------------------------- kinds
 
-def _run_classical_scan(config: ExperimentConfig, art: _Artifacts):
-    p = config.parameters
-    lambdas = _need_list(p, "lambdas", float, "a kick strength >= 0")
-    grid_side = _need(p, "grid_side", int, "an integer >= 16")
-    n_steps = _need(p, "n_steps", int, "an integer >= 1")
-    threshold = _need(p, "threshold", float, "a number > 0",
-                      classical.DEFAULT_THRESHOLD)
-    tau = _need(p, "tau", float, "a number > 0", 1.0)
-    param_list = [classical.MapParams(lam, tau) for lam in lambdas]
-    if grid_side < 16:
-        raise ConfigurationError("parameters.grid_side must be >= 16")
-    if threshold <= 0:
-        raise ConfigurationError("parameters.threshold must be > 0")
+def _run_classical_scan(p: dict, seed: int, art: _Artifacts):
+    param_list = [classical.MapParams(lam, p["tau"]) for lam in p["lambdas"]]
 
     def one(mp):
-        return classical.estimate_chaotic_measure(mp, grid_side, n_steps,
-                                                  threshold)
+        return classical.estimate_chaotic_measure(mp, p["grid_side"],
+                                                  p["n_steps"], p["threshold"])
     with ThreadPoolExecutor(max_workers=max_threads()) as pool:
         estimates = list(pool.map(one, param_list))
     rows = [(est.lam, est.mu_A, est.mu_E, est.n_samples, est.threshold,
@@ -228,33 +246,26 @@ def read_region_csv(path) -> list[tuple[float, float, float]]:
     return out
 
 
-def _run_transition_fit(config: ExperimentConfig, art: _Artifacts):
-    p = config.parameters
-    csv_path = _need(p, "input_csv", str, "a path to a region-estimate CSV")
+def _run_transition_fit(p: dict, seed: int, art: _Artifacts):
+    csv_path = p["input_csv"]
     if not Path(csv_path).is_file():
         raise ConfigurationError(f"parameters.input_csv: no such file {csv_path}")
-    samples = read_region_csv(csv_path)
-    eps_factor = _need(p, "eps_factor", float, "a number",
-                       transition.FIT_EPS_FACTOR)
-    fit = transition.fit_transition(samples, eps_factor=eps_factor)
+    fit = transition.fit_transition(read_region_csv(csv_path),
+                                    eps_factor=p["eps_factor"])
     art.add_json("fit_result.json", fit.as_dict())
 
 
-def _run_quantum_evolve(config: ExperimentConfig, art: _Artifacts):
-    p = config.parameters
+def _run_quantum_evolve(p: dict, seed: int, art: _Artifacts):
     qp = _quantum_params(p)
-    n_kicks = _need(p, "n_kicks", int, "an integer >= 0")
-    if n_kicks < 0:
-        raise ConfigurationError("parameters.n_kicks must be >= 0")
-    initial_k = _need(p, "initial_k", int, "an integer", 0)
     system = quantum.build_floquet(qp)
     ladder = quantum.momentum_ladder(qp.dim)
     psi0 = np.zeros(qp.dim, dtype=complex)
-    idx = np.flatnonzero(ladder == initial_k)
+    idx = np.flatnonzero(ladder == p["initial_k"])
     if idx.size == 0:
-        raise ConfigurationError(f"parameters.initial_k={initial_k} not on ladder")
+        raise ConfigurationError(
+            f"parameters.initial_k={p['initial_k']} not on ladder")
     psi0[idx[0]] = 1.0
-    psi = quantum.evolve_vector(psi0, system, n_kicks)
+    psi = quantum.evolve_vector(psi0, system, p["n_kicks"])
     probs = np.abs(psi) ** 2
     probs /= probs.sum()
     dist = list(zip(ladder.tolist(), probs.tolist()))
@@ -267,9 +278,8 @@ def _run_quantum_evolve(config: ExperimentConfig, art: _Artifacts):
         "length": fit.length if np.isfinite(fit.length) else "inf",
         "slope": fit.slope, "intercept": fit.intercept,
         "r_squared": fit.r_squared})
-    art.add_json("params.json", _sidecar(qp, config.seed,
-                                         {"n_kicks": n_kicks,
-                                          "initial_k": initial_k}))
+    art.add_json("params.json", _sidecar(qp, seed, {
+        "n_kicks": p["n_kicks"], "initial_k": p["initial_k"]}))
 
 
 def _sidecar(qp: quantum.QuantumParams, seed: int, extra: dict) -> dict:
@@ -279,64 +289,41 @@ def _sidecar(qp: quantum.QuantumParams, seed: int, extra: dict) -> dict:
     return payload
 
 
-def _run_correlation_series(config: ExperimentConfig, art: _Artifacts):
-    p = config.parameters
+def _run_correlation_series(p: dict, seed: int, art: _Artifacts):
     qp = _quantum_params(p)
-    horizon = _need(p, "horizon", int, "an integer >= 2")
-    obs_spec = _need(p, "observable", dict, "an observable spec object")
-    obs = _observable_from_spec(obs_spec, qp.dim, qp.hbar)
-    allow_deg = _need(p, "allow_degenerate", bool, "a boolean", True)
-    state_spec = _need(p, "state", dict, "a state spec object",
-                       {"type": "haar"})
-    state_type = _need(state_spec, "type", str, "a state type")
-    if state_type == "momentum":
-        rho0 = quantum.momentum_eigenstate(
-            qp.dim, _need(state_spec, "k", int, "an integer", 0))
-    elif state_type == "haar":
-        rho0 = quantum.haar_random_pure(qp.dim,
-                                        np.random.default_rng(config.seed))
+    obs = _observable(p["observable"], qp)
+    if p["state"]["type"] == "momentum":
+        rho0 = quantum.momentum_eigenstate(qp.dim, p["state"]["k"])
     else:
-        raise ConfigurationError(f"unknown state type {state_type!r}")
+        rho0 = quantum.haar_random_pure(qp.dim, np.random.default_rng(seed))
     system = quantum.build_floquet(qp)
-    series = quantum.correlation_series(rho0, system, obs, horizon,
-                                        allow_degenerate=allow_deg)
+    series = quantum.correlation_series(rho0, system, obs, p["horizon"],
+                                        allow_degenerate=p["allow_degenerate"])
     art.add_csv("correlation_series.csv", "t,c_q,cesaro",
                 [(int(t), float(c), float(m))
                  for t, c, m in zip(series.times, series.c_q, series.cesaro)])
-    art.add_json("params.json", _sidecar(qp, config.seed, {
-        "horizon": horizon, "observable": obs.label,
+    art.add_json("params.json", _sidecar(qp, seed, {
+        "horizon": p["horizon"], "observable": obs.label,
         "degenerate_pairs": len(system.degeneracy_flags)}))
 
 
-def _run_volume_fraction(config: ExperimentConfig, art: _Artifacts):
-    p = config.parameters
+def _run_volume_fraction(p: dict, seed: int, art: _Artifacts):
     qp = _quantum_params(p)
-    n_states = _need(p, "n_states", int, "an integer >= 100")
-    horizon = _need(p, "horizon", int, "an integer >= 2")
-    tol = _need(p, "tol", float, "a number > 0")
-    obs_specs = _need_list(p, "observables", dict, "an observable spec object")
-    o_set = [_observable_from_spec(s, qp.dim, qp.hbar) for s in obs_specs]
+    o_set = [_observable(s, qp) for s in p["observables"]]
     system = quantum.build_floquet(qp)
-    frac = quantum.mixing_volume_fraction(system, o_set, n_states, horizon,
-                                          tol, config.seed)
-    art.add_json("volume_fraction.json", _sidecar(qp, config.seed, {
-        "n_states": n_states, "horizon": horizon, "tol": tol,
+    frac = quantum.mixing_volume_fraction(system, o_set, p["n_states"],
+                                          p["horizon"], p["tol"], seed)
+    art.add_json("volume_fraction.json", _sidecar(qp, seed, {
+        "n_states": p["n_states"], "horizon": p["horizon"], "tol": p["tol"],
         "fraction": frac, "observables": [o.label for o in o_set]}))
 
 
-def _run_geometry_check(config: ExperimentConfig, art: _Artifacts):
-    p = config.parameters
-    dims = _need_list(p, "dims", int, "an integer >= 2")
-    ranks_per_dim = _need(p, "ranks_per_dim", int, "an integer >= 1", 8)
-    if ranks_per_dim < 1:
-        raise ConfigurationError("parameters.ranks_per_dim must be >= 1")
-    rng = np.random.default_rng(config.seed)
+def _run_geometry_check(p: dict, seed: int, art: _Artifacts):
+    rng = np.random.default_rng(seed)
     rows = []
-    for n in dims:
-        if n < 2:
-            raise ConfigurationError("parameters.dims entries must be >= 2")
+    for n in p["dims"]:
         ranks = sorted(set(int(r) for r in
-                           rng.integers(1, n + 1, size=ranks_per_dim)))
+                           rng.integers(1, n + 1, size=p["ranks_per_dim"])))
         for mu in ranks:
             proj = geometry.RegionProjector(dim=n, indices=tuple(range(mu)))
             check = geometry.verify_theorem2(proj)
@@ -344,14 +331,25 @@ def _run_geometry_check(config: ExperimentConfig, art: _Artifacts):
     art.add_csv("geometry_check.csv", "N,mu,d2,residual", rows)
 
 
-_RUNNERS = {
-    "classical-scan": _run_classical_scan,
-    "transition-fit": _run_transition_fit,
-    "quantum-evolve": _run_quantum_evolve,
-    "correlation-series": _run_correlation_series,
-    "volume-fraction": _run_volume_fraction,
-    "geometry-check": _run_geometry_check,
+# kind -> (runner, parameter table); runners index the validated table
+_KINDS = {
+    "classical-scan": (_run_classical_scan, {
+        "lambdas": [float], "grid_side": int, "n_steps": int,
+        "threshold": classical.DEFAULT_THRESHOLD, "tau": 1.0}),
+    "transition-fit": (_run_transition_fit, {
+        "input_csv": str, "eps_factor": transition.FIT_EPS_FACTOR}),
+    "quantum-evolve": (_run_quantum_evolve, {
+        **_QUANTUM, "n_kicks": int, "initial_k": 0}),
+    "correlation-series": (_run_correlation_series, {
+        **_QUANTUM, "horizon": int, "observable": _OBSERVABLE,
+        "allow_degenerate": True, "state": _STATE}),
+    "volume-fraction": (_run_volume_fraction, {
+        **_QUANTUM, "n_states": int, "horizon": int, "tol": float,
+        "observables": [_OBSERVABLE]}),
+    "geometry-check": (_run_geometry_check, {
+        "dims": [int], "ranks_per_dim": 8}),
 }
+KINDS = tuple(_KINDS)
 
 
 def run(config: ExperimentConfig) -> dict:
@@ -362,9 +360,10 @@ def run(config: ExperimentConfig) -> dict:
     manifest is removed before the first write and each file is replaced
     whole, so `manifest.json` is present only after a complete write.
     """
+    runner, table = _KINDS[config.kind]
     art = _Artifacts()
     start = time.perf_counter()
-    _RUNNERS[config.kind](config, art)
+    runner(_read(config.parameters, table, "parameters"), config.seed, art)
     wall = time.perf_counter() - start
     out_dir = Path(config.output_dir)
     manifest_path = out_dir / "manifest.json"

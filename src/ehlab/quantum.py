@@ -61,6 +61,8 @@ class QuantumParams:
         if self.lam < 0:
             raise ConfigurationError(f"lam must be >= 0, got {self.lam}")
         x = self.tau * self.hbar / (4.0 * np.pi)
+        if not isfinite(x):
+            raise ConfigurationError("tau*hbar overflows")
         for q in range(1, 9):
             if abs(x - round(x * q) / q) < 1e-6:
                 raise ConfigurationError(
@@ -316,12 +318,12 @@ def build_floquet(params: QuantumParams,
     even, odd = _parity_blocks(kick, half_free)
     del kick  # one N x N array fewer during the dense check
     err = np.max(np.abs(f @ f.conj().T - np.eye(n)))
-    if err > 1e-10:
+    if not err <= 1e-10:  # NaN fails too
         raise NumericError(f"Floquet operator not unitary: max |FF^† - I| = {err}")
     eig_e, v_e, res_e = _block_eigensystem(even)
     eig_o, v_o, res_o = _block_eigensystem(odd)
     residual = max(res_e, res_o)
-    if residual > 1e-8:
+    if not residual <= 1e-8:
         raise NumericError(f"eigensolve failed: block eigen-residual {residual}")
     phi = np.mod(-np.angle(np.concatenate([eig_e, eig_o])), 2.0 * np.pi)
     phi[phi == 2.0 * np.pi] = 0.0  # np.mod(-tiny, 2 pi) rounds up to 2 pi
@@ -462,6 +464,9 @@ def mixing_volume_fraction(system: FloquetSystem,
     if not tol > 0:
         raise ConfigurationError(f"tol must be > 0, got {tol}")
     times = np.arange(int(np.ceil(0.9 * horizon)), horizon)
+    if times.size == 0:
+        raise ConfigurationError(
+            f"horizon {horizon} leaves the last decile empty; need >= 10")
     obs_e = [system.to_eigenbasis(o.matrix) for o in o_set]
     phi = system.quasi_energies
     z = system.eigenbasis

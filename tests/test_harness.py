@@ -1,11 +1,15 @@
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ehlab
 from ehlab import cli, harness
@@ -253,6 +257,15 @@ MALFORMED = [
     pytest.param("geometry-check", GEOMETRY, {"seed": True}, id="seed-bool"),
     pytest.param("geometry-check", GEOMETRY, {"seed": -1},
                  id="seed-negative"),
+    pytest.param("quantum-evolve", {**EVOLVE, "hbarr": 0.7}, {},
+                 id="misspelt-parameter"),
+    pytest.param("geometry-check", GEOMETRY, {"sed": 4},
+                 id="misspelt-top-level-key"),
+    pytest.param("correlation-series",
+                 {**SERIES, "observable": {"type": "cos_theta", "k_lo": 1}},
+                 {}, id="stray-observable-field"),
+    pytest.param("volume-fraction", {**FRACTION, "horizon": 5}, {},
+                 id="horizon-empty-tail"),
 ]
 
 
@@ -329,3 +342,132 @@ class TestCli:
             [sys.executable, "-m", "ehlab.cli", "run", "--config", str(config)],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
+
+
+# ---------------------------------------------------------------- fuzzing
+
+# Ints stay small, so any config that runs does so in milliseconds and no
+# dimension exceeds 33.
+SMALL_INT = st.integers(-3, 40)
+JUNK = st.one_of(st.none(), st.booleans(), SMALL_INT,
+                 st.floats(allow_nan=True, allow_infinity=True),
+                 st.text(max_size=3), st.lists(SMALL_INT, max_size=2),
+                 st.dictionaries(st.text(max_size=3), SMALL_INT, max_size=2))
+OBSERVABLE = st.one_of(
+    st.just({"type": "cos_theta"}), st.just({"type": "l_squared"}),
+    st.builds(lambda lo, width: {"type": "momentum_window", "k_lo": lo,
+                                 "k_hi": lo + width},
+              st.integers(-17, 17), st.integers(0, 20)))
+STATE = st.one_of(st.just({"type": "haar"}),
+                  st.builds(lambda k: {"type": "momentum", "k": k},
+                            st.integers(-3, 3)))
+QUANTUM = {"dim": st.integers(0, 16).map(lambda i: 2 * i + 1),
+           "lambda": st.floats(0, 20), "hbar": st.floats(0.1, 2),
+           "tau": st.floats(0.1, 2)}
+# mostly valid values of every key of every kind, written independently of
+# the harness's own table; tiny horizons leave an empty tail window
+FUZZ = {
+    "classical-scan": {"lambdas": st.lists(st.floats(0, 10), max_size=3),
+                       "grid_side": st.integers(16, 18),
+                       "n_steps": st.integers(1, 20),
+                       "threshold": st.floats(0.01, 1),
+                       "tau": st.floats(0.1, 2)},
+    "transition-fit": {"input_csv": st.sampled_from(["scan.csv"] * 4 + [
+                           "nope.csv", "config.json"]),
+                       "eps_factor": st.floats(-1, 1)},
+    "quantum-evolve": {**QUANTUM, "n_kicks": st.integers(0, 50),
+                       "initial_k": st.integers(-3, 3)},
+    "correlation-series": {**QUANTUM, "horizon": st.integers(2, 40),
+                           "observable": OBSERVABLE,
+                           "allow_degenerate": st.booleans(), "state": STATE},
+    "volume-fraction": {**QUANTUM, "n_states": st.integers(100, 102),
+                        "horizon": st.integers(1, 30),
+                        "tol": st.floats(0.01, 1),
+                        "observables": st.lists(OBSERVABLE, min_size=1,
+                                                max_size=2)},
+    "geometry-check": {"dims": st.lists(st.integers(2, 33), max_size=3),
+                       "ranks_per_dim": st.integers(1, 4)},
+}
+TYPO = st.one_of(st.sampled_from(["hbarr", "sed", "type", "k", "dims"]),
+                 st.text(max_size=3))
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A config whose keys are each plausible, junk, absent or misspelt."""
+    def fill(obj: dict, key: str, valid):
+        mode = draw(st.sampled_from(["valid"] * 30 + ["junk", "absent"]))
+        if mode != "absent":
+            obj[key] = draw(valid if mode == "valid" else JUNK)
+
+    def typos(obj: dict):
+        if draw(st.sampled_from([False] * 14 + [True])):
+            obj[draw(TYPO)] = draw(JUNK)
+
+    kind = draw(st.sampled_from(sorted(FUZZ)))
+    params = {}
+    for key, valid in FUZZ[kind].items():
+        fill(params, key, valid)
+    typos(params)
+    config = {}
+    for key, valid in (("kind", st.just(kind)), ("parameters", st.just(params)),
+                       ("seed", st.integers(0, 3))):
+        fill(config, key, valid)
+    # output_dir stays "out" or is no string, so nothing is written elsewhere
+    config["output_dir"] = draw(st.sampled_from(["out"] * 30 + [None, 5, [""]]))
+    typos(config)
+    return draw(st.sampled_from([config] * 30 + [params, [config], "x"]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    lams = np.linspace(0.0, 2.0, 21)
+    mus = 0.9 * (1.5 * (lams / 0.97) ** 2 - 0.5 * (lams / 0.97) ** 3)
+    rows = [harness.REGION_CSV_HEADER]
+    rows += [f"{l},{m},{1 - m},1024,0.05,0.01" for l, m in zip(lams, mus)]
+    (root / "scan.csv").write_text("\n".join(rows) + "\n")
+    return root
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(config=fuzz_configs())
+def test_any_config_exits_cleanly(fuzz_dir, config):
+    # exit 0, or 2 / 3 with no output directory: never a traceback
+    shutil.rmtree(fuzz_dir / "out", ignore_errors=True)
+    write_config(fuzz_dir, config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(fuzz_dir)  # the generated paths are relative
+        code = cli.main(["run", "--config", "config.json"])
+    assert code in (0, 2, 3)
+    if code:
+        assert not (fuzz_dir / "out").exists()
+
+
+# ----------------------------------------------------------------- README
+
+def readme_kind_table() -> dict:
+    """{kind: {parameter: default, or None if required}} from README.md."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = {}
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not re.fullmatch(r"`[a-z-]+`", cells[0]):
+            continue
+        required, _, optional = cells[1].partition(";")
+        params = {name: None for name in re.findall(r"`(\w+)`", required)}
+        for name, value in re.findall(r"`(\w+) = ([^`]+)`", optional):
+            params[name] = json.loads(value)
+        table[cells[0].strip("`")] = params
+    return table
+
+
+def test_readme_lists_every_kind_and_parameter():
+    def default(rule):
+        if isinstance(rule, harness._Spec):
+            return rule.default
+        return None if isinstance(rule, (type, list)) else rule
+
+    declared = {kind: {key: default(rule) for key, rule in table.items()}
+                for kind, (_, table) in harness._KINDS.items()}
+    assert readme_kind_table() == declared

@@ -89,6 +89,9 @@ class TestParamsAndStates:
             q.QuantumParams(dim=65, lam=1.0, hbar=4.0 * np.pi, tau=1.0)
         with pytest.raises(ConfigurationError):
             q.QuantumParams(dim=65, lam=1.0, hbar=2.0 * np.pi, tau=1.0)
+        # the product overflows although each factor is finite
+        with pytest.raises(ConfigurationError):
+            q.QuantumParams(dim=65, lam=1.0, hbar=1e200, tau=1e200)
 
     def test_ladder_is_symmetric(self):
         ladder = q.momentum_ladder(65)
@@ -231,6 +234,19 @@ class TestFloquet:
         config.write_text(json.dumps({
             "kind": "quantum-evolve", "output_dir": str(tmp_path / "out"),
             "parameters": {"dim": 33, "lambda": 5.0, "n_kicks": 10}}))
+        assert cli.main(["run", "--config", str(config)]) == 3
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_kick_is_numeric_error(self, tmp_path):
+        # lam/hbar overflows to inf, so the kick is NaN; NaN passes no gate
+        with pytest.raises(NumericError):
+            q.build_floquet(q.QuantumParams(dim=33, lam=1e308, hbar=0.1))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kind": "quantum-evolve", "output_dir": str(tmp_path / "out"),
+            "parameters": {"dim": 33, "lambda": 1e308, "hbar": 0.1,
+                           "n_kicks": 10}}))
         assert cli.main(["run", "--config", str(config)]) == 3
         assert not (tmp_path / "out").exists()
 
@@ -495,3 +511,10 @@ class TestVolumeFraction:
             with pytest.raises(ConfigurationError):
                 q.mixing_volume_fraction(system, [q.cos_theta_observable(33)],
                                          100, 100, tol, seed=0)
+        # ceil(0.9 * horizon) == horizon below 10: an empty last decile
+        for horizon in (-3, 0, 1, 4, 9):
+            with pytest.raises(ConfigurationError):
+                q.mixing_volume_fraction(system, [q.cos_theta_observable(33)],
+                                         100, horizon, 0.1, seed=0)
+        assert 0.0 <= q.mixing_volume_fraction(
+            system, [q.cos_theta_observable(33)], 100, 10, 0.1, seed=0) <= 1.0
