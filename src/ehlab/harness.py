@@ -54,11 +54,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"cannot read config {path}: {exc}")
-        return cls.from_dict(raw)
+        return cls.from_dict(_load(path, json.loads))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -98,15 +94,14 @@ _AT_LEAST = {"seed": 0, "n_kicks": 0, "ranks_per_dim": 1, "dims": 2}
 def _check(name: str, val, typ):
     """Return `val` as a `typ` or raise a ConfigurationError.
 
-    An int stands for a float, a bool is never a number, and a float
-    must be finite (JSON admits NaN and Infinity).
+    An int stands for a float, a bool is never a number, an int must fit
+    in 64 bits and a float must be finite (JSON admits NaN and Infinity).
     """
+    if isinstance(val, int) and abs(val) >= 2 ** 63:
+        raise ConfigurationError(f"{name} must be below 2**63 in magnitude, got {val}")
     is_number = isinstance(val, (int, float)) and not isinstance(val, bool)
     if typ is float and is_number:
-        try:
-            val = float(val)
-        except OverflowError:
-            val = math.inf
+        val = float(val)
     ok = isinstance(val, typ) and (typ is bool or not isinstance(val, bool))
     if not ok or (typ is float and not math.isfinite(val)):
         what = "a finite number" if typ is float else f"of type {typ.__name__}"
@@ -198,6 +193,15 @@ class _Artifacts:
         return checksums
 
 
+def _load(path, parse):
+    """`parse` applied to the UTF-8 text of `path`; an unreadable file, a
+    ValueError from `parse` or too deep JSON is a ConfigurationError."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+
+
 def _write_atomic(path: Path, blob: bytes):
     """Write `blob` to a temp file beside `path`, then rename it into place.
 
@@ -232,25 +236,26 @@ def _run_classical_scan(p: dict, seed: int, art: _Artifacts):
 
 
 def read_region_csv(path) -> list[tuple[float, float, float]]:
-    """(lambda, mu_A, ci_halfwidth) triples from a region-estimate CSV."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != REGION_CSV_HEADER:
-        raise ConfigurationError(f"{path} is not a region-estimate CSV")
-    out = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ConfigurationError(f"{path}:{i}: expected 6 columns, "
-                                     f"got {len(parts)}")
-        out.append((float(parts[0]), float(parts[1]), float(parts[5])))
-    return out
+    """(lambda, mu_A, ci_halfwidth) triples from a region-estimate CSV;
+    each must be a finite number."""
+    def parse(text: str):
+        lines = text.strip().splitlines()
+        if not lines or lines[0] != REGION_CSV_HEADER:
+            raise ConfigurationError(f"{path} is not a region-estimate CSV")
+        out = []
+        for i, line in enumerate(lines[1:], start=2):
+            parts = line.split(",")
+            if len(parts) != 6:
+                raise ConfigurationError(f"{path}:{i}: expected 6 columns, "
+                                         f"got {len(parts)}")
+            out.append(tuple(_check(f"{path}:{i}", float(parts[j]), float)
+                             for j in (0, 1, 5)))
+        return out
+    return _load(path, parse)
 
 
 def _run_transition_fit(p: dict, seed: int, art: _Artifacts):
-    csv_path = p["input_csv"]
-    if not Path(csv_path).is_file():
-        raise ConfigurationError(f"parameters.input_csv: no such file {csv_path}")
-    fit = transition.fit_transition(read_region_csv(csv_path),
+    fit = transition.fit_transition(read_region_csv(p["input_csv"]),
                                     eps_factor=p["eps_factor"])
     art.add_json("fit_result.json", fit.as_dict())
 
@@ -390,60 +395,57 @@ def run(config: ExperimentConfig) -> dict:
 
 _GNUPLOT_PREAMBLE = 'set datafile separator ","\nset key top left\n'
 
+# kind -> (script name, axis labels, plot command); strings only
+_PLOTS = {
+    "classical-scan": (
+        "plot_mu_vs_lambda.gp", 'set xlabel "lambda"\nset ylabel "mu(A)"\n',
+        'plot "region_estimates.csv" skip 1 using 1:2:($6) '
+        'with yerrorbars title "measured"'),
+    "quantum-evolve": (
+        "plot_localization.gp", 'set xlabel "|k|"\nset ylabel "ln p(k)"\n',
+        'plot "momentum_distribution.csv" skip 1 '
+        'using (abs($1)):(log($2)) title "momentum distribution"'),
+    "correlation-series": (
+        "plot_correlation.gp", 'set xlabel "t"\n',
+        'plot "correlation_series.csv" skip 1 using 1:2 with lines '
+        'title "C_Q", "correlation_series.csv" skip 1 using 1:3 '
+        'with lines title "Cesaro average"'),
+}
+
 
 def emit_plot_scripts(manifest_path) -> list[str]:
     """Write gnuplot scripts for the figures supported by a manifest.
 
     Returns the script paths. An empty manifest is a warned no-op;
     a referenced CSV that has gone missing is a configuration error.
+    A classical scan whose directory holds `fit_result.json` also
+    plots the fitted cubic law.
     """
     path = Path(manifest_path)
-    try:
-        manifest = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read manifest {manifest_path}: {exc}")
-    artifacts = manifest.get("artifacts", {})
+    manifest = _check(str(path), _load(path, json.loads), dict)
+    artifacts = _check(f"{path}: artifacts", manifest.get("artifacts", {}), dict)
     if not artifacts:
         warnings.warn("manifest lists no artifacts; nothing to plot")
         return []
     base = path.parent
     for name in artifacts:
-        if name.endswith(".csv") and not (base / name).is_file():
+        if name.endswith(".csv") and not os.path.isfile(base / name):
             raise ConfigurationError(f"artifact {name} referenced by manifest "
                                      f"is missing from {base}")
-    kind = manifest.get("config", {}).get("kind")
-    scripts = []
-
-    if kind == "classical-scan":
-        lines = [_GNUPLOT_PREAMBLE,
-                 'set xlabel "lambda"\nset ylabel "mu(A)"\n']
-        fit_file = base / "fit_result.json"
-        plot = ('plot "region_estimates.csv" skip 1 using 1:2:($6) '
-                'with yerrorbars title "measured"')
-        if fit_file.is_file():
-            fit = json.loads(fit_file.read_text())
-            lc, mc = fit["lambda_c"], fit["mu_c"]
-            lines.append(f"lc = {lc}\nmc = {mc}\n"
-                         "cubic(x) = mc*(1.5*(x/lc)**2 - 0.5*(x/lc)**3)\n")
-            plot += ', cubic(x) title "cubic fit"'
-        lines.append(plot + "\n")
-        scripts.append(_write_script(base / "plot_mu_vs_lambda.gp", lines))
-    elif kind == "quantum-evolve":
-        lines = [_GNUPLOT_PREAMBLE,
-                 'set xlabel "|k|"\nset ylabel "ln p(k)"\n',
-                 'plot "momentum_distribution.csv" skip 1 '
-                 'using (abs($1)):(log($2)) title "momentum distribution"\n']
-        scripts.append(_write_script(base / "plot_localization.gp", lines))
-    elif kind == "correlation-series":
-        lines = [_GNUPLOT_PREAMBLE,
-                 'set xlabel "t"\n',
-                 'plot "correlation_series.csv" skip 1 using 1:2 with lines '
-                 'title "C_Q", "correlation_series.csv" skip 1 using 1:3 '
-                 'with lines title "Cesaro average"\n']
-        scripts.append(_write_script(base / "plot_correlation.gp", lines))
-    return scripts
-
-
-def _write_script(path: Path, lines) -> str:
-    path.write_text("".join(lines))
-    return str(path)
+    config = _check(f"{path}: config", manifest.get("config", {}), dict)
+    kind = _check(f"{path}: config.kind", config.get("kind", ""), str)
+    if kind not in _PLOTS:
+        return []
+    name, labels, plot = _PLOTS[kind]
+    text = _GNUPLOT_PREAMBLE + labels
+    fit_file = base / "fit_result.json"
+    if kind == "classical-scan" and fit_file.is_file():
+        fit = _check(str(fit_file), _load(fit_file, json.loads), dict)
+        lc, mc = (_check(f"{fit_file}: {key}", fit.get(key), float)
+                  for key in ("lambda_c", "mu_c"))
+        text += (f"lc = {lc}\nmc = {mc}\n"
+                 "cubic(x) = mc*(1.5*(x/lc)**2 - 0.5*(x/lc)**3)\n")
+        plot += ', cubic(x) title "cubic fit"'
+    script = base / name
+    _write_atomic(script, (text + plot + "\n").encode())
+    return [str(script)]

@@ -409,12 +409,12 @@ class CorrelationSeries:
         return float(np.max(np.abs(self.cesaro[1:]) * n)) if len(n) else 0.0
 
 
-def _offdiag_series(m_offdiag: np.ndarray, phi: np.ndarray,
+def _offdiag_series(rho_e: np.ndarray, obs_e: np.ndarray, phi: np.ndarray,
                     times: np.ndarray) -> np.ndarray:
-    """sum_{k != k'} M_kk' exp(-i t (phi_k - phi_k')) for each t.
-
-    M must already have a zero diagonal.
-    """
+    """sum_{k != k'} rho_kk' O_k'k exp(-i t (phi_k - phi_k')) for each t,
+    with rho and O given in the eigenbasis."""
+    m_offdiag = rho_e * obs_e.T
+    np.fill_diagonal(m_offdiag, 0.0)
     out = np.empty(len(times))
     for start in range(0, len(times), _TIME_BLOCK):
         t = times[start:start + _TIME_BLOCK]
@@ -436,12 +436,10 @@ def correlation_series(rho0: DensityState, system: FloquetSystem,
         raise ConfigurationError(f"horizon must be >= 2, got {horizon}")
     if system.degeneracy_flags and not allow_degenerate:
         raise DegenerateSpectrumError(system.degeneracy_flags)
-    rho_e = system.to_eigenbasis(rho0.matrix)
-    obs_e = system.to_eigenbasis(obs.matrix)
-    m = rho_e * obs_e.T
-    np.fill_diagonal(m, 0.0)
     times = np.arange(horizon)
-    c_q = _offdiag_series(m, system.quasi_energies, times)
+    c_q = _offdiag_series(system.to_eigenbasis(rho0.matrix),
+                          system.to_eigenbasis(obs.matrix),
+                          system.quasi_energies, times)
     cesaro = np.cumsum(c_q) / (times + 1)
     return CorrelationSeries(times=times, c_q=c_q, cesaro=cesaro,
                              observable_label=obs.label, state_label="rho0")
@@ -478,9 +476,7 @@ def mixing_volume_fraction(system: FloquetSystem,
         rho_e = np.outer(c, c.conj())
         ok = True
         for oe in obs_e:
-            m = rho_e * oe.T
-            np.fill_diagonal(m, 0.0)
-            if np.max(np.abs(_offdiag_series(m, phi, times))) >= tol:
+            if np.max(np.abs(_offdiag_series(rho_e, oe, phi, times))) >= tol:
                 ok = False
                 break
         n_ok += ok

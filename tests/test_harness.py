@@ -1,9 +1,11 @@
+import ast
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,17 @@ def write_config(tmp_path: Path, payload: dict, name="config.json") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def write_files(root: Path, files: dict):
+    """Bytes are written as they are, None makes a directory, and anything
+    else is written as JSON."""
+    for name, content in files.items():
+        if content is None:
+            (root / name).mkdir()
+        else:
+            (root / name).write_bytes(content if isinstance(content, bytes)
+                                      else json.dumps(content).encode())
 
 
 def scan_config(out_dir: Path, lambdas=(0.0, 1.0, 10.0), grid=16, steps=1000):
@@ -172,7 +185,50 @@ class TestQuantumKinds:
             harness.run(config)
 
 
+PREAMBLE = 'set datafile separator ","\nset key top left\n'
+SCAN_PLOT = ('plot "region_estimates.csv" skip 1 using 1:2:($6) '
+             'with yerrorbars title "measured"')
+# (kind, its CSV, fit_result.json or None, script name, exact script text)
+GOLDEN_SCRIPTS = [
+    pytest.param(
+        "classical-scan", "region_estimates.csv", None, "plot_mu_vs_lambda.gp",
+        PREAMBLE + 'set xlabel "lambda"\nset ylabel "mu(A)"\n'
+        + SCAN_PLOT + "\n", id="scan"),
+    pytest.param(
+        "classical-scan", "region_estimates.csv",
+        {"lambda_c": 0.9716, "mu_c": 0.9, "rss": 1.0},
+        "plot_mu_vs_lambda.gp",
+        PREAMBLE + 'set xlabel "lambda"\nset ylabel "mu(A)"\n'
+        "lc = 0.9716\nmc = 0.9\n"
+        "cubic(x) = mc*(1.5*(x/lc)**2 - 0.5*(x/lc)**3)\n"
+        + SCAN_PLOT + ', cubic(x) title "cubic fit"\n', id="scan-with-fit"),
+    pytest.param(
+        "quantum-evolve", "momentum_distribution.csv", None,
+        "plot_localization.gp",
+        PREAMBLE + 'set xlabel "|k|"\nset ylabel "ln p(k)"\n'
+        'plot "momentum_distribution.csv" skip 1 using (abs($1)):(log($2)) '
+        'title "momentum distribution"\n', id="localization"),
+    pytest.param(
+        "correlation-series", "correlation_series.csv", None,
+        "plot_correlation.gp",
+        PREAMBLE + 'set xlabel "t"\n'
+        'plot "correlation_series.csv" skip 1 using 1:2 with lines title "C_Q", '
+        '"correlation_series.csv" skip 1 using 1:3 with lines '
+        'title "Cesaro average"\n', id="correlation"),
+]
+
+
 class TestPlotScripts:
+    @pytest.mark.parametrize("kind,csv,fit,script,text", GOLDEN_SCRIPTS)
+    def test_script_bytes(self, tmp_path, kind, csv, fit, script, text):
+        write_files(tmp_path, {csv: b"", "manifest.json": {
+            "config": {"kind": kind}, "artifacts": {csv: "0"}}})
+        if fit is not None:
+            write_files(tmp_path, {"fit_result.json": fit})
+        assert harness.emit_plot_scripts(tmp_path / "manifest.json") == [
+            str(tmp_path / script)]
+        assert (tmp_path / script).read_bytes() == text.encode()
+
     def test_scan_plot_with_fit_overlay(self, tmp_path):
         harness.run(harness.ExperimentConfig.from_dict(scan_config(tmp_path)))
         (tmp_path / "fit_result.json").write_text(
@@ -266,6 +322,73 @@ MALFORMED = [
                  {}, id="stray-observable-field"),
     pytest.param("volume-fraction", {**FRACTION, "horizon": 5}, {},
                  id="horizon-empty-tail"),
+    pytest.param("quantum-evolve", {**EVOLVE, "n_kicks": 10 ** 400}, {},
+                 id="n_kicks-beyond-int64"),
+    pytest.param("quantum-evolve", {**EVOLVE, "dim": 10 ** 400 + 1}, {},
+                 id="dim-beyond-int64"),
+    pytest.param("classical-scan", {**SCAN, "grid_side": 10 ** 400}, {},
+                 id="grid_side-beyond-int64"),
+    pytest.param("correlation-series", {**SERIES, "horizon": 10 ** 400}, {},
+                 id="horizon-beyond-int64"),
+    pytest.param("geometry-check", {"dims": [10 ** 400]}, {},
+                 id="dims-entry-beyond-int64"),
+    pytest.param("geometry-check", {**GEOMETRY, "ranks_per_dim": 10 ** 400},
+                 {}, id="ranks_per_dim-beyond-int64"),
+    pytest.param("geometry-check", GEOMETRY, {"seed": 10 ** 400},
+                 id="seed-beyond-int64"),
+]
+
+NOT_UTF8 = b"\xff\xfe\x00"
+FIT_CONFIG = {"kind": "transition-fit", "output_dir": "out",
+              "parameters": {"input_csv": "in.csv"}}
+SCAN_MANIFEST = {"config": {"kind": "classical-scan"},
+                 "artifacts": {"region_estimates.csv": "0"}}
+
+
+def region_csv(mu_at_one="0.5") -> bytes:
+    """A 21-point cubic-law sweep with mu_A at lambda = 1 replaced."""
+    lams = np.linspace(0.0, 2.0, 21)
+    mus = [str(m) for m in 0.9 * (1.5 * (lams / 0.97) ** 2
+                                  - 0.5 * (lams / 0.97) ** 3)]
+    mus[10] = mu_at_one
+    rows = [harness.REGION_CSV_HEADER]
+    rows += [f"{l},{m},0.5,1024,0.05,0.01" for l, m in zip(lams, mus)]
+    return ("\n".join(rows) + "\n").encode()
+
+
+RUN = ["run", "--config", "config.json"]
+PLOT = ["plot", "--manifest", "manifest.json"]
+# (argv, {file name: content} for write_files); each must end in exit 2
+UNUSABLE_FILES = [
+    pytest.param(RUN, {"config.json": NOT_UTF8}, id="config-not-utf8"),
+    pytest.param(RUN, {"config.json": b"[" * 100_000},
+                 id="config-nested-too-deep"),
+    pytest.param(RUN, {"config.json": FIT_CONFIG,
+                       "in.csv": region_csv("a")}, id="csv-non-numeric"),
+    pytest.param(RUN, {"config.json": FIT_CONFIG,
+                       "in.csv": region_csv() + NOT_UTF8},
+                 id="csv-not-utf8"),
+    pytest.param(RUN, {"config.json": FIT_CONFIG,
+                       "in.csv": region_csv("nan")}, id="csv-nan"),
+    pytest.param(PLOT, {"manifest.json": []}, id="manifest-list"),
+    pytest.param(PLOT, {"manifest.json": {**SCAN_MANIFEST,
+                                          "artifacts": [1]}},
+                 id="manifest-artifacts-list"),
+    pytest.param(PLOT, {"manifest.json": NOT_UTF8}, id="manifest-not-utf8"),
+    pytest.param(PLOT, {"manifest.json": {"artifacts": {
+                     "x" * 300 + ".csv": "0"}}},
+                 id="manifest-artifact-name-too-long"),
+    pytest.param(PLOT, {"manifest.json": SCAN_MANIFEST,
+                        "region_estimates.csv": b"",
+                        "fit_result.json": b"{"}, id="fit-malformed"),
+    pytest.param(PLOT, {"manifest.json": SCAN_MANIFEST,
+                        "region_estimates.csv": b"",
+                        "fit_result.json": {"mu_c": 0.9}},
+                 id="fit-without-lambda_c"),
+    pytest.param(PLOT, {"manifest.json": SCAN_MANIFEST,
+                        "region_estimates.csv": b"",
+                        "plot_mu_vs_lambda.gp": None},
+                 id="script-is-directory"),
 ]
 
 
@@ -283,6 +406,14 @@ class TestCli:
         config = write_config(tmp_path, payload)
         assert cli.main(["run", "--config", str(config)]) == 2
         assert not (tmp_path / str(payload["output_dir"])).exists()
+
+    @pytest.mark.parametrize("argv,files", UNUSABLE_FILES)
+    def test_unusable_file_is_exit_2(self, tmp_path, monkeypatch, argv, files):
+        monkeypatch.chdir(tmp_path)
+        write_files(tmp_path, files)
+        assert cli.main(argv) == 2
+        assert not (tmp_path / "out").exists()
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_run_exit_codes(self, tmp_path, capsys):
         config = write_config(tmp_path, scan_config(tmp_path / "out"))
@@ -442,6 +573,84 @@ def test_any_config_exits_cleanly(fuzz_dir, config):
     assert code in (0, 2, 3)
     if code:
         assert not (fuzz_dir / "out").exists()
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+PLOT_NAMES = st.sampled_from(["region_estimates.csv", "momentum_distribution.csv",
+                              "correlation_series.csv", "gone.csv",
+                              "fit_result.json"])
+
+
+@st.composite
+def fuzz_plot_files(draw):
+    """A manifest and a fit_result.json (None: absent) whose parts are each
+    mostly of the right shape and otherwise any JSON."""
+    def mostly(valid):
+        return draw(draw(st.sampled_from([valid] * 4 + [JSON])))
+
+    kind = mostly(st.sampled_from([*harness.KINDS, "nope"]))
+    manifest = mostly(st.just({
+        "config": mostly(st.just({"kind": kind})),
+        "artifacts": mostly(st.dictionaries(PLOT_NAMES | st.text(max_size=3),
+                                            JSON, min_size=1, max_size=3))}))
+    number = st.floats(-2, 2)
+    fit = draw(st.none() | st.just(mostly(st.builds(
+        lambda lc, mc: {"lambda_c": lc, "mu_c": mc}, number | JSON,
+        number | JSON))))
+    return manifest, fit
+
+
+@pytest.fixture(scope="module")
+def plot_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("plot")
+    for name in ("region_estimates.csv", "momentum_distribution.csv",
+                 "correlation_series.csv"):
+        (root / name).write_text("")
+    return root
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(files=fuzz_plot_files())
+def test_any_manifest_plots_cleanly(plot_dir, files):
+    # exit 0 or 2, never a traceback, and no temp file left behind
+    manifest, fit = files
+    (plot_dir / "manifest.json").write_text(json.dumps(manifest))
+    (plot_dir / "fit_result.json").unlink(missing_ok=True)
+    if fit is not None:
+        (plot_dir / "fit_result.json").write_text(json.dumps(fit))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the empty-manifest warning
+        code = cli.main(["plot", "--manifest", str(plot_dir / "manifest.json")])
+    assert code in (0, 2)
+    assert not list(plot_dir.glob("*.tmp"))
+
+
+# ---------------------------------------------------------------- file I/O
+
+FILE_IO = {"read_text", "read_bytes", "write_text", "write_bytes", "open"}
+
+
+def file_io_calls(node) -> list[int]:
+    return [c.lineno for c in ast.walk(node) if isinstance(c, ast.Call)
+            and getattr(c.func, "attr", getattr(c.func, "id", None)) in FILE_IO]
+
+
+def test_file_io_only_in_load_and_write_atomic():
+    # every file ehlab reads goes through harness._load and every file it
+    # writes through harness._write_atomic
+    allowed, found = [], []
+    for path in sorted(Path(ehlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [(path.name, line) for line in file_io_calls(tree)]
+        allowed += [(path.name, line) for f in tree.body
+                    if isinstance(f, ast.FunctionDef) and path.name == "harness.py"
+                    and f.name in ("_load", "_write_atomic")
+                    for line in file_io_calls(f)]
+    assert len(allowed) == 2
+    assert sorted(found) == sorted(allowed)
 
 
 # ----------------------------------------------------------------- README
