@@ -8,6 +8,7 @@ and Monte-Carlo correlations between phase-space sets.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from math import isfinite
 
@@ -159,7 +160,7 @@ def classify_orbit(x0: PhasePoint, params: MapParams, n_steps: int,
     Exact ties are classified Regular (conservative toward the
     integrable side).
     """
-    if threshold <= 0:
+    if not threshold > 0:  # NaN fails too
         raise ConfigurationError(f"threshold must be > 0, got {threshold}")
     expo = lyapunov_exponent(x0, params, n_steps)
     label = "Chaotic" if expo > threshold else "Regular"
@@ -179,7 +180,7 @@ def estimate_chaotic_measure(params: MapParams, grid_side: int, n_steps: int,
         raise ConfigurationError(f"grid_side must be >= 16, got {grid_side}")
     if n_steps < 1:
         raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
-    if threshold <= 0:
+    if not threshold > 0:  # NaN fails too
         raise ConfigurationError(f"threshold must be > 0, got {threshold}")
     # cell-centered grid, avoids the measure-zero fixed lines at 0
     edges = (np.arange(grid_side) + 0.5) * TWO_PI / grid_side
@@ -208,13 +209,35 @@ class Cell:
                 & (p >= self.p_min) & (p < self.p_max))
 
 
+_CELL_KEYS = ("theta_min", "theta_max", "p_min", "p_max")
+
+
+def _cell(index: int, spec) -> Cell:
+    """A Cell from one parsed JSON object whose four bounds are finite
+    numbers."""
+    if not isinstance(spec, dict) or not all(k in spec for k in _CELL_KEYS):
+        raise ConfigurationError(
+            f"cell {index} must be an object with keys {', '.join(_CELL_KEYS)}")
+    bounds = [spec[k] for k in _CELL_KEYS]
+    for x in bounds:
+        # the magnitude test also rejects NaN and ints too large for a float
+        if (isinstance(x, bool) or not isinstance(x, (int, float))
+                or not abs(x) <= sys.float_info.max):
+            raise ConfigurationError(
+                f"cell {index}: bound {x!r} is not a finite number")
+    return Cell(*(float(x) for x in bounds))
+
+
 def cells_from_json(text: str) -> list[Cell]:
-    """Parse a JSON array of {theta_min, theta_max, p_min, p_max} objects."""
-    raw = json.loads(text)
+    """Parse a JSON array of {theta_min, theta_max, p_min, p_max} objects
+    whose bounds are finite numbers."""
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigurationError(f"cell set is not valid JSON: {exc}") from None
     if not isinstance(raw, list):
         raise ConfigurationError("cell set must be a JSON array")
-    return [Cell(float(c["theta_min"]), float(c["theta_max"]),
-                 float(c["p_min"]), float(c["p_max"])) for c in raw]
+    return [_cell(i, spec) for i, spec in enumerate(raw)]
 
 
 def _membership(cells, theta, p):

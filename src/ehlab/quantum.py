@@ -161,22 +161,26 @@ def _angle_grid(dim: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(dim) / dim
 
 
-def _angle_diagonal_in_momentum(values: np.ndarray) -> np.ndarray:
-    """Momentum-basis matrix of the operator diagonal on the angle grid.
+def _angle_coefficients(values: np.ndarray) -> np.ndarray:
+    """Circulant coefficients of the operator diagonal on the angle grid.
 
-    With |theta_j> = sum_k exp(-i k theta_j)|k>/sqrt(N), the entry at
-    (k, k') is sum_j values_j exp(-i (k - k') theta_j) / N, which is
-    the FFT coefficient of index (k - k') mod N.
+    With |theta_j> = sum_k exp(-i k theta_j)|k>/sqrt(N), the momentum-basis
+    entry at (k, k') is sum_j values_j exp(-i (k - k') theta_j) / N, which
+    is the FFT coefficient c[(k - k') mod N].
     """
-    n = len(values)
-    coeffs = np.fft.fft(values) / n
+    return np.fft.fft(values) / len(values)
+
+
+def _circulant(coeffs: np.ndarray) -> np.ndarray:
+    """The momentum-basis matrix with entry coeffs[(k - k') mod N]."""
+    n = len(coeffs)
     ladder = momentum_ladder(n)
     return coeffs[np.subtract.outer(ladder, ladder) % n]
 
 
 def cos_theta_observable(dim: int) -> ObservableMatrix:
     """cos(theta) on the angle grid, expressed in the momentum basis."""
-    m = _angle_diagonal_in_momentum(np.cos(_angle_grid(dim)))
+    m = _circulant(_angle_coefficients(np.cos(_angle_grid(dim))))
     return ObservableMatrix(m, label="cos_theta")
 
 
@@ -189,23 +193,28 @@ def l_squared_observable(dim: int, hbar: float = 1.0) -> ObservableMatrix:
 
 @dataclass
 class FloquetSystem:
-    """Floquet unitary with its quasi-energy spectrum and eigenbasis.
+    """Quasi-energy spectrum and eigenbasis of the Floquet unitary.
 
     Quasi-energies phi_k in [0, 2*pi) satisfy F|k> = exp(-i phi_k)|k>
     and are stored in increasing order; `degeneracy_flags` lists index
-    pairs closer than `gap_tol` (including the 2*pi wraparound pair).
+    pairs closer than `DEFAULT_GAP_TOL` (including the 2*pi wraparound
+    pair).
     """
 
     params: QuantumParams
-    unitary: np.ndarray
     quasi_energies: np.ndarray
     eigenbasis: np.ndarray  # columns are eigenvectors
     degeneracy_flags: list = field(default_factory=list)
-    gap_tol: float = DEFAULT_GAP_TOL
 
     @property
     def dim(self) -> int:
         return self.params.dim
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The dense F = kick * free, assembled on each access."""
+        return (kick_operator(self.params)
+                * free_propagator_diagonal(self.params)[None, :])
 
     def to_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
         z = self.eigenbasis
@@ -216,11 +225,16 @@ class FloquetSystem:
         return z @ matrix @ z.conj().T
 
 
+def _kick_coefficients(params: QuantumParams) -> np.ndarray:
+    """Circulant coefficients c of the kick: K[k, k'] = c[(k - k') mod N]."""
+    theta = _angle_grid(params.dim)
+    return _angle_coefficients(
+        np.exp(-1j * (params.lam / params.hbar) * np.cos(theta)))
+
+
 def kick_operator(params: QuantumParams) -> np.ndarray:
     """exp(-i (lam/hbar) cos theta) in the momentum basis (circulant)."""
-    theta = _angle_grid(params.dim)
-    return _angle_diagonal_in_momentum(
-        np.exp(-1j * (params.lam / params.hbar) * np.cos(theta)))
+    return _circulant(_kick_coefficients(params))
 
 
 def free_propagator_diagonal(params: QuantumParams) -> np.ndarray:
@@ -229,18 +243,23 @@ def free_propagator_diagonal(params: QuantumParams) -> np.ndarray:
     return np.exp(-0.5j * params.tau * params.hbar * k.astype(float) ** 2)
 
 
-def _parity_blocks(kick: np.ndarray, half_free: np.ndarray):
-    """Even and odd blocks of F_s = D K D in the parity basis.
+def _parity_blocks(coeffs: np.ndarray, half_free: np.ndarray):
+    """Even and odd blocks of F_s = D K D in the parity basis, from the
+    kick's circulant coefficients.
 
     The basis is |0>, (|k> + |-k>)/sqrt(2) (even) and (|k> - |-k>)/sqrt(2)
     (odd) for k = 1..(N-1)/2. K and D are parity invariant, so each block
-    entry is K[k, k'] +- K[k, -k'] scaled by the half-ladder phases, with
-    1/sqrt(2) on the k = 0 row and column of the even block.
+    entry is K[k, k'] +- K[k, -k'] = c[(k - k') mod N] +- c[k + k'] scaled
+    by the half-ladder phases, with 1/sqrt(2) on the k = 0 row and column
+    of the even block.
     """
-    h = (len(kick) - 1) // 2
-    upper = kick[h:]  # rows k >= 0
-    even = upper[:, h:] + upper[:, h::-1]
-    odd = upper[1:, h + 1:] - upper[1:, :h][:, ::-1]
+    n = len(coeffs)
+    h = (n - 1) // 2
+    k = np.arange(h + 1)
+    even = coeffs[np.subtract.outer(k, k) % n]
+    plus = coeffs[np.add.outer(k, k)]  # k + k' <= N - 1
+    odd = even[1:, 1:] - plus[1:, 1:]
+    even += plus
     s = half_free[h:].copy()
     s[0] /= np.sqrt(2.0)
     even *= s[:, None]
@@ -300,26 +319,36 @@ def _parity_eigenbasis(half_free: np.ndarray, v_even: np.ndarray,
     return z
 
 
-def build_floquet(params: QuantumParams,
-                  gap_tol: float = DEFAULT_GAP_TOL) -> FloquetSystem:
-    """Construct F = kick * free and its spectral decomposition.
+def _unitarity_residual(coeffs: np.ndarray) -> float:
+    """max |F F^dagger - I| of F = K * free, from K's circulant coefficients.
 
-    The spectrum comes from the parity blocks of the symmetrised F_s (see
-    the module docstring): two real symmetric eigensolves of sizes
-    (N+1)/2 and (N-1)/2. Their real orthonormal bases, mapped back through
-    the parity basis and D^-1, give an eigenbasis of F orthonormal to
-    machine precision.
+    The free factor is a diagonal of unit phases, so F F^dagger = K K^dagger,
+    which is circulant with the circular autocorrelation
+    R_m = sum_j c[j + m] conj(c[j]) = ifft(|fft(c)|^2)_m as its coefficients.
+    """
+    r = np.fft.ifft(np.abs(np.fft.fft(coeffs)) ** 2)
+    r[0] -= 1.0
+    return float(np.max(np.abs(r)))
+
+
+def build_floquet(params: QuantumParams) -> FloquetSystem:
+    """Spectral decomposition of F = kick * free.
+
+    Everything is read off the kick's N circulant coefficients: the
+    unitarity residual and the parity blocks of the symmetrised F_s (see
+    the module docstring), whose two real symmetric eigensolves of sizes
+    (N+1)/2 and (N-1)/2 give the spectrum. Their real orthonormal bases,
+    mapped back through the parity basis and D^-1, give an eigenbasis of F
+    orthonormal to machine precision.
     """
     n = params.dim
-    kick = kick_operator(params)
-    f = kick * free_propagator_diagonal(params)[None, :]
-    k = momentum_ladder(n).astype(float)
-    half_free = np.exp(-0.25j * params.tau * params.hbar * k ** 2)
-    even, odd = _parity_blocks(kick, half_free)
-    del kick  # one N x N array fewer during the dense check
-    err = np.max(np.abs(f @ f.conj().T - np.eye(n)))
+    coeffs = _kick_coefficients(params)
+    err = _unitarity_residual(coeffs)
     if not err <= 1e-10:  # NaN fails too
         raise NumericError(f"Floquet operator not unitary: max |FF^† - I| = {err}")
+    k = momentum_ladder(n).astype(float)
+    half_free = np.exp(-0.25j * params.tau * params.hbar * k ** 2)
+    even, odd = _parity_blocks(coeffs, half_free)
     eig_e, v_e, res_e = _block_eigensystem(even)
     eig_o, v_o, res_o = _block_eigensystem(odd)
     residual = max(res_e, res_o)
@@ -333,11 +362,12 @@ def build_floquet(params: QuantumParams,
     col[order] = np.arange(n)
     z = _parity_eigenbasis(half_free, v_e, v_o, col)
     gaps = np.diff(phi)
-    flags = [(int(i), int(i + 1)) for i in np.flatnonzero(gaps < gap_tol)]
-    if n > 1 and (phi[0] + 2.0 * np.pi - phi[-1]) < gap_tol:
+    flags = [(int(i), int(i + 1))
+             for i in np.flatnonzero(gaps < DEFAULT_GAP_TOL)]
+    if n > 1 and (phi[0] + 2.0 * np.pi - phi[-1]) < DEFAULT_GAP_TOL:
         flags.append((n - 1, 0))
-    return FloquetSystem(params=params, unitary=f, quasi_energies=phi,
-                         eigenbasis=z, degeneracy_flags=flags, gap_tol=gap_tol)
+    return FloquetSystem(params=params, quasi_energies=phi, eigenbasis=z,
+                         degeneracy_flags=flags)
 
 
 def evolve(rho: DensityState, system: FloquetSystem, n: int) -> DensityState:

@@ -33,8 +33,9 @@ class TransitionCurve:
     mu_c: float
 
     def __post_init__(self):
-        if self.lambda_c <= 0:
-            raise ConfigurationError(f"lambda_c must be > 0, got {self.lambda_c}")
+        if not 0.0 < self.lambda_c < np.inf:  # NaN fails too
+            raise ConfigurationError(
+                f"lambda_c must be finite and > 0, got {self.lambda_c}")
         if not 0.0 < self.mu_c <= 1.0:
             raise ConfigurationError(f"mu_c must be in (0, 1], got {self.mu_c}")
 
@@ -53,11 +54,11 @@ def cubic_transition(lam: float, curve: TransitionCurve,
     """
     if eps is None:
         eps = MAX_EPS_FACTOR * curve.lambda_c
-    if eps < 0 or eps > MAX_EPS_FACTOR * curve.lambda_c:
+    if not 0 <= eps <= MAX_EPS_FACTOR * curve.lambda_c:  # NaN fails too
         raise ConfigurationError(
             f"eps must be in [0, {MAX_EPS_FACTOR}*lambda_c], got {eps}")
     hi = curve.lambda_c + eps
-    if lam < 0 or lam > hi:
+    if not 0 <= lam <= hi:
         raise OutOfDomainError(
             f"lambda={lam} outside the validity window [0, {hi}]")
     return curve.mu_c * _shape(lam / curve.lambda_c)
@@ -65,7 +66,7 @@ def cubic_transition(lam: float, curve: TransitionCurve,
 
 def quadratic_small_lambda(lam: float, curve: TransitionCurve) -> float:
     """Small-kick limit mu_c * 1.5 (lam/lam_c)^2 of the cubic law."""
-    if lam < 0:
+    if not lam >= 0:
         raise OutOfDomainError(f"lambda must be >= 0, got {lam}")
     x = lam / curve.lambda_c
     return curve.mu_c * 1.5 * x * x

@@ -127,6 +127,13 @@ class TestClassifyOrbit:
                                5000, threshold=100.0)
         assert oc.label == "Regular"
 
+    def test_threshold_precondition(self):
+        # NaN used to label an orbit with exponent 0.896 Regular
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ConfigurationError):
+                cl.classify_orbit(cl.PhasePoint(1.0, 1.0), cl.MapParams(10.0),
+                                  5000, threshold=bad)
+
     def test_determinism(self):
         a = cl.classify_orbit(cl.PhasePoint(0.7, 2.9), cl.MapParams(3.0), 2000)
         b = cl.classify_orbit(cl.PhasePoint(0.7, 2.9), cl.MapParams(3.0), 2000)
@@ -161,6 +168,11 @@ class TestChaoticMeasure:
         for n_steps in (0, -1):
             with pytest.raises(ConfigurationError):
                 cl.estimate_chaotic_measure(cl.MapParams(10.0), 16, n_steps)
+        # NaN used to give mu_A = 0.0
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ConfigurationError):
+                cl.estimate_chaotic_measure(cl.MapParams(5.0), 16, 50,
+                                            threshold=bad)
 
 
 WHOLE_TORUS = [cl.Cell(0.0, TWO_PI, 0.0, TWO_PI)]
@@ -207,5 +219,20 @@ class TestSetCorrelation:
         cells = cl.cells_from_json(
             '[{"theta_min": 0, "theta_max": 3.14, "p_min": 1, "p_max": 2}]')
         assert cells == [cl.Cell(0.0, 3.14, 1.0, 2.0)]
-        with pytest.raises(ConfigurationError):
-            cl.cells_from_json('{"not": "a list"}')
+        bad_inputs = [
+            '{"not": "a list"}',
+            '[{"theta_min": 0}]',  # used to raise KeyError
+            '[1]', '[[0, 1, 0, 1]]', '["cell"]',  # TypeError
+            '{',  # JSONDecodeError
+            '[{"theta_min": "x", "theta_max": 1, "p_min": 0, "p_max": 1}]',
+            '[{"theta_min": NaN, "theta_max": 1, "p_min": 0, "p_max": 1}]',
+            '[{"theta_min": 0, "theta_max": Infinity, "p_min": 0, "p_max": 1}]',
+            '[{"theta_min": 0, "theta_max": 1, "p_min": true, "p_max": 1}]',
+            '[{"theta_min": 0, "theta_max": 1, "p_min": 0, "p_max": 1e999}]',
+            '[{"theta_min": 0, "theta_max": 1, "p_min": 0, "p_max": 1'
+            + "0" * 400 + "}]",
+            "[" * 100_000 + "]" * 100_000,
+        ]
+        for text in bad_inputs:
+            with pytest.raises(ConfigurationError):
+                cl.cells_from_json(text)

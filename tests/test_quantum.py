@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,15 @@ def dense_kick(params):
         np.exp(-1j * (params.lam / params.hbar) * np.cos(theta)))
 
 
-def schur_floquet(params, gap_tol=q.DEFAULT_GAP_TOL):
+def dense_kick_coefficients(params):
+    """c[k mod N] = K[k, 0], read off the dense-DFT kick."""
+    n = params.dim
+    c = np.empty(n, dtype=complex)
+    c[q.momentum_ladder(n) % n] = dense_kick(params)[:, n // 2]
+    return c
+
+
+def schur_floquet(params):
     """The Floquet system by the complex Schur form of F (exact oracle)."""
     f = q.kick_operator(params) * q.free_propagator_diagonal(params)[None, :]
     t, z = scipy.linalg.schur(f, output="complex")
@@ -39,13 +48,13 @@ def schur_floquet(params, gap_tol=q.DEFAULT_GAP_TOL):
     order = np.argsort(phi, kind="stable")
     phi, z = phi[order], z[:, order]
     n = params.dim
+    gap_tol = q.DEFAULT_GAP_TOL
     flags = [(int(i), int(i + 1))
              for i in np.flatnonzero(np.diff(phi) < gap_tol)]
     if n > 1 and (phi[0] + 2.0 * np.pi - phi[-1]) < gap_tol:
         flags.append((n - 1, 0))
-    return q.FloquetSystem(params=params, unitary=f, quasi_energies=phi,
-                           eigenbasis=z, degeneracy_flags=flags,
-                           gap_tol=gap_tol)
+    return q.FloquetSystem(params=params, quasi_energies=phi, eigenbasis=z,
+                           degeneracy_flags=flags)
 
 
 def assert_same_spectrum(system, oracle):
@@ -182,7 +191,7 @@ class TestFloquet:
     def test_spectrum_matches_dense_kick(self, monkeypatch):
         params = q.QuantumParams(dim=257, lam=10.0)
         system = q.build_floquet(params)
-        monkeypatch.setattr(q, "kick_operator", dense_kick)
+        monkeypatch.setattr(q, "_kick_coefficients", dense_kick_coefficients)
         dense = q.build_floquet(params)
         assert np.max(np.abs(system.quasi_energies
                              - dense.quasi_energies)) <= 1e-12
@@ -192,7 +201,7 @@ class TestFloquet:
     def test_spectrum_matches_schur_oracle(self, dim):
         # parity blocks of sizes (N+1)/2 and (N-1)/2: at dim 1 the odd one
         # is empty
-        even, odd = q._parity_blocks(np.eye(dim, dtype=complex),
+        even, odd = q._parity_blocks(np.eye(1, dim, dtype=complex)[0],
                                      np.ones(dim, dtype=complex))
         assert even.shape == ((dim + 1) // 2,) * 2
         assert odd.shape == ((dim - 1) // 2,) * 2
@@ -249,6 +258,62 @@ class TestFloquet:
                            "n_kicks": 10}}))
         assert cli.main(["run", "--config", str(config)]) == 3
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dim", [1, 3, 65, 257, 1025])
+    def test_unitarity_residual_matches_dense(self, dim):
+        # max |FF^† - I| read off the kick's circulant coefficients against
+        # the dense product, on valid kicks and on kicks pushed off the unit
+        # circle on the grid
+        theta = 2.0 * np.pi * np.arange(dim) / dim
+        ladder = q.momentum_ladder(dim)
+        rng = np.random.default_rng(dim)
+        cases = []
+        for lam in (0.0, 0.5, 10.0):
+            for hbar in (1.0, 0.7):
+                params = q.QuantumParams(dim=dim, lam=lam, hbar=hbar)
+                cases.append((params, q._kick_coefficients(params)))
+        # the last (lam, hbar) kick, off the circle by relative noise
+        kick = np.exp(-1j * (params.lam / params.hbar) * np.cos(theta))
+        for noise in (1e-12, 1e-8, 1e-4, 1e-2):
+            off = kick * (1.0 + noise * rng.normal(size=dim))
+            cases.append((params, np.fft.fft(off) / dim))
+        for params, c in cases:
+            f = (c[np.subtract.outer(ladder, ladder) % dim]
+                 * q.free_propagator_diagonal(params)[None, :])
+            dense = np.max(np.abs(f @ f.conj().T - np.eye(dim)))
+            assert abs(q._unitarity_residual(c) - dense) <= 1e-14
+
+    def test_non_unitary_kick_is_numeric_error(self, monkeypatch, tmp_path):
+        # the kick scaled by 1 + 1e-8 on the grid: max |FF^† - I| is 2e-8
+        def scaled(params):
+            theta = 2.0 * np.pi * np.arange(params.dim) / params.dim
+            kick = np.exp(-1j * (params.lam / params.hbar) * np.cos(theta))
+            return np.fft.fft((1.0 + 1e-8) * kick) / params.dim
+        monkeypatch.setattr(q, "_kick_coefficients", scaled)
+        with pytest.raises(NumericError, match="not unitary"):
+            q.build_floquet(q.QuantumParams(dim=33, lam=5.0))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kind": "quantum-evolve", "output_dir": str(tmp_path / "out"),
+            "parameters": {"dim": 33, "lambda": 5.0, "n_kicks": 10}}))
+        assert cli.main(["run", "--config", str(config)]) == 3
+        assert not (tmp_path / "out").exists()
+
+    def test_build_holds_one_dense_array(self):
+        # the eigenbasis is the one N x N complex array a built system
+        # holds; a stored or transient dense F or kick breaks the bounds
+        n = 1025
+        unit = 16 * n * n
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            system = q.build_floquet(q.QuantumParams(dim=n, lam=10.0))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert system.eigenbasis.nbytes == unit
+        assert held - base <= 1.1 * unit
+        assert peak - base < 3.0 * unit
 
     def test_unitary_and_spectrum(self):
         params = q.QuantumParams(dim=65, lam=10.0)

@@ -56,6 +56,17 @@ class TestCubicLaw:
             tr.cubic_transition(1.1 * REF.lambda_c, REF, eps=0.0)
         with pytest.raises(ConfigurationError):
             tr.cubic_transition(0.5, REF, eps=REF.lambda_c)
+        # NaN used to pass every guard: eps = NaN gave -12.5 at lam = 5,
+        # and lam = NaN gave NaN
+        nan = float("nan")
+        with pytest.raises(ConfigurationError, match="eps"):
+            tr.cubic_transition(5.0, tr.TransitionCurve(1.0, 0.5), eps=nan)
+        with pytest.raises(OutOfDomainError):
+            tr.cubic_transition(nan, REF)
+        with pytest.raises(OutOfDomainError):
+            tr.quadratic_small_lambda(nan, REF)
+        with pytest.raises(OutOfDomainError):
+            tr.quadratic_small_lambda(-0.1, REF)
 
     def test_curve_validation(self):
         with pytest.raises(ConfigurationError):
@@ -64,6 +75,11 @@ class TestCubicLaw:
             tr.TransitionCurve(lambda_c=1.0, mu_c=0.0)
         with pytest.raises(ConfigurationError):
             tr.TransitionCurve(lambda_c=1.0, mu_c=1.5)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                tr.TransitionCurve(lambda_c=bad, mu_c=0.5)
+            with pytest.raises(ConfigurationError):
+                tr.TransitionCurve(lambda_c=1.0, mu_c=bad)
 
 
 def _sweep(curve, lams, noise=0.0, rng=None):
