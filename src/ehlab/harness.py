@@ -394,13 +394,19 @@ def run(config: ExperimentConfig) -> dict:
 # ------------------------------------------------------------- plotting
 
 _GNUPLOT_PREAMBLE = 'set datafile separator ","\nset key top left\n'
+_MU_LABELS = 'set xlabel "lambda"\nset ylabel "mu(A)"\n'
 
-# kind -> (script name, axis labels, plot command); strings only
+# kind -> (script name, axis labels, plot command); strings only. In the
+# transition-fit command, {csv} stands for the fit's input CSV.
 _PLOTS = {
     "classical-scan": (
-        "plot_mu_vs_lambda.gp", 'set xlabel "lambda"\nset ylabel "mu(A)"\n',
+        "plot_mu_vs_lambda.gp", _MU_LABELS,
         'plot "region_estimates.csv" skip 1 using 1:2:($6) '
         'with yerrorbars title "measured"'),
+    "transition-fit": (
+        "plot_transition_fit.gp", _MU_LABELS,
+        'plot {csv} skip 1 using 1:2:($6) with yerrorbars title "measured", '
+        'cubic(x) title "cubic fit"'),
     "quantum-evolve": (
         "plot_localization.gp", 'set xlabel "|k|"\nset ylabel "ln p(k)"\n',
         'plot "momentum_distribution.csv" skip 1 '
@@ -413,13 +419,39 @@ _PLOTS = {
 }
 
 
+def _fit_overlay(path: Path, config: dict) -> tuple[str, str]:
+    """The cubic-law definition from a transition-fit's own
+    `fit_result.json`, and its input CSV as a gnuplot string relative to
+    the manifest's directory.
+
+    A relative `input_csv` is read from the working directory, as
+    `ehlab run` reads it.
+    """
+    base = path.parent
+    params = _check(f"{path}: config.parameters", config.get("parameters"), dict)
+    csv = _check(f"{path}: config.parameters.input_csv",
+                 params.get("input_csv"), str)
+    if not os.path.isfile(csv):
+        raise ConfigurationError(f"input_csv {csv} of {path} is missing")
+    rel = os.path.relpath(os.path.abspath(csv), os.path.abspath(base))
+    if "\n" in rel or "\r" in rel:
+        raise ConfigurationError(f"input_csv {csv!r} cannot be quoted for gnuplot")
+    fit_file = base / "fit_result.json"
+    fit = _check(str(fit_file), _load(fit_file, json.loads), dict)
+    lc, mc = (_check(f"{fit_file}: {key}", fit.get(key), float)
+              for key in ("lambda_c", "mu_c"))
+    cubic = (f"lc = {lc}\nmc = {mc}\n"
+             "cubic(x) = mc*(1.5*(x/lc)**2 - 0.5*(x/lc)**3)\n")
+    return cubic, "'" + rel.replace("'", "''") + "'"
+
+
 def emit_plot_scripts(manifest_path) -> list[str]:
     """Write gnuplot scripts for the figures supported by a manifest.
 
     Returns the script paths. An empty manifest is a warned no-op;
     a referenced CSV that has gone missing is a configuration error.
-    A classical scan whose directory holds `fit_result.json` also
-    plots the fitted cubic law.
+    A transition fit plots its input CSV with the fitted cubic law
+    from its own `fit_result.json`.
     """
     path = Path(manifest_path)
     manifest = _check(str(path), _load(path, json.loads), dict)
@@ -438,14 +470,10 @@ def emit_plot_scripts(manifest_path) -> list[str]:
         return []
     name, labels, plot = _PLOTS[kind]
     text = _GNUPLOT_PREAMBLE + labels
-    fit_file = base / "fit_result.json"
-    if kind == "classical-scan" and fit_file.is_file():
-        fit = _check(str(fit_file), _load(fit_file, json.loads), dict)
-        lc, mc = (_check(f"{fit_file}: {key}", fit.get(key), float)
-                  for key in ("lambda_c", "mu_c"))
-        text += (f"lc = {lc}\nmc = {mc}\n"
-                 "cubic(x) = mc*(1.5*(x/lc)**2 - 0.5*(x/lc)**3)\n")
-        plot += ', cubic(x) title "cubic fit"'
+    if kind == "transition-fit":
+        cubic, csv = _fit_overlay(path, config)
+        text += cubic
+        plot = plot.format(csv=csv)
     script = base / name
     _write_atomic(script, (text + plot + "\n").encode())
     return [str(script)]

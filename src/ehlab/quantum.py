@@ -30,6 +30,9 @@ _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
 # Times per block of the correlation phase sum; bounds its T x N work arrays.
 _TIME_BLOCK = 512
+# Haar states per chunk of the volume fraction; with _TIME_BLOCK it bounds
+# the fraction's memory independently of n_states and horizon.
+_STATE_CHUNK = 64
 # Fixed irrational weight in eigh(A + _MIX B): the commuting real and
 # imaginary parts of a parity block share one real orthonormal eigenbasis.
 _MIX = np.sqrt(2.0) - 1.0
@@ -243,30 +246,33 @@ def free_propagator_diagonal(params: QuantumParams) -> np.ndarray:
     return np.exp(-0.5j * params.tau * params.hbar * k.astype(float) ** 2)
 
 
-def _parity_blocks(coeffs: np.ndarray, half_free: np.ndarray):
-    """Even and odd blocks of F_s = D K D in the parity basis, from the
-    kick's circulant coefficients.
+def _parity_block(coeffs: np.ndarray, half_free: np.ndarray,
+                  sign: int) -> np.ndarray:
+    """The even (sign +1) or odd (sign -1) block of F_s = D K D in the
+    parity basis, from the kick's circulant coefficients.
 
     The basis is |0>, (|k> + |-k>)/sqrt(2) (even) and (|k> - |-k>)/sqrt(2)
     (odd) for k = 1..(N-1)/2. K and D are parity invariant, so each block
     entry is K[k, k'] +- K[k, -k'] = c[(k - k') mod N] +- c[k + k'] scaled
     by the half-ladder phases, with 1/sqrt(2) on the k = 0 row and column
-    of the even block.
+    of the even block; the odd block has no k = 0 row.
     """
     n = len(coeffs)
     h = (n - 1) // 2
-    k = np.arange(h + 1)
-    even = coeffs[np.subtract.outer(k, k) % n]
+    k = np.arange(0 if sign > 0 else 1, h + 1)
+    block = coeffs[np.subtract.outer(k, k) % n]
     plus = coeffs[np.add.outer(k, k)]  # k + k' <= N - 1
-    odd = even[1:, 1:] - plus[1:, 1:]
-    even += plus
+    if sign > 0:
+        block += plus
+    else:
+        block -= plus
+    del plus
     s = half_free[h:].copy()
     s[0] /= np.sqrt(2.0)
-    even *= s[:, None]
-    even *= s[None, :]
-    odd *= s[1:, None]
-    odd *= s[None, 1:]
-    return even, odd
+    s = s[k]
+    block *= s[:, None]
+    block *= s[None, :]
+    return block
 
 
 def _block_eigensystem(block: np.ndarray):
@@ -276,19 +282,26 @@ def _block_eigensystem(block: np.ndarray):
     A + _MIX B takes each value twice on the unit circle, so eigh can mix
     the eigenvectors of two distinct eigenvalues whose values nearly
     coincide. A Rayleigh-Ritz step with the orthogonal weighting
-    B - _MIX A separates each such cluster again.
+    B - _MIX A separates each such cluster again. The block is released
+    as soon as its parts are copied out, so a caller that passes its only
+    reference keeps no complex block alive during the eigensolve.
     """
     a = np.ascontiguousarray(block.real)
     b = np.ascontiguousarray(block.imag)
+    del block
     w, v = np.linalg.eigh(a + _MIX * b)
     av, bv = a @ v, b @ v
+    del a, b
     for c in _clusters(w):
         m = v[:, c].T @ (bv[:, c] - _MIX * av[:, c])
         _, r = np.linalg.eigh(m)
         v[:, c], av[:, c], bv[:, c] = v[:, c] @ r, av[:, c] @ r, bv[:, c] @ r
     re = np.einsum("ij,ij->j", v, av)
     im = np.einsum("ij,ij->j", v, bv)
-    residual = np.max(np.hypot(av - v * re, bv - v * im), initial=0.0)
+    # max |(A + iB)v - lambda v| column by column, in place in av and bv
+    av -= v * re
+    bv -= v * im
+    residual = np.max(np.hypot(av, bv, out=av), initial=0.0)
     return re + 1j * im, v, residual
 
 
@@ -348,9 +361,10 @@ def build_floquet(params: QuantumParams) -> FloquetSystem:
         raise NumericError(f"Floquet operator not unitary: max |FF^† - I| = {err}")
     k = momentum_ladder(n).astype(float)
     half_free = np.exp(-0.25j * params.tau * params.hbar * k ** 2)
-    even, odd = _parity_blocks(coeffs, half_free)
-    eig_e, v_e, res_e = _block_eigensystem(even)
-    eig_o, v_o, res_o = _block_eigensystem(odd)
+    # one block at a time: the even block is solved and freed before the
+    # odd one is formed
+    eig_e, v_e, res_e = _block_eigensystem(_parity_block(coeffs, half_free, 1))
+    eig_o, v_o, res_o = _block_eigensystem(_parity_block(coeffs, half_free, -1))
     residual = max(res_e, res_o)
     if not residual <= 1e-8:
         raise NumericError(f"eigensolve failed: block eigen-residual {residual}")
@@ -385,7 +399,11 @@ def evolve(rho: DensityState, system: FloquetSystem, n: int) -> DensityState:
 
 def evolve_vector(psi: np.ndarray, system: FloquetSystem, n: int) -> np.ndarray:
     """F^n |psi> for pure-state work at large dimension."""
-    c = system.eigenbasis.conj().T @ psi
+    psi = np.asarray(psi)
+    if psi.shape != (system.dim,):
+        raise ConfigurationError("dimension mismatch")
+    # Z^dagger psi as conj(Z^T conj(psi)): no N x N conjugate copy of Z
+    c = np.conj(system.eigenbasis.T @ np.conj(psi))
     return system.eigenbasis @ (np.exp(-1j * n * system.quasi_energies) * c)
 
 
@@ -439,18 +457,52 @@ class CorrelationSeries:
         return float(np.max(np.abs(self.cesaro[1:]) * n)) if len(n) else 0.0
 
 
-def _offdiag_series(rho_e: np.ndarray, obs_e: np.ndarray, phi: np.ndarray,
-                    times: np.ndarray) -> np.ndarray:
-    """sum_{k != k'} rho_kk' O_k'k exp(-i t (phi_k - phi_k')) for each t,
-    with rho and O given in the eigenbasis."""
-    m_offdiag = rho_e * obs_e.T
-    np.fill_diagonal(m_offdiag, 0.0)
-    out = np.empty(len(times))
+def _is_count(x) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _offdiag_weights(rho_e: np.ndarray, obs_e: np.ndarray) -> np.ndarray:
+    """M_kk' = rho_kk' O_k'k with a zero diagonal, rho and O given in the
+    eigenbasis: C_Q(t) = sum_{k,k'} M_kk' exp(-i t (phi_k - phi_k'))."""
+    m = rho_e * obs_e.T
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+def _phase_blocks(phi: np.ndarray, times):
+    """Yield (start, e, conj(e)) for each run of _TIME_BLOCK entries of
+    `times`, with e[j, k] = exp(-i times[start + j] phi_k).
+
+    `times` is an integer array or a range. A block of consecutive times
+    t0 + j is built as exp(-i t0 phi) * exp(-i j phi) from one table of
+    exp(-i j phi), so a complex multiply replaces a complex exp; any other
+    block is built directly.
+    """
+    steps = None
     for start in range(0, len(times), _TIME_BLOCK):
-        t = times[start:start + _TIME_BLOCK]
-        e = np.exp(-1j * np.outer(t, phi))
-        out[start:start + _TIME_BLOCK] = np.einsum(
-            "tk,tk->t", e @ m_offdiag, e.conj()).real
+        t = np.asarray(times[start:start + _TIME_BLOCK])
+        if len(t) > 1 and np.all(np.diff(t) == 1):
+            if steps is None or len(steps) < len(t):
+                steps = np.exp(-1j * np.outer(np.arange(len(t)), phi))
+            e = steps[:len(t)] * np.exp(-1j * t[0] * phi)
+        else:
+            e = np.exp(-1j * np.outer(t, phi))
+        yield start, e, e.conj()
+
+
+def _block_sum(e: np.ndarray, e_conj: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_{k,k'} m_kk' e_tk conj(e_tk') for each row t of a phase block
+    e, given with its conjugate."""
+    return np.einsum("tk,tk->t", e @ m, e_conj).real
+
+
+def _phase_sum(m: np.ndarray, phi: np.ndarray, times) -> np.ndarray:
+    """sum_{k,k'} m_kk' exp(-i t (phi_k - phi_k')) for each t in `times`,
+    from zero-diagonal weights m (see _offdiag_weights)."""
+    out = np.empty(len(times))
+    for start, e, e_conj in _phase_blocks(phi, times):
+        out[start:start + len(e)] = _block_sum(e, e_conj, m)
     return out
 
 
@@ -462,14 +514,16 @@ def correlation_series(rho0: DensityState, system: FloquetSystem,
     rho* is the Cesaro-limit state (diagonal part in the eigenbasis), so
     C_Q reduces to the off-diagonal phase sum, evaluated in blocks.
     """
-    if horizon < 2:
-        raise ConfigurationError(f"horizon must be >= 2, got {horizon}")
+    if not _is_count(horizon) or horizon < 2:
+        raise ConfigurationError(f"horizon must be an integer >= 2, got {horizon!r}")
+    if rho0.dim != system.dim or obs.dim != system.dim:
+        raise ConfigurationError("dimension mismatch")
     if system.degeneracy_flags and not allow_degenerate:
         raise DegenerateSpectrumError(system.degeneracy_flags)
     times = np.arange(horizon)
-    c_q = _offdiag_series(system.to_eigenbasis(rho0.matrix),
-                          system.to_eigenbasis(obs.matrix),
-                          system.quasi_energies, times)
+    c_q = _phase_sum(_offdiag_weights(system.to_eigenbasis(rho0.matrix),
+                                      system.to_eigenbasis(obs.matrix)),
+                     system.quasi_energies, times)
     cesaro = np.cumsum(c_q) / (times + 1)
     return CorrelationSeries(times=times, c_q=c_q, cesaro=cesaro,
                              observable_label=obs.label, state_label="rho0")
@@ -484,32 +538,47 @@ def mixing_volume_fraction(system: FloquetSystem,
     the set, |C_Q(rho(t), O)| < tol at every t in the last decile of the
     horizon. Per-state RNG streams derive from (seed, state index), so
     the result is independent of evaluation order.
+
+    States are taken _STATE_CHUNK at a time. Each phase block of the tail
+    is built once per chunk and applied to every state of the chunk still
+    live and every observable; a state drops out at the first block where
+    some |C_Q| reaches tol. Memory holds one phase block and one chunk.
     """
     if not o_set:
         raise ConfigurationError("observable set must not be empty")
-    if n_states < 100:
-        raise ConfigurationError(f"n_states must be >= 100, got {n_states}")
+    if not _is_count(n_states) or n_states < 100:
+        raise ConfigurationError(
+            f"n_states must be an integer >= 100, got {n_states!r}")
+    if not _is_count(horizon):
+        raise ConfigurationError(f"horizon must be an integer, got {horizon!r}")
     if not tol > 0:
         raise ConfigurationError(f"tol must be > 0, got {tol}")
-    times = np.arange(int(np.ceil(0.9 * horizon)), horizon)
-    if times.size == 0:
+    if any(o.dim != system.dim for o in o_set):
+        raise ConfigurationError("dimension mismatch")
+    times = range(int(np.ceil(0.9 * horizon)), horizon)
+    if len(times) == 0:
         raise ConfigurationError(
             f"horizon {horizon} leaves the last decile empty; need >= 10")
     obs_e = [system.to_eigenbasis(o.matrix) for o in o_set]
-    phi = system.quasi_energies
-    z = system.eigenbasis
-    n_ok = 0
-    for i in range(n_states):
-        rng = np.random.default_rng([seed, i])
-        v = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
-        c = z.conj().T @ (v / np.linalg.norm(v))
+    z_dag = system.eigenbasis.conj().T
+
+    def fails(c, block):
         rho_e = np.outer(c, c.conj())
-        ok = True
-        for oe in obs_e:
-            if np.max(np.abs(_offdiag_series(rho_e, oe, phi, times))) >= tol:
-                ok = False
+        return any(np.max(np.abs(_block_sum(*block, _offdiag_weights(rho_e, oe))))
+                   >= tol for oe in obs_e)
+
+    n_ok = 0
+    for first in range(0, n_states, _STATE_CHUNK):
+        live = []
+        for i in range(first, min(first + _STATE_CHUNK, n_states)):
+            rng = np.random.default_rng([seed, i])
+            v = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
+            live.append(z_dag @ (v / np.linalg.norm(v)))
+        for _, *block in _phase_blocks(system.quasi_energies, times):
+            live = [c for c in live if not fails(c, block)]
+            if not live:
                 break
-        n_ok += ok
+        n_ok += len(live)
     return n_ok / n_states
 
 

@@ -119,8 +119,9 @@ def _tail_std(system, obs, i):
     rng = np.random.default_rng([42, i])
     v = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
     c = system.eigenbasis.conj().T @ (v / np.linalg.norm(v))
-    return float(np.std(q._offdiag_series(
-        np.outer(c, c.conj()), system.to_eigenbasis(obs.matrix),
+    return float(np.std(q._phase_sum(
+        q._offdiag_weights(np.outer(c, c.conj()),
+                           system.to_eigenbasis(obs.matrix)),
         system.quasi_energies, TAIL)))
 
 
@@ -176,8 +177,8 @@ def test_criterion_05b_variance_formula():
     predicted = float(np.sum(np.abs(rho_e) ** 2 * np.abs(obs_e) ** 2)
                       - np.sum(np.abs(np.diag(rho_e) * np.diag(obs_e)) ** 2))
     times = np.unique(np.linspace(1e4, 1e6, 6000).astype(np.int64))
-    measured = float(np.var(q._offdiag_series(rho_e, obs_e,
-                                              system.quasi_energies, times)))
+    measured = float(np.var(q._phase_sum(q._offdiag_weights(rho_e, obs_e),
+                                         system.quasi_energies, times)))
     assert measured == pytest.approx(predicted, rel=0.2)
     report("5b", f"long-time variance {measured:.3e} vs nondegenerate-gap "
                  f"formula {predicted:.3e} (ratio {measured / predicted:.3f})")

@@ -188,20 +188,29 @@ class TestQuantumKinds:
 PREAMBLE = 'set datafile separator ","\nset key top left\n'
 SCAN_PLOT = ('plot "region_estimates.csv" skip 1 using 1:2:($6) '
              'with yerrorbars title "measured"')
-# (kind, its CSV, fit_result.json or None, script name, exact script text)
+# (kind, its CSV, fit_result.json or None, script name, exact script text);
+# each manifest names its CSV as artifact and as input_csv
 GOLDEN_SCRIPTS = [
     pytest.param(
         "classical-scan", "region_estimates.csv", None, "plot_mu_vs_lambda.gp",
         PREAMBLE + 'set xlabel "lambda"\nset ylabel "mu(A)"\n'
         + SCAN_PLOT + "\n", id="scan"),
     pytest.param(
+        # a scan plots no fit, even one that lies beside it
         "classical-scan", "region_estimates.csv",
         {"lambda_c": 0.9716, "mu_c": 0.9, "rss": 1.0},
         "plot_mu_vs_lambda.gp",
         PREAMBLE + 'set xlabel "lambda"\nset ylabel "mu(A)"\n'
+        + SCAN_PLOT + "\n", id="scan-with-fit"),
+    pytest.param(
+        "transition-fit", "region_estimates.csv",
+        {"lambda_c": 0.9716, "mu_c": 0.9, "rss": 1.0},
+        "plot_transition_fit.gp",
+        PREAMBLE + 'set xlabel "lambda"\nset ylabel "mu(A)"\n'
         "lc = 0.9716\nmc = 0.9\n"
         "cubic(x) = mc*(1.5*(x/lc)**2 - 0.5*(x/lc)**3)\n"
-        + SCAN_PLOT + ', cubic(x) title "cubic fit"\n', id="scan-with-fit"),
+        "plot 'region_estimates.csv' skip 1 using 1:2:($6) with yerrorbars "
+        'title "measured", cubic(x) title "cubic fit"\n', id="fit"),
     pytest.param(
         "quantum-evolve", "momentum_distribution.csv", None,
         "plot_localization.gp",
@@ -220,9 +229,12 @@ GOLDEN_SCRIPTS = [
 
 class TestPlotScripts:
     @pytest.mark.parametrize("kind,csv,fit,script,text", GOLDEN_SCRIPTS)
-    def test_script_bytes(self, tmp_path, kind, csv, fit, script, text):
+    def test_script_bytes(self, tmp_path, monkeypatch, kind, csv, fit,
+                          script, text):
+        monkeypatch.chdir(tmp_path)
         write_files(tmp_path, {csv: b"", "manifest.json": {
-            "config": {"kind": kind}, "artifacts": {csv: "0"}}})
+            "config": {"kind": kind, "parameters": {"input_csv": csv}},
+            "artifacts": {csv: "0"}}})
         if fit is not None:
             write_files(tmp_path, {"fit_result.json": fit})
         assert harness.emit_plot_scripts(tmp_path / "manifest.json") == [
@@ -230,14 +242,26 @@ class TestPlotScripts:
         assert (tmp_path / script).read_bytes() == text.encode()
 
     def test_scan_plot_with_fit_overlay(self, tmp_path):
-        harness.run(harness.ExperimentConfig.from_dict(scan_config(tmp_path)))
-        (tmp_path / "fit_result.json").write_text(
-            json.dumps({"lambda_c": 1.0, "mu_c": 0.9}))
-        scripts = harness.emit_plot_scripts(tmp_path / "manifest.json")
-        assert scripts == [str(tmp_path / "plot_mu_vs_lambda.gp")]
-        text = Path(scripts[0]).read_text()
-        assert "region_estimates.csv" in text
-        assert "cubic" in text
+        # a transition-fit run into the scan's directory replaces its
+        # manifest and plots the scan's points with the fitted law
+        scan = scan_config(tmp_path / "out", grid=16, steps=500,
+                           lambdas=[i / 10 for i in range(21)])
+        assert cli.main(["run", "--config",
+                         str(write_config(tmp_path, scan))]) == 0
+        fit = {"kind": "transition-fit", "output_dir": str(tmp_path / "out"),
+               "parameters": {"input_csv": str(tmp_path / "out"
+                                               / "region_estimates.csv")}}
+        assert cli.main(["run", "--config",
+                         str(write_config(tmp_path, fit))]) == 0
+        manifest = tmp_path / "out" / "manifest.json"
+        assert harness.emit_plot_scripts(manifest) == [
+            str(tmp_path / "out" / "plot_transition_fit.gp")]
+        text = (tmp_path / "out" / "plot_transition_fit.gp").read_text()
+        assert "plot 'region_estimates.csv' skip 1" in text
+        assert 'cubic(x) title "cubic fit"' in text
+        (tmp_path / "out" / "region_estimates.csv").unlink()
+        with pytest.raises(ConfigurationError, match="input_csv"):
+            harness.emit_plot_scripts(manifest)
 
     def test_correlation_plot(self, tmp_path):
         config = harness.ExperimentConfig.from_dict({
@@ -343,6 +367,7 @@ FIT_CONFIG = {"kind": "transition-fit", "output_dir": "out",
               "parameters": {"input_csv": "in.csv"}}
 SCAN_MANIFEST = {"config": {"kind": "classical-scan"},
                  "artifacts": {"region_estimates.csv": "0"}}
+FIT_MANIFEST = {"config": FIT_CONFIG, "artifacts": {"fit_result.json": "0"}}
 
 
 def region_csv(mu_at_one="0.5") -> bytes:
@@ -378,13 +403,26 @@ UNUSABLE_FILES = [
     pytest.param(PLOT, {"manifest.json": {"artifacts": {
                      "x" * 300 + ".csv": "0"}}},
                  id="manifest-artifact-name-too-long"),
-    pytest.param(PLOT, {"manifest.json": SCAN_MANIFEST,
-                        "region_estimates.csv": b"",
+    pytest.param(PLOT, {"manifest.json": FIT_MANIFEST, "in.csv": b"",
                         "fit_result.json": b"{"}, id="fit-malformed"),
-    pytest.param(PLOT, {"manifest.json": SCAN_MANIFEST,
-                        "region_estimates.csv": b"",
+    pytest.param(PLOT, {"manifest.json": FIT_MANIFEST, "in.csv": b"",
                         "fit_result.json": {"mu_c": 0.9}},
                  id="fit-without-lambda_c"),
+    pytest.param(PLOT, {"manifest.json": FIT_MANIFEST, "in.csv": b""},
+                 id="fit-result-missing"),
+    pytest.param(PLOT, {"manifest.json": FIT_MANIFEST,
+                        "fit_result.json": {"lambda_c": 1.0, "mu_c": 0.9}},
+                 id="fit-input-missing"),
+    pytest.param(PLOT, {"manifest.json": {**FIT_MANIFEST, "config": {
+                            "kind": "transition-fit", "parameters": {}}},
+                        "in.csv": b"",
+                        "fit_result.json": {"lambda_c": 1.0, "mu_c": 0.9}},
+                 id="fit-without-input_csv"),
+    pytest.param(PLOT, {"manifest.json": {**FIT_MANIFEST, "config": {
+                            **FIT_CONFIG, "parameters": {"input_csv": "a\nb.csv"}}},
+                        "a\nb.csv": b"",
+                        "fit_result.json": {"lambda_c": 1.0, "mu_c": 0.9}},
+                 id="fit-input-name-breaks-script"),
     pytest.param(PLOT, {"manifest.json": SCAN_MANIFEST,
                         "region_estimates.csv": b"",
                         "plot_mu_vs_lambda.gp": None},

@@ -83,6 +83,38 @@ def random_observable(dim, rng, label="random"):
     return q.ObservableMatrix(h / np.linalg.norm(h), label=label)
 
 
+def offdiag_series_oracle(rho_e, obs_e, phi, times):
+    """sum_{k != k'} rho_kk' O_k'k exp(-i t (phi_k - phi_k')) for each t,
+    every phase computed directly (the exact path the fast one replaced)."""
+    m_offdiag = rho_e * obs_e.T
+    np.fill_diagonal(m_offdiag, 0.0)
+    out = np.empty(len(times))
+    for start in range(0, len(times), q._TIME_BLOCK):
+        t = times[start:start + q._TIME_BLOCK]
+        e = np.exp(-1j * np.outer(t, phi))
+        out[start:start + q._TIME_BLOCK] = np.einsum(
+            "tk,tk->t", e @ m_offdiag, e.conj()).real
+    return out
+
+
+def tail_maxima_oracle(system, o_set, n_states, horizon, seed):
+    """Per state and observable, max |C_Q| over the first phase block of
+    the last decile and over the rest, state by state from the oracle."""
+    times = np.arange(int(np.ceil(0.9 * horizon)), horizon)
+    obs_e = [system.to_eigenbasis(o.matrix) for o in o_set]
+    out = np.empty((n_states, len(o_set), 2))
+    for i in range(n_states):
+        rng = np.random.default_rng([seed, i])
+        v = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
+        c = system.eigenbasis.conj().T @ (v / np.linalg.norm(v))
+        for j, oe in enumerate(obs_e):
+            c_q = np.abs(offdiag_series_oracle(np.outer(c, c.conj()), oe,
+                                               system.quasi_energies, times))
+            out[i, j] = (np.max(c_q[:q._TIME_BLOCK]),
+                         np.max(c_q[q._TIME_BLOCK:], initial=0.0))
+    return out
+
+
 class TestParamsAndStates:
     def test_even_dim_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -201,8 +233,9 @@ class TestFloquet:
     def test_spectrum_matches_schur_oracle(self, dim):
         # parity blocks of sizes (N+1)/2 and (N-1)/2: at dim 1 the odd one
         # is empty
-        even, odd = q._parity_blocks(np.eye(1, dim, dtype=complex)[0],
-                                     np.ones(dim, dtype=complex))
+        even, odd = (q._parity_block(np.eye(1, dim, dtype=complex)[0],
+                                     np.ones(dim, dtype=complex), sign)
+                     for sign in (1, -1))
         assert even.shape == ((dim + 1) // 2,) * 2
         assert odd.shape == ((dim - 1) // 2,) * 2
         # eigenvectors are compared only through quantities that do not
@@ -313,7 +346,24 @@ class TestFloquet:
             tracemalloc.stop()
         assert system.eigenbasis.nbytes == unit
         assert held - base <= 1.1 * unit
-        assert peak - base < 3.0 * unit
+        assert peak - base < 2.0 * unit
+
+    def test_evolve_vector_allocates_no_dense_array(self):
+        # F^n psi needs O(N) scratch beyond the system: an N x N conjugate
+        # copy of the eigenbasis would be one unit
+        n = 1025
+        unit = 16 * n * n
+        system = q.build_floquet(q.QuantumParams(dim=n, lam=10.0))
+        psi = np.zeros(n, dtype=complex)
+        psi[n // 2] = 1.0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            q.evolve_vector(psi, system, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 0.05 * unit
 
     def test_unitary_and_spectrum(self):
         params = q.QuantumParams(dim=65, lam=10.0)
@@ -371,6 +421,12 @@ class TestEvolution:
         out = q.evolve_vector(psi, system, 5)
         direct = np.linalg.matrix_power(system.unitary, 5) @ psi
         assert np.max(np.abs(out - direct)) < 1e-10
+
+    def test_evolve_vector_dimension_mismatch(self):
+        system = q.build_floquet(q.QuantumParams(dim=17, lam=3.0))
+        for psi in (np.ones(15), np.ones(18), np.ones((17, 1)), np.ones((17, 17))):
+            with pytest.raises(ConfigurationError, match="dimension mismatch"):
+                q.evolve_vector(psi, system, 5)
 
     def test_trace_and_purity_preserved(self):
         rng = np.random.default_rng(2)
@@ -503,8 +559,50 @@ class TestCorrelationSeries:
         predicted = float(np.sum(np.abs(rho_e) ** 2 * np.abs(obs_e) ** 2)
                           - np.sum(np.abs(np.diag(rho_e) * np.diag(obs_e)) ** 2))
         times = np.unique(np.linspace(1e4, 1e6, 6000).astype(np.int64))
-        c = q._offdiag_series(rho_e, obs_e, system.quasi_energies, times)
+        c = q._phase_sum(q._offdiag_weights(rho_e, obs_e),
+                         system.quasi_energies, times)
         assert float(np.var(c)) == pytest.approx(predicted, rel=0.2)
+
+    def test_preconditions(self):
+        system = q.build_floquet(q.QuantumParams(dim=17, lam=10.0))
+        rho = q.momentum_eigenstate(17, 0)
+        obs = q.cos_theta_observable(17)
+        for horizon in (-1, 0, 1, 2.5, 10.0, True, "10"):
+            with pytest.raises(ConfigurationError, match="horizon"):
+                q.correlation_series(rho, system, obs, horizon)
+        for bad_rho, bad_obs in ((q.momentum_eigenstate(15, 0), obs),
+                                 (rho, q.cos_theta_observable(19))):
+            with pytest.raises(ConfigurationError, match="dimension mismatch"):
+                q.correlation_series(bad_rho, system, bad_obs, 10)
+        assert len(q.correlation_series(rho, system, obs, np.int64(3)).c_q) == 3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_phase_sum_matches_oracle(self, seed):
+        # At t near 1e6 both paths round t*phi to about 1e-9 rad, each in its
+        # own way; the sums still agree to 1e-10 for unit-trace states and
+        # unit-norm observables because the errors average over N^2 terms.
+        rng = np.random.default_rng([77, seed])
+        n = int(rng.integers(16, 300))
+        phi = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        rho_e = random_density(n, rng).matrix
+        obs_e = random_observable(n, rng).matrix
+        m = q._offdiag_weights(rho_e, obs_e)
+        block = q._TIME_BLOCK
+        cases = [np.arange(h) for h in (1, 2, block - 1, block + 1,
+                                        3 * block + 37)]
+        cases += [np.arange(t0, t0 + h) for t0, h in
+                  ((7, 2 * block + 5), (10_000, block), (999_983, block + 1),
+                   (10 ** 6, 700))]
+        cases += [np.unique(np.linspace(1e4, 1e6, 1300).astype(np.int64)),
+                  np.r_[np.arange(0, 700), np.arange(5000, 5300), 10 ** 6],
+                  np.arange(100, 5000, 3)]
+        for times in cases:
+            ref = offdiag_series_oracle(rho_e, obs_e, phi, times)
+            assert np.max(np.abs(q._phase_sum(m, phi, times) - ref)) <= 1e-10
+        # a range is read block by block, without an array of all times
+        r = range(123_456, 123_456 + 2 * block + 3)
+        assert np.max(np.abs(q._phase_sum(m, phi, r) - offdiag_series_oracle(
+            rho_e, obs_e, phi, np.arange(r.start, r.stop)))) <= 1e-10
 
 
 class TestLocalization:
@@ -581,3 +679,56 @@ class TestVolumeFraction:
                                          100, horizon, 0.1, seed=0)
         assert 0.0 <= q.mixing_volume_fraction(
             system, [q.cos_theta_observable(33)], 100, 10, 0.1, seed=0) <= 1.0
+        # integers only, never a bool; observables of the system's dimension
+        for n_states in (100.5, 150.0, True, "100"):
+            with pytest.raises(ConfigurationError, match="n_states"):
+                q.mixing_volume_fraction(system, [q.cos_theta_observable(33)],
+                                         n_states, 100, 0.1, seed=0)
+        for horizon in (20.5, 100.0, True, "100"):
+            with pytest.raises(ConfigurationError, match="horizon"):
+                q.mixing_volume_fraction(system, [q.cos_theta_observable(33)],
+                                         100, horizon, 0.1, seed=0)
+        with pytest.raises(ConfigurationError, match="dimension mismatch"):
+            q.mixing_volume_fraction(
+                system, [q.cos_theta_observable(33), q.cos_theta_observable(31)],
+                100, 100, 0.1, seed=0)
+
+    @pytest.mark.parametrize("seed,horizon,tol", [
+        (0, 10_000, 0.4), (3, 10_000, 0.38), (5, 7_000, 0.36), (1, 400, 0.27)])
+    def test_matches_per_state_oracle(self, seed, horizon, tol):
+        # 150 states span three state chunks; a tail of 1000 (or 700) times
+        # spans two phase blocks, and some states first fail in the second
+        params = q.QuantumParams(dim=33, lam=10.0)
+        system = q.build_floquet(params)
+        o_set = [q.momentum_window_projector(33, 0.0, 8.0),
+                 q.cos_theta_observable(33)]
+        maxima = tail_maxima_oracle(system, o_set, 150, horizon, seed)
+        worst = maxima.max(axis=(1, 2))
+        assert np.min(np.abs(worst - tol)) > 1e-6  # no decision on a knife edge
+        expected = float(np.mean(worst < tol))
+        assert 0.0 < expected < 1.0
+        if horizon >= 10 * (q._TIME_BLOCK + 1):
+            first = maxima[:, :, 0].max(axis=1)
+            assert np.any((first < tol) & (worst >= tol))
+        assert q.mixing_volume_fraction(system, o_set, 150, horizon, tol,
+                                        seed) == expected
+
+    def test_memory_grows_with_neither_horizon_nor_states(self):
+        # tol so loose that every state runs the whole tail; both tails are
+        # whole numbers of phase blocks, and a first call warms the caches
+        system = q.build_floquet(q.QuantumParams(dim=33, lam=10.0))
+        o_set = [q.cos_theta_observable(33)]
+
+        def peak(n_states, horizon):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert q.mixing_volume_fraction(system, o_set, n_states,
+                                                horizon, 1e6, seed=0) == 1.0
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        peak(100, 10_240)
+        small = peak(100, 10_240)
+        assert peak(100, 102_400) <= small + 4096
+        assert peak(1000, 10_240) <= small + 4096
