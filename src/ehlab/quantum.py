@@ -388,6 +388,8 @@ def evolve(rho: DensityState, system: FloquetSystem, n: int) -> DensityState:
     """F^n rho (F^n)^dagger, applied as phases in the eigenbasis."""
     if rho.dim != system.dim:
         raise ConfigurationError("dimension mismatch")
+    if not _is_count(n):
+        raise ConfigurationError(f"kick count must be an integer, got {n!r}")
     if n == 0:
         return rho
     rho_e = system.to_eigenbasis(rho.matrix)
@@ -402,6 +404,8 @@ def evolve_vector(psi: np.ndarray, system: FloquetSystem, n: int) -> np.ndarray:
     psi = np.asarray(psi)
     if psi.shape != (system.dim,):
         raise ConfigurationError("dimension mismatch")
+    if not _is_count(n):
+        raise ConfigurationError(f"kick count must be an integer, got {n!r}")
     # Z^dagger psi as conj(Z^T conj(psi)): no N x N conjugate copy of Z
     c = np.conj(system.eigenbasis.T @ np.conj(psi))
     return system.eigenbasis @ (np.exp(-1j * n * system.quasi_energies) * c)
@@ -553,6 +557,9 @@ def mixing_volume_fraction(system: FloquetSystem,
         raise ConfigurationError(f"horizon must be an integer, got {horizon!r}")
     if not tol > 0:
         raise ConfigurationError(f"tol must be > 0, got {tol}")
+    if not _is_count(seed) or seed < 0:
+        raise ConfigurationError(
+            f"seed must be an integer >= 0, got {seed!r}")
     if any(o.dim != system.dim for o in o_set):
         raise ConfigurationError("dimension mismatch")
     times = range(int(np.ceil(0.9 * horizon)), horizon)

@@ -78,6 +78,37 @@ def two_orbit_divergence(x0, params, n_steps, d0=1e-9):
     return total / n_steps
 
 
+def lyapunov_batch_oracle(theta, p, params, n_steps):
+    """The tangent-map batch on [0, 2pi) coordinates, reduced by np.mod
+    and normed by np.hypot, as the centred kernel replaced it."""
+    theta = cl._wrap(np.asarray(theta, dtype=float))
+    p = cl._wrap(np.asarray(p, dtype=float))
+    v_theta = np.ones_like(theta)
+    v_p = np.zeros_like(theta)
+    log_sum = np.zeros_like(theta)
+    lam, tau = params.lam, params.tau
+    for i in range(cl.LYAPUNOV_TRANSIENT + n_steps):
+        c = lam * np.cos(theta)
+        theta, p = cl._advance(theta, p, lam, tau)
+        w_theta = (1.0 + tau * c) * v_theta + tau * v_p
+        w_p = c * v_theta + v_p
+        norm = np.hypot(w_theta, w_p)
+        v_theta = w_theta / norm
+        v_p = w_p / norm
+        if i >= cl.LYAPUNOV_TRANSIENT:
+            log_sum += np.log(norm)
+    return log_sum / n_steps
+
+
+def measure_oracle(params, grid_side, n_steps, threshold=cl.DEFAULT_THRESHOLD):
+    """Chaotic fraction of the [0, 2pi) cell-centred grid, every orbit
+    integrated by the oracle batch."""
+    edges = (np.arange(grid_side) + 0.5) * TWO_PI / grid_side
+    theta, p = np.meshgrid(edges, edges, indexing="ij")
+    expo = lyapunov_batch_oracle(theta.ravel(), p.ravel(), params, n_steps)
+    return np.count_nonzero(expo > threshold) / grid_side ** 2
+
+
 class TestLyapunov:
     def test_integrable_limit_is_zero(self):
         for seed in range(3):
@@ -109,6 +140,18 @@ class TestLyapunov:
     def test_n_steps_precondition(self):
         with pytest.raises(ConfigurationError):
             cl.lyapunov_exponent(cl.PhasePoint(1, 1), cl.MapParams(1.0), 10)
+
+    @pytest.mark.parametrize("lam,tau", [(1e200, 1.0), (1.0, 1e160),
+                                         (1e308, 1.0)])
+    def test_huge_kick_stays_finite(self, lam, tau):
+        # the squares of the tangent vector's image overflow here; these
+        # used to read NaN, hence Regular, on every orbit
+        params = cl.MapParams(lam, tau)
+        x0 = cl.PhasePoint(1.0, 1.0)
+        expo = cl.lyapunov_exponent(x0, params, 1000)
+        ref = lyapunov_batch_oracle([x0.theta], [x0.p], params, 1000)[0]
+        assert expo == pytest.approx(ref, rel=0.01)
+        assert cl.estimate_chaotic_measure(params, 16, 50).mu_A == 1.0
 
 
 class TestClassifyOrbit:
@@ -173,6 +216,50 @@ class TestChaoticMeasure:
             with pytest.raises(ConfigurationError):
                 cl.estimate_chaotic_measure(cl.MapParams(5.0), 16, 50,
                                             threshold=bad)
+
+
+class TestMirrorGrid:
+    def test_centred_grid_is_the_cell_centred_point_set(self):
+        for g in (16, 17, 33, 64):
+            theta, p = cl._centred_grid(g)
+            edges = (np.arange(g) + 0.5) * TWO_PI / g
+            want_theta, want_p = np.meshgrid(edges, edges, indexing="ij")
+            assert np.all((-np.pi <= theta) & (theta <= np.pi))
+            np.testing.assert_allclose(np.mod(theta, TWO_PI), want_theta.ravel(),
+                                       rtol=0, atol=1e-14)
+            np.testing.assert_allclose(np.mod(p, TWO_PI), want_p.ravel(),
+                                       rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("grid_side,n_integrated", [
+        (16, 128), (17, 161), (33, 577)])
+    @pytest.mark.parametrize("lam,tau", [(1.0, 1.0), (2.5, 0.37), (0.8, 1.7)])
+    def test_mirrored_half_reproduces_full_grid_bitwise(
+            self, monkeypatch, grid_side, n_integrated, lam, tau):
+        params = cl.MapParams(lam, tau)
+        full = cl._lyapunov_batch(*cl._centred_grid(grid_side), params, 300)
+        sizes = []
+        batch = cl._lyapunov_batch
+
+        def counting_batch(theta, p, params, n_steps):
+            sizes.append(len(theta))
+            return batch(theta, p, params, n_steps)
+
+        monkeypatch.setattr(cl, "_lyapunov_batch", counting_batch)
+        mirrored = cl._grid_exponents(params, grid_side, 300)
+        # an odd grid integrates its theta = pi and p = pi lines itself
+        assert sizes == [n_integrated]
+        assert np.array_equal(mirrored, full)
+        if grid_side % 2 == 0:  # every orbit's mirror image is on the grid
+            assert np.array_equal(full, full[::-1])
+
+    def test_measure_matches_oracle_within_ci(self):
+        for lam in (0.0, 0.5, 1.0, 2.0, 4.0):
+            params = cl.MapParams(lam)
+            est = cl.estimate_chaotic_measure(params, 32, 2000)
+            want = measure_oracle(params, 32, 2000)
+            if lam == 0.0:
+                assert est.mu_A == want == 0.0
+            assert abs(est.mu_A - want) <= est.ci_halfwidth + 1e-12
 
 
 WHOLE_TORUS = [cl.Cell(0.0, TWO_PI, 0.0, TWO_PI)]

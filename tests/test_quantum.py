@@ -428,6 +428,20 @@ class TestEvolution:
             with pytest.raises(ConfigurationError, match="dimension mismatch"):
                 q.evolve_vector(psi, system, 5)
 
+    def test_kick_count_must_be_an_integer(self):
+        # F^2.5 used to come back as a unit vector / a valid density matrix
+        system = q.build_floquet(q.QuantumParams(dim=17, lam=3.0))
+        psi = np.zeros(17, dtype=complex)
+        psi[8] = 1.0
+        rho = q.maximally_mixed(17)
+        for n in (2.5, 3.0, True, "3", None):
+            with pytest.raises(ConfigurationError, match="kick count"):
+                q.evolve_vector(psi, system, n)
+            with pytest.raises(ConfigurationError, match="kick count"):
+                q.evolve(rho, system, n)
+        assert np.array_equal(q.evolve_vector(psi, system, np.int64(3)),
+                              q.evolve_vector(psi, system, 3))
+
     def test_trace_and_purity_preserved(self):
         rng = np.random.default_rng(2)
         params = q.QuantumParams(dim=33, lam=10.0)
@@ -692,6 +706,11 @@ class TestVolumeFraction:
             q.mixing_volume_fraction(
                 system, [q.cos_theta_observable(33), q.cos_theta_observable(31)],
                 100, 100, 0.1, seed=0)
+        # seed = -1 and 1.5 used to end in numpy's ValueError / TypeError
+        for seed in (-1, 1.5, 2.0, True, "0", None):
+            with pytest.raises(ConfigurationError, match="seed"):
+                q.mixing_volume_fraction(system, [q.cos_theta_observable(33)],
+                                         100, 100, 0.1, seed=seed)
 
     @pytest.mark.parametrize("seed,horizon,tol", [
         (0, 10_000, 0.4), (3, 10_000, 0.38), (5, 7_000, 0.36), (1, 400, 0.27)])
