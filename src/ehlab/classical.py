@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from math import isfinite
+from math import hypot, isfinite
 
 import numpy as np
 
@@ -91,6 +91,14 @@ class MapParams:
             raise ConfigurationError(f"kick strength must be >= 0, got {self.lam}")
         if self.tau <= 0:
             raise ConfigurationError(f"kick period must be > 0, got {self.tau}")
+        # the angle update adds tau * p with |p| < 2 pi, and the tangent
+        # image of a unit vector has components bounded by the Jacobian's
+        # row sums 1 + tau (1 + lam) and 1 + lam: all must stay finite
+        if not (isfinite(TWO_PI * (1.0 + self.tau))
+                and isfinite(hypot(1.0 + self.tau * (1.0 + self.lam),
+                                   1.0 + self.lam))):
+            raise ConfigurationError(
+                f"lam = {self.lam}, tau = {self.tau} overflow the map")
 
 
 @dataclass(frozen=True)

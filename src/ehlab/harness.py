@@ -24,11 +24,8 @@ from . import classical, geometry, quantum, transition
 from .errors import ConfigurationError
 
 REGION_CSV_HEADER = "lambda,mu_A,mu_E,n_samples,threshold,ci_halfwidth"
-
-
-def _fmt(x) -> str:
-    """Round-trip-safe numeric formatting (17 significant digits)."""
-    return format(float(x), ".17g")
+# CSV rows formatted per chunk; bounds the Python objects a long CSV holds.
+_CSV_ROWS = 4096
 
 
 def max_threads() -> int:
@@ -176,11 +173,31 @@ class _Artifacts:
     def add_text(self, name: str, text: str):
         self.files[name] = text.encode()
 
-    def add_csv(self, name: str, header: str, rows):
-        lines = [header]
-        lines.extend(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) for row in rows)
-        self.add_text(name, "\n".join(lines) + "\n")
+    def add_csv(self, name: str, header: str, columns):
+        """One line per row of the equal-length `columns` (arrays or
+        sequences), formatted by one %-string: %.17g (round-trip safe) for
+        a float and %s, i.e. str(), for anything else. Rows are formatted
+        _CSV_ROWS at a time; a column chunk that mixes floats with other
+        values has its floats formatted one by one."""
+        columns = list(columns)
+        chunks = [(header + "\n").encode()]
+        for lo in range(0, len(columns[0]) if columns else 0, _CSV_ROWS):
+            formats, cols = [], []
+            for col in columns:
+                col = col[lo:lo + _CSV_ROWS]
+                col = col.tolist() if isinstance(col, np.ndarray) else list(col)
+                floats = [issubclass(t, float) for t in set(map(type, col))]
+                if all(floats):
+                    formats.append("%.17g")
+                else:
+                    if any(floats):
+                        col = ["%.17g" % v if isinstance(v, float) else v
+                               for v in col]
+                    formats.append("%s")
+                cols.append(col)
+            line = ",".join(formats) + "\n"
+            chunks.append("".join(map(line.__mod__, zip(*cols))).encode())
+        self.files[name] = b"".join(chunks)
 
     def add_json(self, name: str, payload):
         self.add_text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -228,11 +245,9 @@ def _run_classical_scan(p: dict, seed: int, art: _Artifacts):
                                                   p["n_steps"], p["threshold"])
     with ThreadPoolExecutor(max_workers=max_threads()) as pool:
         estimates = list(pool.map(one, param_list))
-    rows = [(est.lam, est.mu_A, est.mu_E, est.n_samples, est.threshold,
-             est.ci_halfwidth) for est in estimates]
     art.add_csv("region_estimates.csv", REGION_CSV_HEADER,
-                [tuple(float(v) if not isinstance(v, int) else v for v in r)
-                 for r in rows])
+                zip(*[(est.lam, est.mu_A, est.mu_E, est.n_samples,
+                       est.threshold, est.ci_halfwidth) for est in estimates]))
 
 
 def read_region_csv(path) -> list[tuple[float, float, float]]:
@@ -275,10 +290,9 @@ def _run_quantum_evolve(p: dict, seed: int, art: _Artifacts):
     probs /= probs.sum()
     dist = list(zip(ladder.tolist(), probs.tolist()))
     fit = quantum.localization_fit(dist)
-    art.add_csv("momentum_distribution.csv", "k,p",
-                [(k, float(prob)) for k, prob in dist])
+    art.add_csv("momentum_distribution.csv", "k,p", zip(*dist))
     art.add_csv("spectrum.csv", "k,phi_k",
-                [(i, float(phi)) for i, phi in enumerate(system.quasi_energies)])
+                (range(qp.dim), system.quasi_energies))
     art.add_json("localization.json", {
         "length": fit.length if np.isfinite(fit.length) else "inf",
         "slope": fit.slope, "intercept": fit.intercept,
@@ -305,8 +319,7 @@ def _run_correlation_series(p: dict, seed: int, art: _Artifacts):
     series = quantum.correlation_series(rho0, system, obs, p["horizon"],
                                         allow_degenerate=p["allow_degenerate"])
     art.add_csv("correlation_series.csv", "t,c_q,cesaro",
-                [(int(t), float(c), float(m))
-                 for t, c, m in zip(series.times, series.c_q, series.cesaro)])
+                (series.times, series.c_q, series.cesaro))
     art.add_json("params.json", _sidecar(qp, seed, {
         "horizon": p["horizon"], "observable": obs.label,
         "degenerate_pairs": len(system.degeneracy_flags)}))
@@ -333,7 +346,7 @@ def _run_geometry_check(p: dict, seed: int, art: _Artifacts):
             proj = geometry.RegionProjector(dim=n, indices=tuple(range(mu)))
             check = geometry.verify_theorem2(proj)
             rows.append((n, mu, float(check.d_squared), float(check.residual)))
-    art.add_csv("geometry_check.csv", "N,mu,d2,residual", rows)
+    art.add_csv("geometry_check.csv", "N,mu,d2,residual", zip(*rows))
 
 
 # kind -> (runner, parameter table); runners index the validated table

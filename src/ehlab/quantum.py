@@ -16,6 +16,7 @@ symmetric eigensolve per half-size block diagonalises F.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import inf, isfinite
 from typing import Sequence
@@ -28,11 +29,23 @@ from .errors import (ConfigurationError, DegenerateSpectrumError,
 DEFAULT_GAP_TOL = 1e-9
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
-# Times per block of the correlation phase sum; bounds its T x N work arrays.
-_TIME_BLOCK = 512
-# Haar states per chunk of the volume fraction; with _TIME_BLOCK it bounds
-# the fraction's memory independently of n_states and horizon.
-_STATE_CHUNK = 64
+# Consecutive times per window of the NUFFT phase sum, the points of its
+# 2x oversampled periodic grid, and Gaussian kernel points per side. With
+# Greengard & Lee's width tau = pi * spread / (window^2 * R (R - 1/2)) at
+# R = 2, the kernel's truncation and the grid's aliasing both stay near
+# exp(-pi * spread * 3/4) ~ 5e-13 of the sum of |weights|.
+_WINDOW = 1024
+_GRID = 2 * _WINDOW
+_SPREAD = 12
+_TAU = np.pi * _SPREAD / (3.0 * _WINDOW ** 2)
+_KERNEL = (2.0 * np.pi / _GRID) ** 2 / (4.0 * _TAU)  # per grid step squared
+# Grid bins per tile of the spreading: one dense kernel block and GEMM each.
+_TILE = 8
+# Weight columns spread and transformed together: at most _COLUMNS, and at
+# most _CHUNK_BYTES of them where the sources are many. With the tiles this
+# bounds a phase sum's memory independently of n_states and horizon.
+_COLUMNS = 8
+_CHUNK_BYTES = 8 << 20
 # Fixed irrational weight in eigh(A + _MIX B): the commuting real and
 # imaginary parts of a parity block share one real orthonormal eigenbasis.
 _MIX = np.sqrt(2.0) - 1.0
@@ -474,40 +487,133 @@ def _offdiag_weights(rho_e: np.ndarray, obs_e: np.ndarray) -> np.ndarray:
     return m
 
 
-def _phase_blocks(phi: np.ndarray, times):
-    """Yield (start, e, conj(e)) for each run of _TIME_BLOCK entries of
-    `times`, with e[j, k] = exp(-i times[start + j] phi_k).
+class _SpreadPlan:
+    """A type-1 NUFFT of the Hermitian half of an off-diagonal phase sum.
 
-    `times` is an integer array or a range. A block of consecutive times
-    t0 + j is built as exp(-i t0 phi) * exp(-i j phi) from one table of
-    exp(-i j phi), so a complex multiply replaces a complex exp; any other
-    block is built directly.
+    With m_k'k = conj(m_kk') and omega_kk' = phi_k - phi_k' = -omega_k'k,
+    sum_{k != k'} m_kk' exp(-i t omega_kk') = 2 Re sum_{k < k'} (the same),
+    so the N(N-1)/2 pairs k < k' are the sources. For the _WINDOW times
+    t = c + s, s in [-_WINDOW/2, _WINDOW/2), around a centre c, weights
+    that carry exp(-i c omega) are spread onto a periodic grid of _GRID
+    points with a Gaussian kernel, the grid is Fourier transformed, and
+    each mode s is divided by the kernel's Fourier coefficient (Greengard &
+    Lee, SIAM Rev. 46, 443, 2004).
+
+    The sources are sorted by grid bin and cut into tiles of _TILE bins.
+    Each tile keeps its dense kernel block over the grid points its
+    sources reach, so spreading a chunk of weight columns is one real
+    GEMM per tile. The grid and its transform are reused from chunk to
+    chunk.
     """
-    steps = None
-    for start in range(0, len(times), _TIME_BLOCK):
-        t = np.asarray(times[start:start + _TIME_BLOCK])
-        if len(t) > 1 and np.all(np.diff(t) == 1):
-            if steps is None or len(steps) < len(t):
-                steps = np.exp(-1j * np.outer(np.arange(len(t)), phi))
-            e = steps[:len(t)] * np.exp(-1j * t[0] * phi)
-        else:
-            e = np.exp(-1j * np.outer(t, phi))
-        yield start, e, e.conj()
+
+    def __init__(self, phi: np.ndarray):
+        k, kp = np.triu_indices(len(phi), 1)
+        u = np.mod(phi[k] - phi[kp], 2.0 * np.pi) * (_GRID / (2.0 * np.pi))
+        u[u >= _GRID] = 0.0  # np.mod(-tiny, 2 pi) rounds up to 2 pi
+        bins = u.astype(np.intp)
+        order = np.argsort(bins, kind="stable")
+        self.k, self.kp = k[order], kp[order]
+        u, bins = u[order], bins[order]
+        del k, kp, order
+        starts = range(0, _GRID, _TILE)
+        edges = np.searchsorted(bins, [*starts, _GRID])
+        # grid points b - _SPREAD + 1 .. b + _SPREAD around a source in bin b
+        reach = np.arange(_TILE - 1 + 2 * _SPREAD) - (_SPREAD - 1)
+        # all blocks in one buffer, the tile of sources lo:hi at rows * lo
+        kernel = np.empty(len(reach) * len(u))
+        self.tiles = []
+        for a, lo, hi in zip(starts, edges[:-1], edges[1:]):
+            if hi > lo:
+                d = (a + reach)[:, None] - u[lo:hi]
+                block = kernel[len(reach) * lo:len(reach) * hi].reshape(d.shape)
+                np.exp(-_KERNEL * d * d, out=block)
+                self.tiles.append((a, lo, hi, block))
+        s = np.arange(-_WINDOW // 2, _WINDOW // 2)
+        self.modes = s % _GRID
+        # 2 / (grid size x the kernel's Fourier coefficient sqrt(tau/pi)
+        # exp(-tau s^2)), the 2 being that of 2 Re
+        self.deconv = 2.0 * np.exp(_TAU * s * s) / (_GRID * np.sqrt(_TAU / np.pi))
+        self._ext = self._f = None
+        self.columns = max(1, min(_COLUMNS, _CHUNK_BYTES // (16 * len(u) or 1)))
+
+    def pairs(self, a: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+        """a_k conj(a_k') for each source into `out`, for a vector a or
+        each column of a matrix a; `scratch` is a buffer like `out`."""
+        # mode="clip" lets take write into out unbuffered; no index clips
+        np.take(a, self.k, axis=0, out=out, mode="clip")
+        np.take(a.conj(), self.kp, axis=0, out=scratch, mode="clip")
+        np.multiply(out, scratch, out=out)
+
+    def sums(self, cols: np.ndarray) -> np.ndarray:
+        """2 Re sum_j cols[j, c] exp(-i s omega_j) for each s in
+        [-_WINDOW/2, _WINDOW/2) (rows) and each column c of the
+        C-contiguous complex (sources, columns) weights."""
+        flat = cols.view(float)
+        if self._ext is None or self._ext.shape[1] != flat.shape[1]:
+            self._ext = np.empty((_GRID + 2 * _SPREAD - 1, flat.shape[1]))
+            self._f = np.empty((_GRID, cols.shape[1]), dtype=complex)
+        ext = self._ext
+        ext.fill(0.0)
+        for a, lo, hi, block in self.tiles:
+            ext[a:a + len(block)] += block @ flat[lo:hi]
+        # fold the points past either end of the grid back onto it
+        grid = ext[_SPREAD - 1:_SPREAD - 1 + _GRID]
+        grid[:_SPREAD] += ext[_SPREAD - 1 + _GRID:]
+        grid[_GRID - _SPREAD + 1:] += ext[:_SPREAD - 1]
+        np.fft.fft(grid.view(complex), axis=0, out=self._f)
+        return self._f[self.modes].real * self.deconv[:, None]
 
 
-def _block_sum(e: np.ndarray, e_conj: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """sum_{k,k'} m_kk' e_tk conj(e_tk') for each row t of a phase block
-    e, given with its conjugate."""
-    return np.einsum("tk,tk->t", e @ m, e_conj).real
+def _windows(times):
+    """(centre, lo, hi) for each window of the ascending `times`:
+    times[lo:hi] are the times in [t0, t0 + _WINDOW) from t0 = times[lo],
+    and the centre is t0 + _WINDOW/2. A range is read without an array of
+    all its times."""
+    lo = 0
+    while lo < len(times):
+        t0 = int(times[lo])
+        hi = bisect_left(times, t0 + _WINDOW, lo)
+        yield t0 + _WINDOW // 2, lo, hi
+        lo = hi
 
 
 def _phase_sum(m: np.ndarray, phi: np.ndarray, times) -> np.ndarray:
-    """sum_{k,k'} m_kk' exp(-i t (phi_k - phi_k')) for each t in `times`,
-    from zero-diagonal weights m (see _offdiag_weights)."""
-    out = np.empty(len(times))
-    for start, e, e_conj in _phase_blocks(phi, times):
-        out[start:start + len(e)] = _block_sum(e, e_conj, m)
-    return out
+    """sum_{k,k'} m_kk' exp(-i t (phi_k - phi_k')) for each t in `times`.
+
+    `m` is one zero-diagonal weight matrix with m_k'k = conj(m_kk') (see
+    _offdiag_weights) or a stack of them, giving one row of sums each.
+    `times` is an integer array or an ascending range. Every window of
+    times is one column per matrix, whose weights in plan order carry the
+    window centre's phase; up to plan.columns columns are summed at a time.
+    """
+    m = np.asarray(m)
+    plan = _SpreadPlan(phi)
+    stack = m.reshape(-1, len(phi), len(phi))
+    n_m = len(stack)
+    w = np.ascontiguousarray(stack[:, plan.k, plan.kp].T)  # (sources, n_m)
+    order = None
+    if not isinstance(times, range):
+        times = np.asarray(times)
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+    out = np.empty((n_m, len(times)))
+    windows = list(_windows(times))
+    per = max(1, min(plan.columns // n_m, len(windows)))
+    # a last, shorter group leaves stale columns, summed but never read
+    cols = np.zeros((len(w), per, n_m), dtype=complex)
+    phase, scratch = np.empty(len(w), dtype=complex), np.empty(len(w), dtype=complex)
+    for first in range(0, len(windows), per):
+        group = windows[first:first + per]
+        for g, (centre, _, _) in enumerate(group):
+            plan.pairs(np.exp(-1j * centre * phi), phase, scratch)
+            np.multiply(w, phase[:, None], out=cols[:, g])
+        vals = plan.sums(cols.reshape(len(w), per * n_m))
+        for g, (centre, lo, hi) in enumerate(group):
+            rows = np.asarray(times[lo:hi]) - (centre - _WINDOW // 2)
+            out[:, lo:hi] = vals[rows, g * n_m:(g + 1) * n_m].T
+    if order is not None:
+        out[:, order] = out.copy()
+    return out.reshape(m.shape[:-2] + (len(times),))
 
 
 def correlation_series(rho0: DensityState, system: FloquetSystem,
@@ -516,7 +622,7 @@ def correlation_series(rho0: DensityState, system: FloquetSystem,
     """C_Q(rho(t), O) for t = 0..horizon-1 with running Cesaro averages.
 
     rho* is the Cesaro-limit state (diagonal part in the eigenbasis), so
-    C_Q reduces to the off-diagonal phase sum, evaluated in blocks.
+    C_Q reduces to the off-diagonal phase sum, summed by _phase_sum.
     """
     if not _is_count(horizon) or horizon < 2:
         raise ConfigurationError(f"horizon must be an integer >= 2, got {horizon!r}")
@@ -543,10 +649,12 @@ def mixing_volume_fraction(system: FloquetSystem,
     horizon. Per-state RNG streams derive from (seed, state index), so
     the result is independent of evaluation order.
 
-    States are taken _STATE_CHUNK at a time. Each phase block of the tail
-    is built once per chunk and applied to every state of the chunk still
-    live and every observable; a state drops out at the first block where
-    some |C_Q| reaches tol. Memory holds one phase block and one chunk.
+    One NUFFT plan serves every state. States are taken
+    plan.columns // |O| at a time; for each window of the tail, the weights
+    c_k conj(c_k') O_k'k of every state of the chunk and every observable,
+    with the window centre's phase folded into the amplitudes c, are one
+    column each. A state passes when its largest |C_Q| over the whole
+    tail is below tol. Memory holds the plan and one chunk of columns.
     """
     if not o_set:
         raise ConfigurationError("observable set must not be empty")
@@ -566,26 +674,34 @@ def mixing_volume_fraction(system: FloquetSystem,
     if len(times) == 0:
         raise ConfigurationError(
             f"horizon {horizon} leaves the last decile empty; need >= 10")
-    obs_e = [system.to_eigenbasis(o.matrix) for o in o_set]
+    phi = system.quasi_energies
+    plan = _SpreadPlan(phi)
+    # O_k'k for each source of the plan, one column per observable
+    o_pairs = np.stack([system.to_eigenbasis(o.matrix)[plan.kp, plan.k]
+                        for o in o_set], axis=1)
     z_dag = system.eigenbasis.conj().T
-
-    def fails(c, block):
-        rho_e = np.outer(c, c.conj())
-        return any(np.max(np.abs(_block_sum(*block, _offdiag_weights(rho_e, oe))))
-                   >= tol for oe in obs_e)
-
+    per = max(1, plan.columns // len(o_set))
+    rho = np.empty((len(o_pairs), per), dtype=complex)
+    scratch = np.empty_like(rho)
+    cols = np.empty((len(o_pairs), len(o_set), per), dtype=complex)
     n_ok = 0
-    for first in range(0, n_states, _STATE_CHUNK):
-        live = []
-        for i in range(first, min(first + _STATE_CHUNK, n_states)):
+    for first in range(0, n_states, per):
+        # a last, shorter chunk is padded with zero amplitudes
+        amps = np.zeros((system.dim, per), dtype=complex)
+        for j, i in enumerate(range(first, min(first + per, n_states))):
             rng = np.random.default_rng([seed, i])
             v = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
-            live.append(z_dag @ (v / np.linalg.norm(v)))
-        for _, *block in _phase_blocks(system.quasi_energies, times):
-            live = [c for c in live if not fails(c, block)]
-            if not live:
-                break
-        n_ok += len(live)
+            amps[:, j] = z_dag @ (v / np.linalg.norm(v))
+        worst = np.zeros(per)
+        for centre, lo, hi in _windows(times):
+            plan.pairs(amps * np.exp(-1j * centre * phi)[:, None], rho, scratch)
+            for j in range(len(o_set)):
+                np.multiply(rho, o_pairs[:, j, None], out=cols[:, j])
+            # the window starts at times[lo], so its times are the first rows
+            vals = plan.sums(cols.reshape(len(cols), len(o_set) * per))[:hi - lo]
+            worst = np.maximum(worst, np.abs(vals).max(axis=0)
+                               .reshape(len(o_set), per).max(axis=0))
+        n_ok += int(np.count_nonzero(worst[:n_states - first] < tol))
     return n_ok / n_states
 
 

@@ -60,6 +60,22 @@ class TestStepMap:
             with pytest.raises(ConfigurationError):
                 cl.MapParams(1.0, tau=bad)
 
+    @pytest.mark.parametrize("lam,tau", [(1.0, 1e308), (1.0, 3e307),
+                                         (1e160, 1e160), (1e308, 1e5)])
+    def test_overflowing_params_rejected(self, lam, tau):
+        # tau * p or the tangent image overflows: step_map used to return
+        # theta = nan and estimate_chaotic_measure a silent mu_A
+        with pytest.raises(ConfigurationError, match="overflow"):
+            cl.MapParams(lam, tau)
+
+    def test_largest_params_stay_finite(self):
+        # just inside both bounds every step and exponent is finite
+        for params in (cl.MapParams(1.0, 2.8e307), cl.MapParams(1e308, 1.0)):
+            x = cl.step_map(cl.PhasePoint(1.0, 1.0), params)
+            assert np.isfinite([x.theta, x.p]).all()
+            est = cl.estimate_chaotic_measure(params, 16, 50)
+            assert 0.0 <= est.mu_A <= 1.0
+
 
 def two_orbit_divergence(x0, params, n_steps, d0=1e-9):
     """Independent Lyapunov estimator from two nearby orbits."""

@@ -304,6 +304,8 @@ MALFORMED = [
                  id="n_steps-0"),
     pytest.param("classical-scan", {**SCAN, "threshold": float("nan")}, {},
                  id="threshold-nan"),
+    pytest.param("classical-scan", {**SCAN, "tau": 1e308}, {},
+                 id="tau-overflow"),
     pytest.param("quantum-evolve", {**EVOLVE, "lambda": float("nan")}, {},
                  id="lambda-nan"),
     pytest.param("quantum-evolve", {**EVOLVE, "lambda": 10 ** 400}, {},
@@ -511,6 +513,40 @@ class TestCli:
             [sys.executable, "-m", "ehlab.cli", "run", "--config", str(config)],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
+
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is a test-only dependency, and `import ehlab.cli` is all a
+        # run's start-up pays for
+        src = str(Path(ehlab.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import ehlab.cli, sys; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path})
+        assert proc.stdout == "False\n"
+
+
+def test_csv_bytes_match_per_value_formatting():
+    # one %-string per row writes what format(float(x), ".17g") and str()
+    # wrote value by value, also for a column that mixes floats with others
+    floats = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+              1.7976931348623157e308, 1 / 3]
+    ints = [0, -1, 2 ** 70, 7, True, np.int64(-5), 3]
+    mixed = [1, 0.5, True, np.float64(1 / 3), "x", np.int64(7), -0.0]
+    art = harness._Artifacts()
+    art.add_csv("a.csv", "f,i,m", (floats, ints, mixed))
+
+    def per_value(v):
+        return format(float(v), ".17g") if isinstance(v, float) else str(v)
+    want = ["f,i,m"] + [",".join(map(per_value, row))
+                        for row in zip(floats, ints, mixed)]
+    assert art.files["a.csv"] == ("\n".join(want) + "\n").encode()
+    assert [line.split(",")[0] for line in want[1:]] == [
+        "-0", "nan", "inf", "-inf", "4.9406564584124654e-324",
+        "1.7976931348623157e+308", "0.33333333333333331"]
+    art.add_csv("empty.csv", "a,b", ([], []))
+    assert art.files["empty.csv"] == b"a,b\n"
 
 
 # ---------------------------------------------------------------- fuzzing

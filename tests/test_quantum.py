@@ -83,16 +83,21 @@ def random_observable(dim, rng, label="random"):
     return q.ObservableMatrix(h / np.linalg.norm(h), label=label)
 
 
+# Times per block of the oracles; the bound of the first-block check of the
+# volume fraction is stated in these blocks too.
+ORACLE_BLOCK = 512
+
+
 def offdiag_series_oracle(rho_e, obs_e, phi, times):
     """sum_{k != k'} rho_kk' O_k'k exp(-i t (phi_k - phi_k')) for each t,
     every phase computed directly (the exact path the fast one replaced)."""
     m_offdiag = rho_e * obs_e.T
     np.fill_diagonal(m_offdiag, 0.0)
     out = np.empty(len(times))
-    for start in range(0, len(times), q._TIME_BLOCK):
-        t = times[start:start + q._TIME_BLOCK]
+    for start in range(0, len(times), ORACLE_BLOCK):
+        t = times[start:start + ORACLE_BLOCK]
         e = np.exp(-1j * np.outer(t, phi))
-        out[start:start + q._TIME_BLOCK] = np.einsum(
+        out[start:start + ORACLE_BLOCK] = np.einsum(
             "tk,tk->t", e @ m_offdiag, e.conj()).real
     return out
 
@@ -110,8 +115,8 @@ def tail_maxima_oracle(system, o_set, n_states, horizon, seed):
         for j, oe in enumerate(obs_e):
             c_q = np.abs(offdiag_series_oracle(np.outer(c, c.conj()), oe,
                                                system.quasi_energies, times))
-            out[i, j] = (np.max(c_q[:q._TIME_BLOCK]),
-                         np.max(c_q[q._TIME_BLOCK:], initial=0.0))
+            out[i, j] = (np.max(c_q[:ORACLE_BLOCK]),
+                         np.max(c_q[ORACLE_BLOCK:], initial=0.0))
     return out
 
 
@@ -601,22 +606,82 @@ class TestCorrelationSeries:
         rho_e = random_density(n, rng).matrix
         obs_e = random_observable(n, rng).matrix
         m = q._offdiag_weights(rho_e, obs_e)
-        block = q._TIME_BLOCK
+        block, window = ORACLE_BLOCK, q._WINDOW
         cases = [np.arange(h) for h in (1, 2, block - 1, block + 1,
-                                        3 * block + 37)]
+                                        3 * block + 37, window - 1, window,
+                                        window + 1, 3 * window + 37)]
         cases += [np.arange(t0, t0 + h) for t0, h in
                   ((7, 2 * block + 5), (10_000, block), (999_983, block + 1),
-                   (10 ** 6, 700))]
-        cases += [np.unique(np.linspace(1e4, 1e6, 1300).astype(np.int64)),
-                  np.r_[np.arange(0, 700), np.arange(5000, 5300), 10 ** 6],
-                  np.arange(100, 5000, 3)]
+                   (10 ** 6, 700), (7, 2 * window + 5), (10_000, window),
+                   (999_983, window + 1), (10 ** 6 - window // 2, 2 * window - 1))]
+        cases += [np.unique(np.linspace(1e4, 1e6, k).astype(np.int64))
+                  for k in (1300, 6000)]
+        cases += [np.r_[np.arange(0, 700), np.arange(5000, 5300), 10 ** 6],
+                  np.arange(100, 5000, 3),
+                  rng.permutation(np.r_[np.arange(2500), 4000, 4000, 10 ** 5])]
         for times in cases:
             ref = offdiag_series_oracle(rho_e, obs_e, phi, times)
             assert np.max(np.abs(q._phase_sum(m, phi, times) - ref)) <= 1e-10
-        # a range is read block by block, without an array of all times
-        r = range(123_456, 123_456 + 2 * block + 3)
+        # a range is read window by window, without an array of all times
+        r = range(123_456, 123_456 + 2 * window + 3)
         assert np.max(np.abs(q._phase_sum(m, phi, r) - offdiag_series_oracle(
             rho_e, obs_e, phi, np.arange(r.start, r.stop)))) <= 1e-10
+        # a stack of weight matrices gives one row of sums each
+        pairs = [(rho_e, obs_e)] + [(random_density(n, rng).matrix,
+                                     random_observable(n, rng).matrix)
+                                    for _ in range(2)]
+        stack = np.stack([q._offdiag_weights(*p) for p in pairs])
+        times = np.arange(2 * window + 9)
+        ref = np.stack([offdiag_series_oracle(*p, phi, times) for p in pairs])
+        got = q._phase_sum(stack, phi, times)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-10
+
+    def test_chunks_of_one_column(self, monkeypatch):
+        # where the sources are many a chunk holds one column; the sums and
+        # the volume fraction do not depend on the chunking
+        rng = np.random.default_rng(5)
+        n = 41
+        phi = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        stack = np.stack([q._offdiag_weights(random_density(n, rng).matrix,
+                                             random_observable(n, rng).matrix)
+                          for _ in range(2)])
+        times = np.arange(3 * q._WINDOW + 5)
+        system = q.build_floquet(q.QuantumParams(dim=33, lam=10.0))
+        o_set = [q.momentum_window_projector(33, 0.0, 8.0),
+                 q.cos_theta_observable(33)]
+        sums = q._phase_sum(stack, phi, times)
+        fraction = q.mixing_volume_fraction(system, o_set, 150, 30_000, 0.41, 2)
+        monkeypatch.setattr(q, "_CHUNK_BYTES", 1)
+        assert q._SpreadPlan(phi).columns == 1
+        assert np.max(np.abs(q._phase_sum(stack, phi, times) - sums)) <= 1e-12
+        assert q.mixing_volume_fraction(system, o_set, 150, 30_000, 0.41,
+                                        2) == fraction
+
+    def test_phase_sum_without_sources_is_zero(self):
+        # N = 1 has no pair k < k'
+        phi = np.array([0.3])
+        for times in (np.arange(5), range(10 ** 6, 10 ** 6 + 3000)):
+            out = q._phase_sum(np.zeros((1, 1), complex), phi, times)
+            assert out.shape == (len(times),) and not out.any()
+        out = q._phase_sum(np.zeros((2, 1, 1), complex), phi, np.arange(7))
+        assert out.shape == (2, 7) and not out.any()
+        assert q._phase_sum(np.zeros((1, 1), complex), phi,
+                            np.arange(0)).shape == (0,)
+
+    def test_phase_sum_on_degenerate_spectrum(self):
+        # exact repeats put sources at omega = 0, and phases at both ends of
+        # [0, 2 pi) put them at the grid's wrap-around
+        rng = np.random.default_rng(31)
+        x = rng.uniform(0.0, 2.0 * np.pi, 30)
+        phi = np.sort(np.r_[x, x[:8], 0.0, 0.0, 2.0 * np.pi - 1e-15])
+        n = len(phi)
+        rho_e = random_density(n, rng).matrix
+        obs_e = random_observable(n, rng).matrix
+        m = q._offdiag_weights(rho_e, obs_e)
+        for times in (np.arange(3000), np.arange(999_000, 1_001_100)):
+            ref = offdiag_series_oracle(rho_e, obs_e, phi, times)
+            assert np.max(np.abs(q._phase_sum(m, phi, times) - ref)) <= 1e-10
 
 
 class TestLocalization:
@@ -713,10 +778,12 @@ class TestVolumeFraction:
                                          100, 100, 0.1, seed=seed)
 
     @pytest.mark.parametrize("seed,horizon,tol", [
-        (0, 10_000, 0.4), (3, 10_000, 0.38), (5, 7_000, 0.36), (1, 400, 0.27)])
+        (0, 10_000, 0.4), (3, 10_000, 0.38), (5, 7_000, 0.36), (1, 400, 0.27),
+        (2, 30_000, 0.41)])
     def test_matches_per_state_oracle(self, seed, horizon, tol):
-        # 150 states span three state chunks; a tail of 1000 (or 700) times
-        # spans two phase blocks, and some states first fail in the second
+        # 150 states span many state chunks; a tail of 1000 (or 700) times
+        # spans two oracle blocks, and some states first fail in the second;
+        # a tail of 3000 spans three NUFFT windows
         params = q.QuantumParams(dim=33, lam=10.0)
         system = q.build_floquet(params)
         o_set = [q.momentum_window_projector(33, 0.0, 8.0),
@@ -726,7 +793,7 @@ class TestVolumeFraction:
         assert np.min(np.abs(worst - tol)) > 1e-6  # no decision on a knife edge
         expected = float(np.mean(worst < tol))
         assert 0.0 < expected < 1.0
-        if horizon >= 10 * (q._TIME_BLOCK + 1):
+        if horizon >= 10 * (ORACLE_BLOCK + 1):
             first = maxima[:, :, 0].max(axis=1)
             assert np.any((first < tol) & (worst >= tol))
         assert q.mixing_volume_fraction(system, o_set, 150, horizon, tol,
