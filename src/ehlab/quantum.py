@@ -9,7 +9,8 @@ coefficient of the FFT of the grid values.
 The spectrum comes from the model's two symmetries. Splitting the free
 factor in half, F = D^-1 F_s D with F_s = D K D and D = exp(-i tau hbar
 k^2 / 4), makes F_s complex symmetric (time reversal). Parity k -> -k
-splits F_s into an even and an odd block. Each is a complex symmetric
+splits F_s into an even and an odd block in the basis P of |0> and
+(|k> +- |-k>)/sqrt(2), k = 1..(N-1)/2. Each is a complex symmetric
 unitary A + iB whose real and imaginary parts commute, so one real
 symmetric eigensolve per half-size block diagonalises F.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import inf, isfinite
 from typing import Sequence
 
@@ -68,8 +70,9 @@ class QuantumParams:
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.dim < 1 or self.dim % 2 == 0:
-            raise ConfigurationError(f"dim must be odd and positive, got {self.dim}")
+        if not _is_count(self.dim) or self.dim < 1 or self.dim % 2 == 0:
+            raise ConfigurationError(
+                f"dim must be an odd positive integer, got {self.dim!r}")
         if not all(isfinite(x) for x in (self.lam, self.hbar, self.tau)):
             raise ConfigurationError("lam, hbar and tau must be finite")
         if self.hbar <= 0 or self.tau <= 0:
@@ -99,10 +102,11 @@ class DensityState:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigurationError(f"density matrix must be square, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
+        # NaN fails too
+        if not np.max(np.abs(m - m.conj().T)) <= _HERM_TOL:
             raise ConfigurationError("density matrix is not Hermitian to 1e-10")
         tr = np.trace(m).real
-        if abs(tr - 1.0) > _TRACE_TOL:
+        if not abs(tr - 1.0) <= _TRACE_TOL:
             raise ConfigurationError(f"trace must be 1, got {tr}")
         if check_psd:
             w = np.linalg.eigvalsh(m)
@@ -124,7 +128,7 @@ class ObservableMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
+        if not np.max(np.abs(m - m.conj().T)) <= _HERM_TOL:
             raise ConfigurationError(f"observable '{self.label}' is not Hermitian")
         object.__setattr__(self, "matrix", m)
 
@@ -214,12 +218,17 @@ class FloquetSystem:
     Quasi-energies phi_k in [0, 2*pi) satisfy F|k> = exp(-i phi_k)|k>
     and are stored in increasing order; `degeneracy_flags` lists index
     pairs closer than `DEFAULT_GAP_TOL` (including the 2*pi wraparound
-    pair).
+    pair). The eigenbasis Z = D^-1 P blockdiag(V_e, V_o) is held as D, the
+    real block bases and the column col[j] of block eigenvector j (even
+    block first) in the sorted spectrum.
     """
 
     params: QuantumParams
     quasi_energies: np.ndarray
-    eigenbasis: np.ndarray  # columns are eigenvectors
+    half_free: np.ndarray
+    v_even: np.ndarray
+    v_odd: np.ndarray
+    col: np.ndarray
     degeneracy_flags: list = field(default_factory=list)
 
     @property
@@ -232,13 +241,59 @@ class FloquetSystem:
         return (kick_operator(self.params)
                 * free_propagator_diagonal(self.params)[None, :])
 
+    @property
+    def eigenbasis(self) -> np.ndarray:
+        """The dense Z (columns are eigenvectors), assembled on each access."""
+        return self._z(np.eye(self.dim))
+
     def to_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
-        z = self.eigenbasis
-        return z.conj().T @ matrix @ z
+        """Z^dagger M Z = (Z^dagger (Z^dagger M)^dagger)^dagger."""
+        a = self._z_dag(matrix)
+        b = self._z_dag(np.conj(a, out=a).T)
+        return np.conj(b, out=b).T
 
     def from_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
-        z = self.eigenbasis
-        return z @ matrix @ z.conj().T
+        """Z M Z^dagger = Z (Z M^dagger)^dagger."""
+        a = self._z(np.conj(matrix).T)
+        return self._z(np.conj(a, out=a).T)
+
+    @cached_property
+    def _scale(self) -> np.ndarray:
+        """S D in block order: P = F^T S, F folding rows k and -k, S being
+        1/sqrt(2) but 1/2 on the k = 0 row, which F counts twice."""
+        h = self.dim // 2
+        s = self.half_free[h:] / np.sqrt(2.0)
+        s[0] /= np.sqrt(2.0)
+        return np.concatenate([s, s[1:]])
+
+    def _z_dag(self, x) -> np.ndarray:
+        """Z^dagger x = B^T S D F x for a vector x or the columns of a matrix
+        x, B = blockdiag(V_e, V_o) applied as real GEMMs, then sorted."""
+        h = self.dim // 2
+        x2 = np.reshape(x, (self.dim, -1))
+        y = np.empty(x2.shape, dtype=complex)
+        np.add(x2[h:], x2[h::-1], out=y[:h + 1])
+        np.subtract(x2[h + 1:], x2[:h][::-1], out=y[h + 1:])
+        y *= self._scale[:, None]
+        out = np.empty_like(y)
+        np.matmul(self.v_even.T, y[:h + 1].view(float), out=out[:h + 1].view(float))
+        np.matmul(self.v_odd.T, y[h + 1:].view(float), out=out[h + 1:].view(float))
+        y[self.col] = out
+        return y.reshape(np.shape(x))
+
+    def _z(self, c) -> np.ndarray:
+        """Z c = F^T conj(S D) B c: the steps of _z_dag reversed."""
+        h = self.dim // 2
+        g = np.reshape(c, (self.dim, -1))[self.col].astype(complex, copy=False)
+        out = np.empty_like(g)
+        np.matmul(self.v_even, g[:h + 1].view(float), out=out[:h + 1].view(float))
+        np.matmul(self.v_odd, g[h + 1:].view(float), out=out[h + 1:].view(float))
+        out *= self._scale.conj()[:, None]
+        even, odd = out[:h + 1], out[h + 1:]
+        np.multiply(even[0], 2.0, out=g[h])
+        np.add(even[1:], odd, out=g[h + 1:])
+        np.subtract(even[:0:-1], odd[::-1], out=g[:h])
+        return g.reshape(np.shape(c))
 
 
 def _kick_coefficients(params: QuantumParams) -> np.ndarray:
@@ -262,13 +317,12 @@ def free_propagator_diagonal(params: QuantumParams) -> np.ndarray:
 def _parity_block(coeffs: np.ndarray, half_free: np.ndarray,
                   sign: int) -> np.ndarray:
     """The even (sign +1) or odd (sign -1) block of F_s = D K D in the
-    parity basis, from the kick's circulant coefficients.
+    parity basis P, from the kick's circulant coefficients.
 
-    The basis is |0>, (|k> + |-k>)/sqrt(2) (even) and (|k> - |-k>)/sqrt(2)
-    (odd) for k = 1..(N-1)/2. K and D are parity invariant, so each block
-    entry is K[k, k'] +- K[k, -k'] = c[(k - k') mod N] +- c[k + k'] scaled
-    by the half-ladder phases, with 1/sqrt(2) on the k = 0 row and column
-    of the even block; the odd block has no k = 0 row.
+    K and D are parity invariant, so each block entry is K[k, k'] +-
+    K[k, -k'] = c[(k - k') mod N] +- c[k + k'] scaled by the half-ladder
+    phases, with 1/sqrt(2) on the even block's k = 0 row and column; the
+    odd block has no k = 0 row.
     """
     n = len(coeffs)
     h = (n - 1) // 2
@@ -325,26 +379,6 @@ def _clusters(w: np.ndarray) -> list[slice]:
     return [slice(lo, hi) for lo, hi in bounds if hi - lo > 1]
 
 
-def _parity_eigenbasis(half_free: np.ndarray, v_even: np.ndarray,
-                       v_odd: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """D^-1 (parity basis) blockdiag(V_e, V_o), block eigenvector j going
-    to column col[j]."""
-    n = len(half_free)
-    h = (n - 1) // 2
-    back = half_free[h:].conj()
-    back[1:] /= np.sqrt(2.0)
-    col_e, col_o = col[:h + 1], col[h + 1:]
-    z = np.empty((n, n), dtype=complex)
-    up = back[:, None] * v_even
-    z[h:, col_e] = up
-    z[:h, col_e] = up[:0:-1]
-    up = back[1:, None] * v_odd
-    z[h + 1:, col_o] = up
-    z[:h, col_o] = -up[::-1]
-    z[h, col_o] = 0.0
-    return z
-
-
 def _unitarity_residual(coeffs: np.ndarray) -> float:
     """max |F F^dagger - I| of F = K * free, from K's circulant coefficients.
 
@@ -363,9 +397,8 @@ def build_floquet(params: QuantumParams) -> FloquetSystem:
     Everything is read off the kick's N circulant coefficients: the
     unitarity residual and the parity blocks of the symmetrised F_s (see
     the module docstring), whose two real symmetric eigensolves of sizes
-    (N+1)/2 and (N-1)/2 give the spectrum. Their real orthonormal bases,
-    mapped back through the parity basis and D^-1, give an eigenbasis of F
-    orthonormal to machine precision.
+    (N+1)/2 and (N-1)/2 give the spectrum. The system keeps their real
+    orthonormal bases, not the dense complex eigenbasis they define.
     """
     n = params.dim
     coeffs = _kick_coefficients(params)
@@ -387,13 +420,13 @@ def build_floquet(params: QuantumParams) -> FloquetSystem:
     phi = phi[order]
     col = np.empty(n, dtype=np.intp)
     col[order] = np.arange(n)
-    z = _parity_eigenbasis(half_free, v_e, v_o, col)
     gaps = np.diff(phi)
     flags = [(int(i), int(i + 1))
              for i in np.flatnonzero(gaps < DEFAULT_GAP_TOL)]
     if n > 1 and (phi[0] + 2.0 * np.pi - phi[-1]) < DEFAULT_GAP_TOL:
         flags.append((n - 1, 0))
-    return FloquetSystem(params=params, quasi_energies=phi, eigenbasis=z,
+    return FloquetSystem(params=params, quasi_energies=phi,
+                         half_free=half_free, v_even=v_e, v_odd=v_o, col=col,
                          degeneracy_flags=flags)
 
 
@@ -419,9 +452,8 @@ def evolve_vector(psi: np.ndarray, system: FloquetSystem, n: int) -> np.ndarray:
         raise ConfigurationError("dimension mismatch")
     if not _is_count(n):
         raise ConfigurationError(f"kick count must be an integer, got {n!r}")
-    # Z^dagger psi as conj(Z^T conj(psi)): no N x N conjugate copy of Z
-    c = np.conj(system.eigenbasis.T @ np.conj(psi))
-    return system.eigenbasis @ (np.exp(-1j * n * system.quasi_energies) * c)
+    c = system._z_dag(psi)
+    return system._z(np.exp(-1j * n * system.quasi_energies) * c)
 
 
 def cesaro_limit_state(rho0: DensityState, system: FloquetSystem,
@@ -447,7 +479,7 @@ def expectation(rho: DensityState, obs: ObservableMatrix) -> float:
     if rho.dim != obs.dim:
         raise ConfigurationError("dimension mismatch")
     val = np.sum(rho.matrix * obs.matrix.T)
-    if abs(val.imag) >= 1e-10:
+    if not abs(val.imag) < 1e-10:
         raise HermiticityError(f"imaginary residue {val.imag} in expectation")
     return float(val.real)
 
@@ -649,12 +681,10 @@ def mixing_volume_fraction(system: FloquetSystem,
     horizon. Per-state RNG streams derive from (seed, state index), so
     the result is independent of evaluation order.
 
-    One NUFFT plan serves every state. States are taken
-    plan.columns // |O| at a time; for each window of the tail, the weights
-    c_k conj(c_k') O_k'k of every state of the chunk and every observable,
-    with the window centre's phase folded into the amplitudes c, are one
-    column each. A state passes when its largest |C_Q| over the whole
-    tail is below tol. Memory holds the plan and one chunk of columns.
+    One NUFFT plan serves every state. For each window of the tail, a
+    chunk of states gives one column of weights c_k conj(c_k') O_k'k per
+    state and observable (c = Z^dagger psi). Memory holds the plan and
+    one chunk.
     """
     if not o_set:
         raise ConfigurationError("observable set must not be empty")
@@ -679,7 +709,6 @@ def mixing_volume_fraction(system: FloquetSystem,
     # O_k'k for each source of the plan, one column per observable
     o_pairs = np.stack([system.to_eigenbasis(o.matrix)[plan.kp, plan.k]
                         for o in o_set], axis=1)
-    z_dag = system.eigenbasis.conj().T
     per = max(1, plan.columns // len(o_set))
     rho = np.empty((len(o_pairs), per), dtype=complex)
     scratch = np.empty_like(rho)
@@ -687,11 +716,12 @@ def mixing_volume_fraction(system: FloquetSystem,
     n_ok = 0
     for first in range(0, n_states, per):
         # a last, shorter chunk is padded with zero amplitudes
-        amps = np.zeros((system.dim, per), dtype=complex)
+        v = np.zeros((system.dim, per), dtype=complex)
         for j, i in enumerate(range(first, min(first + per, n_states))):
             rng = np.random.default_rng([seed, i])
-            v = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
-            amps[:, j] = z_dag @ (v / np.linalg.norm(v))
+            u = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
+            v[:, j] = u / np.linalg.norm(u)
+        amps = system._z_dag(v)
         worst = np.zeros(per)
         for centre, lo, hi in _windows(times):
             plan.pairs(amps * np.exp(-1j * centre * phi)[:, None], rho, scratch)

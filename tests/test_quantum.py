@@ -1,5 +1,8 @@
+import ast
 import json
 import tracemalloc
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +43,19 @@ def dense_kick_coefficients(params):
     return c
 
 
+@dataclass
+class DenseFloquet:
+    """A Floquet system held as its dense eigenbasis (columns)."""
+
+    quasi_energies: np.ndarray
+    eigenbasis: np.ndarray
+    degeneracy_flags: list
+
+    def to_eigenbasis(self, matrix):
+        z = self.eigenbasis
+        return z.conj().T @ matrix @ z
+
+
 def schur_floquet(params):
     """The Floquet system by the complex Schur form of F (exact oracle)."""
     f = q.kick_operator(params) * q.free_propagator_diagonal(params)[None, :]
@@ -53,8 +69,28 @@ def schur_floquet(params):
              for i in np.flatnonzero(np.diff(phi) < gap_tol)]
     if n > 1 and (phi[0] + 2.0 * np.pi - phi[-1]) < gap_tol:
         flags.append((n - 1, 0))
-    return q.FloquetSystem(params=params, quasi_energies=phi, eigenbasis=z,
-                           degeneracy_flags=flags)
+    return DenseFloquet(quasi_energies=phi, eigenbasis=z,
+                        degeneracy_flags=flags)
+
+
+def dense_parity_basis(system):
+    """Z = D^-1 P blockdiag(V_e, V_o) from the definitions, block
+    eigenvector j in column col[j]; P's columns are |0>, then
+    (|k> + |-k>)/sqrt(2) and (|k> - |-k>)/sqrt(2) for k = 1..(N-1)/2."""
+    n = system.dim
+    h = n // 2
+    k = np.arange(1, h + 1)
+    p = np.zeros((n, n))
+    p[h, 0] = 1.0
+    p[h + k, k] = p[h - k, k] = 1.0 / np.sqrt(2.0)
+    p[h + k, h + k] = 1.0 / np.sqrt(2.0)
+    p[h - k, h + k] = -1.0 / np.sqrt(2.0)
+    b = np.zeros((n, n))
+    b[:h + 1, :h + 1] = system.v_even
+    b[h + 1:, h + 1:] = system.v_odd
+    z = np.empty((n, n), dtype=complex)
+    z[:, system.col] = system.half_free.conj()[:, None] * (p @ b)
+    return z
 
 
 def assert_same_spectrum(system, oracle):
@@ -107,11 +143,12 @@ def tail_maxima_oracle(system, o_set, n_states, horizon, seed):
     the last decile and over the rest, state by state from the oracle."""
     times = np.arange(int(np.ceil(0.9 * horizon)), horizon)
     obs_e = [system.to_eigenbasis(o.matrix) for o in o_set]
+    z_dag = system.eigenbasis.conj().T
     out = np.empty((n_states, len(o_set), 2))
     for i in range(n_states):
         rng = np.random.default_rng([seed, i])
         v = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
-        c = system.eigenbasis.conj().T @ (v / np.linalg.norm(v))
+        c = z_dag @ (v / np.linalg.norm(v))
         for j, oe in enumerate(obs_e):
             c_q = np.abs(offdiag_series_oracle(np.outer(c, c.conj()), oe,
                                                system.quasi_energies, times))
@@ -143,6 +180,28 @@ class TestParamsAndStates:
         ladder = q.momentum_ladder(65)
         assert ladder[0] == -32 and ladder[-1] == 32
         assert np.array_equal(ladder, -ladder[::-1])
+
+    def test_dim_must_be_an_integer(self):
+        # a bool or float dim used to pass and end in a bare TypeError
+        for bad in (True, False, 3.0, np.float64(5.0), "5", None):
+            with pytest.raises(ConfigurationError, match="dim"):
+                q.QuantumParams(dim=bad, lam=1.0)
+        assert q.QuantumParams(dim=np.int64(5), lam=1.0).dim == 5
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_states_and_observables_rejected(self):
+        # NaN fails every comparison, so a `> tol` check let it through
+        for bad in (np.full((3, 3), np.nan), np.diag([np.nan, 0.5, 0.5]),
+                    np.full((3, 3), np.inf)):
+            with pytest.raises(ConfigurationError):
+                q.DensityState(bad)
+            with pytest.raises(ConfigurationError):
+                q.ObservableMatrix(bad, "x")
+        obs = q.ObservableMatrix.__new__(q.ObservableMatrix)
+        object.__setattr__(obs, "matrix", np.full((3, 3), np.nan + 0j))
+        object.__setattr__(obs, "label", "nan")
+        with pytest.raises(HermiticityError):
+            q.expectation(q.maximally_mixed(3), obs)
 
     def test_state_validation(self):
         with pytest.raises(ConfigurationError):
@@ -261,7 +320,10 @@ class TestFloquet:
         psi = np.zeros(257, dtype=complex)
         psi[128] = 1.0  # |k=0>
         out = q.evolve_vector(psi, q.build_floquet(params), 10_000)
-        ref = q.evolve_vector(psi, schur_floquet(params), 10_000)
+        oracle = schur_floquet(params)
+        z = oracle.eigenbasis
+        ref = z @ (np.exp(-1j * 10_000 * oracle.quasi_energies)
+                   * (z.conj().T @ psi))
         assert np.max(np.abs(out - ref)) <= 1e-10
 
     def test_eigensolve_gate(self, monkeypatch, tmp_path):
@@ -338,8 +400,10 @@ class TestFloquet:
         assert not (tmp_path / "out").exists()
 
     def test_build_holds_one_dense_array(self):
-        # the eigenbasis is the one N x N complex array a built system
-        # holds; a stored or transient dense F or kick breaks the bounds
+        # a built system holds its two real half-size block bases, a
+        # quarter of one N x N complex array; a stored or transient dense
+        # eigenbasis, F or kick breaks the bounds. The eigenbasis property
+        # assembles the dense basis on access.
         n = 1025
         unit = 16 * n * n
         tracemalloc.start()
@@ -350,8 +414,8 @@ class TestFloquet:
         finally:
             tracemalloc.stop()
         assert system.eigenbasis.nbytes == unit
-        assert held - base <= 1.1 * unit
-        assert peak - base < 2.0 * unit
+        assert held - base <= 0.3 * unit
+        assert peak - base < 1.0 * unit
 
     def test_evolve_vector_allocates_no_dense_array(self):
         # F^n psi needs O(N) scratch beyond the system: an N x N conjugate
@@ -369,6 +433,57 @@ class TestFloquet:
         finally:
             tracemalloc.stop()
         assert peak - base < 0.05 * unit
+
+    @pytest.mark.parametrize("dim", [1, 3, 5, 65, 257, 1025])
+    def test_block_products_match_dense_basis(self, dim):
+        # every path through Z and Z^dagger against the dense formulas with
+        # Z assembled from its definition; at dim 1 the odd block is empty
+        rng = np.random.default_rng(dim)
+        system = q.build_floquet(q.QuantumParams(dim=dim, lam=10.0))
+        z = dense_parity_basis(system)
+        zh = z.conj().T
+        assert np.max(np.abs(system.eigenbasis - z)) <= 1e-12
+        observables = [random_observable(dim, rng),
+                       q.momentum_window_projector(dim, 0, dim // 2 + 1),
+                       q.cos_theta_observable(dim)]
+        for obs in observables:
+            m = obs.matrix
+            assert np.max(np.abs(system.to_eigenbasis(m) - zh @ m @ z)) <= 1e-12
+        m = observables[0].matrix
+        assert np.max(np.abs(system.from_eigenbasis(m) - z @ m @ zh)) <= 1e-12
+        vectors = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
+        assert np.max(np.abs(system._z_dag(vectors) - zh @ vectors)) <= 1e-12
+        assert np.max(np.abs(system._z(vectors) - z @ vectors)) <= 1e-12
+        n = 10_000
+        phase = np.exp(-1j * n * system.quasi_energies)
+        for psi in vectors.T:
+            assert np.max(np.abs(q.evolve_vector(psi, system, n)
+                                 - z @ (phase * (zh @ psi)))) <= 1e-12
+        rho = random_density(dim, rng)
+        rho_e = zh @ rho.matrix @ z
+        evolved = z @ (phase[:, None] * rho_e * phase.conj()[None, :]) @ zh
+        assert np.max(np.abs(q.evolve(rho, system, n).matrix - evolved)) <= 1e-12
+        star = (z * np.diag(rho_e).real) @ zh
+        limit = q.cesaro_limit_state(rho, system, allow_degenerate=True)
+        assert np.max(np.abs(limit.matrix - star)) <= 1e-12
+
+    def test_only_the_property_reads_the_dense_eigenbasis(self):
+        # reading .eigenbasis assembles a dense complex N x N basis: no run
+        # path in ehlab may do so
+        reads, inside = [], []
+        for path in sorted(Path(q.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            reads += [(path.name, a.lineno) for a in ast.walk(tree)
+                      if isinstance(a, ast.Attribute) and a.attr == "eigenbasis"]
+            inside += [(path.name, a.lineno)
+                       for c in tree.body if isinstance(c, ast.ClassDef)
+                       and c.name == "FloquetSystem"
+                       for f in c.body if isinstance(f, ast.FunctionDef)
+                       and f.name == "eigenbasis"
+                       for a in ast.walk(f) if isinstance(a, ast.Attribute)
+                       and a.attr == "eigenbasis"]
+        assert isinstance(q.FloquetSystem.eigenbasis, property)
+        assert sorted(reads) == sorted(inside)
 
     def test_unitary_and_spectrum(self):
         params = q.QuantumParams(dim=65, lam=10.0)
