@@ -14,7 +14,7 @@ from math import hypot, isfinite
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_count
 
 TWO_PI = 2.0 * np.pi
 
@@ -180,8 +180,9 @@ def _lyapunov_batch(theta, p, params: MapParams, n_steps: int):
 
 def lyapunov_exponent(x0: PhasePoint, params: MapParams, n_steps: int) -> float:
     """Largest Lyapunov exponent (per kick) from the tangent-map method."""
-    if n_steps < 1000:
-        raise ConfigurationError(f"n_steps must be >= 1000, got {n_steps}")
+    if not is_count(n_steps) or n_steps < 1000:
+        raise ConfigurationError(
+            f"n_steps must be an integer >= 1000, got {n_steps!r}")
     return float(_lyapunov_batch(np.array([x0.theta]), np.array([x0.p]),
                                  params, n_steps)[0])
 
@@ -243,10 +244,12 @@ def estimate_chaotic_measure(params: MapParams, grid_side: int, n_steps: int,
     avoids the measure-zero fixed lines at 0; about half its orbits are
     integrated, the rest are their mirror images.
     """
-    if grid_side < 16:
-        raise ConfigurationError(f"grid_side must be >= 16, got {grid_side}")
-    if n_steps < 1:
-        raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
+    if not is_count(grid_side) or grid_side < 16:
+        raise ConfigurationError(
+            f"grid_side must be an integer >= 16, got {grid_side!r}")
+    if not is_count(n_steps) or n_steps < 1:
+        raise ConfigurationError(
+            f"n_steps must be an integer >= 1, got {n_steps!r}")
     if not threshold > 0:  # NaN fails too
         raise ConfigurationError(f"threshold must be > 0, got {threshold}")
     exponents = _grid_exponents(params, grid_side, n_steps)
@@ -332,10 +335,11 @@ def set_correlation(A: list[Cell], B: list[Cell], params: MapParams, t: int,
     so A = B = whole torus gives exactly zero. Empty A or B yields
     -mu(A)*mu(B) with the `empty_input` flag raised.
     """
-    if n_samples < 10_000:
-        raise ConfigurationError(f"n_samples must be >= 10^4, got {n_samples}")
-    if t < 0:
-        raise ConfigurationError(f"t must be >= 0, got {t}")
+    if not is_count(n_samples) or n_samples < 10_000:
+        raise ConfigurationError(
+            f"n_samples must be an integer >= 10^4, got {n_samples!r}")
+    if not is_count(t) or t < 0:
+        raise ConfigurationError(f"t must be an integer >= 0, got {t!r}")
     rng = np.random.default_rng(seed)
     theta0 = rng.uniform(0.0, TWO_PI, n_samples)
     p0 = rng.uniform(0.0, TWO_PI, n_samples)

@@ -1,4 +1,12 @@
-"""Exception hierarchy shared across the laboratory modules."""
+"""Exception hierarchy shared across the laboratory modules, and the
+integer test their argument checks share."""
+
+import numpy as np
+
+
+def is_count(x) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 class EhlabError(Exception):

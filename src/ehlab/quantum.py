@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ConfigurationError, DegenerateSpectrumError,
-                     HermiticityError, NumericError)
+                     HermiticityError, NumericError, is_count)
 
 DEFAULT_GAP_TOL = 1e-9
 _HERM_TOL = 1e-10
@@ -70,7 +70,7 @@ class QuantumParams:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not _is_count(self.dim) or self.dim < 1 or self.dim % 2 == 0:
+        if not is_count(self.dim) or self.dim < 1 or self.dim % 2 == 0:
             raise ConfigurationError(
                 f"dim must be an odd positive integer, got {self.dim!r}")
         if not all(isfinite(x) for x in (self.lam, self.hbar, self.tau)):
@@ -95,16 +95,23 @@ def momentum_ladder(dim: int) -> np.ndarray:
     return np.arange(-half, half + 1)
 
 
+def _hermitian(matrix, what: str) -> np.ndarray:
+    """`matrix` as a complex array; it must be a non-empty square matrix,
+    Hermitian to _HERM_TOL (NaN fails too)."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ConfigurationError(
+            f"{what} must be a non-empty square matrix, got shape {m.shape}")
+    if not np.max(np.abs(m - m.conj().T)) <= _HERM_TOL:
+        raise ConfigurationError(f"{what} is not Hermitian to 1e-10")
+    return m
+
+
 class DensityState:
     """An N x N density matrix: Hermitian, unit trace, positive."""
 
     def __init__(self, matrix, check_psd: bool = False):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigurationError(f"density matrix must be square, got {m.shape}")
-        # NaN fails too
-        if not np.max(np.abs(m - m.conj().T)) <= _HERM_TOL:
-            raise ConfigurationError("density matrix is not Hermitian to 1e-10")
+        m = _hermitian(matrix, "density matrix")
         tr = np.trace(m).real
         if not abs(tr - 1.0) <= _TRACE_TOL:
             raise ConfigurationError(f"trace must be 1, got {tr}")
@@ -127,10 +134,8 @@ class ObservableMatrix:
     label: str
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if not np.max(np.abs(m - m.conj().T)) <= _HERM_TOL:
-            raise ConfigurationError(f"observable '{self.label}' is not Hermitian")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix",
+                           _hermitian(self.matrix, f"observable '{self.label}'"))
 
     @property
     def dim(self) -> int:
@@ -434,7 +439,7 @@ def evolve(rho: DensityState, system: FloquetSystem, n: int) -> DensityState:
     """F^n rho (F^n)^dagger, applied as phases in the eigenbasis."""
     if rho.dim != system.dim:
         raise ConfigurationError("dimension mismatch")
-    if not _is_count(n):
+    if not is_count(n):
         raise ConfigurationError(f"kick count must be an integer, got {n!r}")
     if n == 0:
         return rho
@@ -450,7 +455,7 @@ def evolve_vector(psi: np.ndarray, system: FloquetSystem, n: int) -> np.ndarray:
     psi = np.asarray(psi)
     if psi.shape != (system.dim,):
         raise ConfigurationError("dimension mismatch")
-    if not _is_count(n):
+    if not is_count(n):
         raise ConfigurationError(f"kick count must be an integer, got {n!r}")
     c = system._z_dag(psi)
     return system._z(np.exp(-1j * n * system.quasi_energies) * c)
@@ -506,11 +511,6 @@ class CorrelationSeries:
         return float(np.max(np.abs(self.cesaro[1:]) * n)) if len(n) else 0.0
 
 
-def _is_count(x) -> bool:
-    """An integer that is not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _offdiag_weights(rho_e: np.ndarray, obs_e: np.ndarray) -> np.ndarray:
     """M_kk' = rho_kk' O_k'k with a zero diagonal, rho and O given in the
     eigenbasis: C_Q(t) = sum_{k,k'} M_kk' exp(-i t (phi_k - phi_k'))."""
@@ -534,8 +534,8 @@ class _SpreadPlan:
     The sources are sorted by grid bin and cut into tiles of _TILE bins.
     Each tile keeps its dense kernel block over the grid points its
     sources reach, so spreading a chunk of weight columns is one real
-    GEMM per tile. The grid and its transform are reused from chunk to
-    chunk.
+    GEMM per tile. `sweep` is the one loop over windows of times: it owns
+    the grid, its transform and the column buffers of a sweep.
     """
 
     def __init__(self, phi: np.ndarray):
@@ -565,26 +565,56 @@ class _SpreadPlan:
         # 2 / (grid size x the kernel's Fourier coefficient sqrt(tau/pi)
         # exp(-tau s^2)), the 2 being that of 2 Re
         self.deconv = 2.0 * np.exp(_TAU * s * s) / (_GRID * np.sqrt(_TAU / np.pi))
-        self._ext = self._f = None
         self.columns = max(1, min(_COLUMNS, _CHUNK_BYTES // (16 * len(u) or 1)))
 
-    def pairs(self, a: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-        """a_k conj(a_k') for each source into `out`, for a vector a or
-        each column of a matrix a; `scratch` is a buffer like `out`."""
-        # mode="clip" lets take write into out unbuffered; no index clips
-        np.take(a, self.k, axis=0, out=out, mode="clip")
-        np.take(a.conj(), self.kp, axis=0, out=scratch, mode="clip")
-        np.multiply(out, scratch, out=out)
+    def sweep(self, phi: np.ndarray, times, amps: np.ndarray,
+              weights: np.ndarray):
+        """(lo, hi, sums) for each window times[lo:hi] of the ascending
+        `times`: those in [t0, t0 + _WINDOW) from t0 = times[lo]. A range is
+        read without an array of all its times.
 
-    def sums(self, cols: np.ndarray) -> np.ndarray:
+        sums[i, j * p + c] = 2 Re sum_{k<k'} a_k conj(a_k') w_kk'
+        exp(-i t omega_kk') at t = times[lo + i], w being column j of the
+        plan-order (sources, q) `weights` and a column c of the (N, p)
+        `amps`, which carry the window centre's phase. Up to self.columns
+        columns of consecutive windows are spread at a time, in buffers
+        allocated once per sweep.
+        """
+        windows, lo = [], 0
+        while lo < len(times):
+            t0 = int(times[lo])
+            hi = bisect_left(times, t0 + _WINDOW, lo)
+            windows.append((t0, lo, hi))
+            lo = hi
+        n, q, p = len(weights), weights.shape[1], amps.shape[1]
+        per = max(1, min(self.columns // (q * p), len(windows)))
+        # the first group is whole, so a shorter last one leaves stale
+        # columns behind, summed but never read
+        cols = np.empty((n, per, q, p), dtype=complex)
+        pair, scratch = np.empty((2, n, p), dtype=complex)
+        ext = np.empty((_GRID + 2 * _SPREAD - 1, 2 * per * q * p))
+        f = np.empty((_GRID, per * q * p), dtype=complex)
+        for first in range(0, len(windows), per):
+            group = windows[first:first + per]
+            for g, (t0, _, _) in enumerate(group):
+                a = amps * np.exp(-1j * (t0 + _WINDOW // 2) * phi)[:, None]
+                # mode="clip" lets take write into out unbuffered; no index clips
+                np.take(a, self.k, axis=0, out=pair, mode="clip")
+                np.take(a.conj(), self.kp, axis=0, out=scratch, mode="clip")
+                np.multiply(pair, scratch, out=pair)
+                np.multiply(weights[:, :, None], pair[:, None], out=cols[:, g])
+            vals = self.sums(cols.reshape(n, per * q * p), ext, f)
+            for g, (t0, lo, hi) in enumerate(group):
+                rows = np.asarray(times[lo:hi]) - t0
+                yield lo, hi, vals[rows, g * q * p:(g + 1) * q * p]
+            del vals, rows  # before the next group makes its own
+
+    def sums(self, cols: np.ndarray, ext: np.ndarray, f: np.ndarray) -> np.ndarray:
         """2 Re sum_j cols[j, c] exp(-i s omega_j) for each s in
         [-_WINDOW/2, _WINDOW/2) (rows) and each column c of the
-        C-contiguous complex (sources, columns) weights."""
+        C-contiguous complex (sources, columns) weights, with `ext` and `f`
+        the real extended grid and the transform of those columns."""
         flat = cols.view(float)
-        if self._ext is None or self._ext.shape[1] != flat.shape[1]:
-            self._ext = np.empty((_GRID + 2 * _SPREAD - 1, flat.shape[1]))
-            self._f = np.empty((_GRID, cols.shape[1]), dtype=complex)
-        ext = self._ext
         ext.fill(0.0)
         for a, lo, hi, block in self.tiles:
             ext[a:a + len(block)] += block @ flat[lo:hi]
@@ -592,21 +622,8 @@ class _SpreadPlan:
         grid = ext[_SPREAD - 1:_SPREAD - 1 + _GRID]
         grid[:_SPREAD] += ext[_SPREAD - 1 + _GRID:]
         grid[_GRID - _SPREAD + 1:] += ext[:_SPREAD - 1]
-        np.fft.fft(grid.view(complex), axis=0, out=self._f)
-        return self._f[self.modes].real * self.deconv[:, None]
-
-
-def _windows(times):
-    """(centre, lo, hi) for each window of the ascending `times`:
-    times[lo:hi] are the times in [t0, t0 + _WINDOW) from t0 = times[lo],
-    and the centre is t0 + _WINDOW/2. A range is read without an array of
-    all its times."""
-    lo = 0
-    while lo < len(times):
-        t0 = int(times[lo])
-        hi = bisect_left(times, t0 + _WINDOW, lo)
-        yield t0 + _WINDOW // 2, lo, hi
-        lo = hi
+        np.fft.fft(grid.view(complex), axis=0, out=f)
+        return f[self.modes].real * self.deconv[:, None]
 
 
 def _phase_sum(m: np.ndarray, phi: np.ndarray, times) -> np.ndarray:
@@ -614,35 +631,21 @@ def _phase_sum(m: np.ndarray, phi: np.ndarray, times) -> np.ndarray:
 
     `m` is one zero-diagonal weight matrix with m_k'k = conj(m_kk') (see
     _offdiag_weights) or a stack of them, giving one row of sums each.
-    `times` is an integer array or an ascending range. Every window of
-    times is one column per matrix, whose weights in plan order carry the
-    window centre's phase; up to plan.columns columns are summed at a time.
+    `times` is an integer array or an ascending range. Each matrix is one
+    weight column of a plan sweep with unit amplitudes.
     """
     m = np.asarray(m)
     plan = _SpreadPlan(phi)
     stack = m.reshape(-1, len(phi), len(phi))
-    n_m = len(stack)
-    w = np.ascontiguousarray(stack[:, plan.k, plan.kp].T)  # (sources, n_m)
+    w = np.ascontiguousarray(stack[:, plan.k, plan.kp].T)  # (sources, len(stack))
     order = None
     if not isinstance(times, range):
         times = np.asarray(times)
         order = np.argsort(times, kind="stable")
         times = times[order]
-    out = np.empty((n_m, len(times)))
-    windows = list(_windows(times))
-    per = max(1, min(plan.columns // n_m, len(windows)))
-    # a last, shorter group leaves stale columns, summed but never read
-    cols = np.zeros((len(w), per, n_m), dtype=complex)
-    phase, scratch = np.empty(len(w), dtype=complex), np.empty(len(w), dtype=complex)
-    for first in range(0, len(windows), per):
-        group = windows[first:first + per]
-        for g, (centre, _, _) in enumerate(group):
-            plan.pairs(np.exp(-1j * centre * phi), phase, scratch)
-            np.multiply(w, phase[:, None], out=cols[:, g])
-        vals = plan.sums(cols.reshape(len(w), per * n_m))
-        for g, (centre, lo, hi) in enumerate(group):
-            rows = np.asarray(times[lo:hi]) - (centre - _WINDOW // 2)
-            out[:, lo:hi] = vals[rows, g * n_m:(g + 1) * n_m].T
+    out = np.empty((len(stack), len(times)))
+    for lo, hi, sums in plan.sweep(phi, times, np.ones((len(phi), 1)), w):
+        out[:, lo:hi] = sums.T
     if order is not None:
         out[:, order] = out.copy()
     return out.reshape(m.shape[:-2] + (len(times),))
@@ -656,7 +659,7 @@ def correlation_series(rho0: DensityState, system: FloquetSystem,
     rho* is the Cesaro-limit state (diagonal part in the eigenbasis), so
     C_Q reduces to the off-diagonal phase sum, summed by _phase_sum.
     """
-    if not _is_count(horizon) or horizon < 2:
+    if not is_count(horizon) or horizon < 2:
         raise ConfigurationError(f"horizon must be an integer >= 2, got {horizon!r}")
     if rho0.dim != system.dim or obs.dim != system.dim:
         raise ConfigurationError("dimension mismatch")
@@ -681,21 +684,20 @@ def mixing_volume_fraction(system: FloquetSystem,
     horizon. Per-state RNG streams derive from (seed, state index), so
     the result is independent of evaluation order.
 
-    One NUFFT plan serves every state. For each window of the tail, a
-    chunk of states gives one column of weights c_k conj(c_k') O_k'k per
-    state and observable (c = Z^dagger psi). Memory holds the plan and
-    one chunk.
+    One NUFFT plan serves every state. A chunk of states is one sweep of
+    the tail, with the amplitudes c = Z^dagger psi of each state and the
+    weights O_k'k of each observable. Memory holds the plan and one chunk.
     """
     if not o_set:
         raise ConfigurationError("observable set must not be empty")
-    if not _is_count(n_states) or n_states < 100:
+    if not is_count(n_states) or n_states < 100:
         raise ConfigurationError(
             f"n_states must be an integer >= 100, got {n_states!r}")
-    if not _is_count(horizon):
+    if not is_count(horizon):
         raise ConfigurationError(f"horizon must be an integer, got {horizon!r}")
     if not tol > 0:
         raise ConfigurationError(f"tol must be > 0, got {tol}")
-    if not _is_count(seed) or seed < 0:
+    if not is_count(seed) or seed < 0:
         raise ConfigurationError(
             f"seed must be an integer >= 0, got {seed!r}")
     if any(o.dim != system.dim for o in o_set):
@@ -710,9 +712,6 @@ def mixing_volume_fraction(system: FloquetSystem,
     o_pairs = np.stack([system.to_eigenbasis(o.matrix)[plan.kp, plan.k]
                         for o in o_set], axis=1)
     per = max(1, plan.columns // len(o_set))
-    rho = np.empty((len(o_pairs), per), dtype=complex)
-    scratch = np.empty_like(rho)
-    cols = np.empty((len(o_pairs), len(o_set), per), dtype=complex)
     n_ok = 0
     for first in range(0, n_states, per):
         # a last, shorter chunk is padded with zero amplitudes
@@ -721,15 +720,9 @@ def mixing_volume_fraction(system: FloquetSystem,
             rng = np.random.default_rng([seed, i])
             u = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
             v[:, j] = u / np.linalg.norm(u)
-        amps = system._z_dag(v)
         worst = np.zeros(per)
-        for centre, lo, hi in _windows(times):
-            plan.pairs(amps * np.exp(-1j * centre * phi)[:, None], rho, scratch)
-            for j in range(len(o_set)):
-                np.multiply(rho, o_pairs[:, j, None], out=cols[:, j])
-            # the window starts at times[lo], so its times are the first rows
-            vals = plan.sums(cols.reshape(len(cols), len(o_set) * per))[:hi - lo]
-            worst = np.maximum(worst, np.abs(vals).max(axis=0)
+        for _, _, sums in plan.sweep(phi, times, system._z_dag(v), o_pairs):
+            worst = np.maximum(worst, np.abs(sums).max(axis=0)
                                .reshape(len(o_set), per).max(axis=0))
         n_ok += int(np.count_nonzero(worst[:n_states - first] < tol))
     return n_ok / n_states

@@ -156,6 +156,12 @@ class TestLyapunov:
     def test_n_steps_precondition(self):
         with pytest.raises(ConfigurationError):
             cl.lyapunov_exponent(cl.PhasePoint(1, 1), cl.MapParams(1.0), 10)
+        # a fractional count used to end in a bare TypeError
+        for bad in (1000.5, 2000.0, True, "2000"):
+            with pytest.raises(ConfigurationError, match="n_steps"):
+                cl.lyapunov_exponent(cl.PhasePoint(1, 1), cl.MapParams(1.0), bad)
+            with pytest.raises(ConfigurationError, match="n_steps"):
+                cl.classify_orbit(cl.PhasePoint(1, 1), cl.MapParams(1.0), bad)
 
     @pytest.mark.parametrize("lam,tau", [(1e200, 1.0), (1.0, 1e160),
                                          (1e308, 1.0)])
@@ -227,6 +233,17 @@ class TestChaoticMeasure:
         for n_steps in (0, -1):
             with pytest.raises(ConfigurationError):
                 cl.estimate_chaotic_measure(cl.MapParams(10.0), 16, n_steps)
+        # grid_side = 16.5 used to return n_samples = 272.25, and a
+        # fractional n_steps ended in a bare TypeError
+        for bad in (16.5, 16.0, True, "16", None):
+            with pytest.raises(ConfigurationError, match="grid_side"):
+                cl.estimate_chaotic_measure(cl.MapParams(1.5), bad, 200)
+        for bad in (200.5, 200.0, True, "200"):
+            with pytest.raises(ConfigurationError, match="n_steps"):
+                cl.estimate_chaotic_measure(cl.MapParams(1.5), 16, bad)
+        assert (cl.estimate_chaotic_measure(cl.MapParams(1.5), np.int64(16),
+                                            np.int64(50))
+                == cl.estimate_chaotic_measure(cl.MapParams(1.5), 16, 50))
         # NaN used to give mu_A = 0.0
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(ConfigurationError):
@@ -317,6 +334,18 @@ class TestSetCorrelation:
     def test_sample_precondition(self):
         with pytest.raises(ConfigurationError):
             cl.set_correlation(QUARTER, QUARTER, cl.MapParams(1.0), 0, 100, 0)
+        # t = 2.5 and n_samples = 10000.0 used to end in a bare TypeError
+        for bad in (2.5, 3.0, True, "3", None):
+            with pytest.raises(ConfigurationError, match="t must"):
+                cl.set_correlation(QUARTER, QUARTER, cl.MapParams(1.0), bad,
+                                   10_000, 0)
+        for bad in (10_000.0, 10_000.5, "10000"):
+            with pytest.raises(ConfigurationError, match="n_samples"):
+                cl.set_correlation(QUARTER, QUARTER, cl.MapParams(1.0), 0,
+                                   bad, 0)
+        est = cl.set_correlation(QUARTER, QUARTER, cl.MapParams(1.0),
+                                 np.int64(1), np.int64(10_000), 0)
+        assert est.t == 1 and est.n_samples == 10_000
 
     def test_cells_from_json(self):
         cells = cl.cells_from_json(

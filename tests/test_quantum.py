@@ -203,6 +203,18 @@ class TestParamsAndStates:
         with pytest.raises(HermiticityError):
             q.expectation(q.maximally_mixed(3), obs)
 
+    def test_matrix_shapes_rejected(self):
+        # a 1-D observable used to be accepted and give a meaningless series;
+        # 2 x 3 and 0 x 0 matrices ended in numpy ValueErrors
+        for bad in (np.array([1.0, 0.0, -1.0]), np.ones((2, 3)),
+                    np.zeros((0, 0)), np.ones((1, 3, 3)), np.float64(1.0)):
+            with pytest.raises(ConfigurationError, match="square"):
+                q.DensityState(bad)
+            with pytest.raises(ConfigurationError, match="square"):
+                q.ObservableMatrix(bad, "x")
+        assert q.DensityState(np.ones((1, 1))).dim == 1
+        assert q.ObservableMatrix(np.zeros((1, 1)), "x").dim == 1
+
     def test_state_validation(self):
         with pytest.raises(ConfigurationError):
             q.DensityState(np.eye(4))  # trace 4
@@ -484,6 +496,28 @@ class TestFloquet:
                        and a.attr == "eigenbasis"]
         assert isinstance(q.FloquetSystem.eigenbasis, property)
         assert sorted(reads) == sorted(inside)
+
+    def test_one_loop_over_time_windows(self):
+        # _SpreadPlan.sweep is the one loop over NUFFT windows: only it
+        # finds window ends and sums a spread, and both relaxation layers
+        # go through it
+        owners = {}
+        for path in sorted(Path(q.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            scopes = [(f"{c.name}.{f.name}", f) for c in tree.body
+                      if isinstance(c, ast.ClassDef) for f in c.body
+                      if isinstance(f, ast.FunctionDef)]
+            scopes += [(f.name, f) for f in tree.body
+                       if isinstance(f, ast.FunctionDef)]
+            for scope, f in scopes:
+                for a in ast.walk(f):
+                    if isinstance(a, ast.Call):
+                        name = getattr(a.func, "attr", getattr(a.func, "id", None))
+                        owners.setdefault(name, set()).add((path.name, scope))
+        assert owners["bisect_left"] == {("quantum.py", "_SpreadPlan.sweep")}
+        assert owners["sums"] == {("quantum.py", "_SpreadPlan.sweep")}
+        assert owners["sweep"] == {("quantum.py", "_phase_sum"),
+                                   ("quantum.py", "mixing_volume_fraction")}
 
     def test_unitary_and_spectrum(self):
         params = q.QuantumParams(dim=65, lam=10.0)
