@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import hypot, isfinite
 
@@ -26,6 +27,11 @@ LYAPUNOV_TRANSIENT = 100
 # from genuine positive exponents at n_steps >= 5000.
 DEFAULT_THRESHOLD = 0.05
 
+# Orbits per chunk of a scan batch: enough that numpy's per-call overhead
+# and the threads' handovers of the GIL are small against the per-orbit
+# work, few enough that a chunk's twelve arrays stay near half a megabyte.
+_CHUNK_ORBITS = 6144
+
 
 def _wrap(x):
     """Reduce x to [0, 2*pi).
@@ -40,18 +46,29 @@ def _wrap(x):
     return r
 
 
-def _centre(x):
-    """Reduce x to [-pi, pi] by the odd map x - 2*pi*rint(x / 2*pi).
+def _centre(x, tmp):
+    """Reduce x in place to [-pi, pi] by the odd map
+    x - 2*pi*rint(x / 2*pi), with tmp as scratch of x's shape.
 
     The map commutes with negation bit for bit, so an orbit and its
     mirror image stay exact negatives of each other.
     """
-    return x - TWO_PI * np.rint(x / TWO_PI)
+    np.divide(x, TWO_PI, out=tmp)
+    np.rint(tmp, out=tmp)
+    np.multiply(TWO_PI, tmp, out=tmp)
+    np.subtract(x, tmp, out=x)
 
 
-def _norm(x, y):
-    """Euclidean norm of (x, y), for x and y whose squares stay finite."""
-    return np.sqrt(x * x + y * y)
+def _needs_hypot(lam, tau):
+    """Where a unit tangent vector's image may square out of range.
+
+    The Jacobian's absolute entries sum to at most 2 + tau + lam (1 + tau)
+    and its determinant is 1, so the image of a unit vector has norm
+    within [1/bound, bound]: below 1e150 its squares neither overflow nor
+    underflow, above it only hypot is safe.
+    """
+    with np.errstate(over="ignore"):  # an infinite bound is huge too
+        return 2.0 + tau + lam * (1.0 + tau) >= 1e150
 
 
 def _advance(theta, p, lam: float, tau: float):
@@ -141,41 +158,66 @@ def step_jacobian(x: PhasePoint, params: MapParams) -> np.ndarray:
     return np.array([[1.0 + params.tau * c, params.tau], [c, 1.0]])
 
 
-def _lyapunov_batch(theta, p, params: MapParams, n_steps: int):
+def _lyapunov_batch(theta, p, lam, tau, n_steps: int):
     """Largest Lyapunov exponent for arrays of initial conditions.
 
-    Coordinates are kept centred in [-pi, pi], so the batch commutes with
-    the inversion (theta, p) -> (-theta, -p) bit for bit: sin is odd and
-    cos even. Tangent vectors are renormalized every step to avoid
-    overflow; the first LYAPUNOV_TRANSIENT iterations are discarded
-    before accumulating.
+    lam and tau are scalars or per-point arrays; `lam * x` is the same
+    IEEE product either way, so an orbit's exponent does not depend on
+    the batch it runs in, as long as the batch does not mix orbits on
+    the two sides of :func:`_needs_hypot`. Coordinates are kept centred
+    in [-pi, pi], so the batch commutes with the inversion
+    (theta, p) -> (-theta, -p) bit for bit: sin is odd and cos even.
+    Tangent vectors are renormalized every step to avoid overflow; the
+    first LYAPUNOV_TRANSIENT iterations are discarded before
+    accumulating. Every per-step temporary lives in a buffer allocated
+    once per call.
     """
-    theta = _centre(np.asarray(theta, dtype=float))
-    p = _centre(np.asarray(p, dtype=float))
+    use_hypot = bool(np.any(_needs_hypot(lam, tau)))
+    theta = np.array(theta, dtype=float)
+    p = np.array(p, dtype=float)
     v_theta = np.ones_like(theta)
     v_p = np.zeros_like(theta)
     log_sum = np.zeros_like(theta)
-    lam, tau = params.lam, params.tau
-    # the Jacobian's absolute entries sum to at most `bound` and its
-    # determinant is 1, so a unit vector's image has norm in
-    # [1/bound, bound]: below 1e150 its squares neither overflow nor
-    # underflow, above it only hypot is safe
-    bound = 2.0 + tau + lam * (1.0 + tau)
-    norm_of = _norm if bound < 1e150 else np.hypot
+    c, w_p, tmp = (np.empty_like(theta) for _ in range(3))
+    _centre(theta, tmp)
+    _centre(p, tmp)
     for i in range(LYAPUNOV_TRANSIENT + n_steps):
-        c = lam * np.cos(theta)
+        # advance the tangent vector with the Jacobian at the pre-step
+        # point: w = ((1 + tau c) v_theta + tau v_p, c v_theta + v_p)
+        # with c = lam cos(theta); w_theta overwrites v_theta
+        np.cos(theta, out=c)
+        np.multiply(lam, c, out=c)
+        np.multiply(c, v_theta, out=w_p)
+        np.add(w_p, v_p, out=w_p)
+        np.multiply(tau, c, out=tmp)
+        np.add(1.0, tmp, out=tmp)
+        np.multiply(tmp, v_theta, out=v_theta)
+        np.multiply(tau, v_p, out=tmp)
+        np.add(v_theta, tmp, out=v_theta)
+        v_p, w_p = w_p, v_p
         # momentum first, as in _advance, so the map stays invertible
-        p = _centre(p + lam * np.sin(theta))
-        theta = _centre(theta + tau * p)
-        # advance the tangent vector with the Jacobian at the pre-step point
-        w_theta = (1.0 + tau * c) * v_theta + tau * v_p
-        w_p = c * v_theta + v_p
-        norm = norm_of(w_theta, w_p)
-        v_theta = w_theta / norm
-        v_p = w_p / norm
+        np.sin(theta, out=tmp)
+        np.multiply(lam, tmp, out=tmp)
+        np.add(p, tmp, out=p)
+        _centre(p, tmp)
+        np.multiply(tau, p, out=tmp)
+        np.add(theta, tmp, out=theta)
+        _centre(theta, tmp)
+        # c is free now and takes the norm of w
+        if use_hypot:
+            np.hypot(v_theta, v_p, out=c)
+        else:
+            np.multiply(v_theta, v_theta, out=c)
+            np.multiply(v_p, v_p, out=tmp)
+            np.add(c, tmp, out=c)
+            np.sqrt(c, out=c)
+        np.divide(v_theta, c, out=v_theta)
+        np.divide(v_p, c, out=v_p)
         if i >= LYAPUNOV_TRANSIENT:
-            log_sum += np.log(norm)
-    return log_sum / n_steps
+            np.log(c, out=c)
+            log_sum += c
+    log_sum /= n_steps
+    return log_sum
 
 
 def lyapunov_exponent(x0: PhasePoint, params: MapParams, n_steps: int) -> float:
@@ -183,8 +225,8 @@ def lyapunov_exponent(x0: PhasePoint, params: MapParams, n_steps: int) -> float:
     if not is_count(n_steps) or n_steps < 1000:
         raise ConfigurationError(
             f"n_steps must be an integer >= 1000, got {n_steps!r}")
-    return float(_lyapunov_batch(np.array([x0.theta]), np.array([x0.p]),
-                                 params, n_steps)[0])
+    return float(_lyapunov_batch([x0.theta], [x0.p], params.lam, params.tau,
+                                 n_steps)[0])
 
 
 def classify_orbit(x0: PhasePoint, params: MapParams, n_steps: int,
@@ -217,32 +259,56 @@ def _centred_grid(grid_side: int):
     return theta.ravel(), p.ravel()
 
 
-def _grid_exponents(params: MapParams, grid_side: int, n_steps: int):
-    """Lyapunov exponents over the flat centred grid, one orbit per mirror
-    pair.
+def _chunks(n_lambdas: int, n_hypot: int, n_own: int, threads: int):
+    """(workers, chunks) for a sweep of n_lambdas x n_own orbits.
 
-    The map commutes with (theta, p) -> (-theta, -p), and the flat grid
-    reversed is its mirror image. One orbit of each pair of exact negatives
-    is integrated and its exponent copied to the partner; a point whose
-    negative is off the grid is integrated itself.
+    The flat sweep holds n_own orbits per kick strength, and its last
+    n_hypot kick strengths need the hypot norm. Each norm group is cut
+    into balanced contiguous [start, stop) chunks of at most about
+    _CHUNK_ORBITS orbits, so no chunk mixes the groups; the chunk count
+    of a group is a multiple of the worker count, which is at most one
+    per kick strength.
     """
-    theta, p = _centred_grid(grid_side)
-    n = theta.size
-    own = (theta != -theta[::-1]) | (p != -p[::-1]) | (np.arange(n) < n // 2)
-    exponents = np.empty(n)
-    exponents[own] = _lyapunov_batch(theta[own], p[own], params, n_steps)
-    return np.where(own, exponents, exponents[::-1])
+    workers = min(threads, n_lambdas)
+    chunks = []
+    split = (n_lambdas - n_hypot) * n_own
+    for lo, hi in ((0, split), (split, n_lambdas * n_own)):
+        n = hi - lo
+        if n == 0:
+            continue
+        k = min(n, workers * -(-n // (workers * _CHUNK_ORBITS)))
+        bounds = [lo + n * i // k for i in range(k + 1)]
+        chunks += zip(bounds, bounds[1:])
+    return workers, chunks
 
 
-def estimate_chaotic_measure(params: MapParams, grid_side: int, n_steps: int,
-                             threshold: float = DEFAULT_THRESHOLD) -> RegionEstimate:
-    """Fraction of a uniform grid of initial conditions that is chaotic.
+def _region_estimate(lam: float, exponents, threshold: float) -> RegionEstimate:
+    """The chaotic fraction of a grid's exponents, with its 95% binomial
+    confidence half-width."""
+    n = exponents.size
+    mu_a = int(np.count_nonzero(exponents > threshold)) / n
+    ci = 1.96 * np.sqrt(mu_a * (1.0 - mu_a) / n)
+    return RegionEstimate(lam=lam, mu_A=mu_a, mu_E=1.0 - mu_a, n_samples=n,
+                          threshold=threshold, ci_halfwidth=float(ci))
+
+
+def estimate_chaotic_measures(params_list: list[MapParams], grid_side: int,
+                              n_steps: int, threshold: float = DEFAULT_THRESHOLD,
+                              threads: int = 1) -> list[RegionEstimate]:
+    """Chaotic fraction of a uniform grid of initial conditions, for each
+    kick strength of a sweep.
 
     Uses the uniform (Lebesgue) measure on the 2pi x 2pi torus normalized
     to 1; mu_A + mu_E = 1 by complementary counting. The 95% binomial
     confidence half-width is attached. The grid is cell-centred, which
-    avoids the measure-zero fixed lines at 0; about half its orbits are
-    integrated, the rest are their mirror images.
+    avoids the measure-zero fixed lines at 0.
+
+    The map commutes with (theta, p) -> (-theta, -p), and the flat grid
+    reversed is its mirror image. One orbit of each pair of exact
+    negatives is integrated and its exponent copied to the partner; a
+    point whose negative is off the grid is integrated itself. The
+    integrated orbits of every kick strength form one flat batch, cut
+    into contiguous chunks that at most `threads` workers step.
     """
     if not is_count(grid_side) or grid_side < 16:
         raise ConfigurationError(
@@ -252,14 +318,52 @@ def estimate_chaotic_measure(params: MapParams, grid_side: int, n_steps: int,
             f"n_steps must be an integer >= 1, got {n_steps!r}")
     if not threshold > 0:  # NaN fails too
         raise ConfigurationError(f"threshold must be > 0, got {threshold}")
-    exponents = _grid_exponents(params, grid_side, n_steps)
-    n = grid_side * grid_side
-    n_chaotic = int(np.count_nonzero(exponents > threshold))
-    mu_a = n_chaotic / n
-    ci = 1.96 * np.sqrt(mu_a * (1.0 - mu_a) / n)
-    return RegionEstimate(lam=params.lam, mu_A=mu_a, mu_E=1.0 - mu_a,
-                          n_samples=n, threshold=threshold,
-                          ci_halfwidth=float(ci))
+    if not is_count(threads) or threads < 1:
+        raise ConfigurationError(
+            f"threads must be an integer >= 1, got {threads!r}")
+    if not params_list:
+        return []
+    theta, p = _centred_grid(grid_side)
+    n = theta.size
+    own = (theta != -theta[::-1]) | (p != -p[::-1]) | (np.arange(n) < n // 2)
+    theta, p = theta[own], p[own]
+    n_own = theta.size
+    # kick strengths that need the hypot norm go last, so that the
+    # contiguous chunks can keep the two norms apart
+    by_hypot = [bool(_needs_hypot(mp.lam, mp.tau)) for mp in params_list]
+    order = sorted(range(len(params_list)), key=by_hypot.__getitem__)
+    lam = np.array([params_list[j].lam for j in order])
+    tau = np.array([params_list[j].tau for j in order])
+    workers, chunks = _chunks(len(order), sum(by_hypot), n_own, threads)
+    flat = np.empty(len(order) * n_own)
+
+    def step(chunk):
+        start, stop = chunk
+        j, i = np.divmod(np.arange(start, stop), n_own)
+        args = theta[i], p[i], lam[j], tau[j]
+        del i, j  # the chunk's work arrays take their place
+        flat[start:stop] = _lyapunov_batch(*args, n_steps)
+    if workers == 1 or len(chunks) == 1:
+        for chunk in chunks:
+            step(chunk)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(step, chunks))
+    estimates = [None] * len(order)
+    exponents = np.empty(n)
+    for row, j in enumerate(order):
+        exponents[own] = flat[row * n_own:(row + 1) * n_own]
+        estimates[j] = _region_estimate(
+            params_list[j].lam, np.where(own, exponents, exponents[::-1]),
+            threshold)
+    return estimates
+
+
+def estimate_chaotic_measure(params: MapParams, grid_side: int, n_steps: int,
+                             threshold: float = DEFAULT_THRESHOLD) -> RegionEstimate:
+    """Fraction of a uniform grid of initial conditions that is chaotic:
+    the one-kick-strength case of :func:`estimate_chaotic_measures`."""
+    return estimate_chaotic_measures([params], grid_side, n_steps, threshold)[0]
 
 
 @dataclass(frozen=True)
@@ -340,6 +444,8 @@ def set_correlation(A: list[Cell], B: list[Cell], params: MapParams, t: int,
             f"n_samples must be an integer >= 10^4, got {n_samples!r}")
     if not is_count(t) or t < 0:
         raise ConfigurationError(f"t must be an integer >= 0, got {t!r}")
+    if not is_count(seed) or seed < 0:
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     theta0 = rng.uniform(0.0, TWO_PI, n_samples)
     p0 = rng.uniform(0.0, TWO_PI, n_samples)

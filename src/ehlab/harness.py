@@ -14,7 +14,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -239,12 +238,9 @@ def _write_atomic(path: Path, blob: bytes):
 
 def _run_classical_scan(p: dict, seed: int, art: _Artifacts):
     param_list = [classical.MapParams(lam, p["tau"]) for lam in p["lambdas"]]
-
-    def one(mp):
-        return classical.estimate_chaotic_measure(mp, p["grid_side"],
-                                                  p["n_steps"], p["threshold"])
-    with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-        estimates = list(pool.map(one, param_list))
+    estimates = classical.estimate_chaotic_measures(
+        param_list, p["grid_side"], p["n_steps"], p["threshold"],
+        threads=max_threads())
     art.add_csv("region_estimates.csv", REGION_CSV_HEADER,
                 zip(*[(est.lam, est.mu_A, est.mu_E, est.n_samples,
                        est.threshold, est.ci_halfwidth) for est in estimates]))

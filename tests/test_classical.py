@@ -268,22 +268,28 @@ class TestMirrorGrid:
     @pytest.mark.parametrize("lam,tau", [(1.0, 1.0), (2.5, 0.37), (0.8, 1.7)])
     def test_mirrored_half_reproduces_full_grid_bitwise(
             self, monkeypatch, grid_side, n_integrated, lam, tau):
-        params = cl.MapParams(lam, tau)
-        full = cl._lyapunov_batch(*cl._centred_grid(grid_side), params, 300)
-        sizes = []
+        sweep = [cl.MapParams(lam, tau), cl.MapParams(2.0 * lam, tau)]
+        full = {mp.lam: cl._lyapunov_batch(*cl._centred_grid(grid_side),
+                                           mp.lam, mp.tau, 300)
+                for mp in sweep}
+        integrated = []
         batch = cl._lyapunov_batch
 
-        def counting_batch(theta, p, params, n_steps):
-            sizes.append(len(theta))
-            return batch(theta, p, params, n_steps)
+        def counting_batch(theta, p, lam, tau, n_steps):
+            integrated.extend(np.broadcast_to(lam, len(theta)).tolist())
+            return batch(theta, p, lam, tau, n_steps)
 
+        mirrored = record_grids(monkeypatch)
         monkeypatch.setattr(cl, "_lyapunov_batch", counting_batch)
-        mirrored = cl._grid_exponents(params, grid_side, 300)
+        cl.estimate_chaotic_measures(sweep, grid_side, 300, threads=2)
         # an odd grid integrates its theta = pi and p = pi lines itself
-        assert sizes == [n_integrated]
-        assert np.array_equal(mirrored, full)
-        if grid_side % 2 == 0:  # every orbit's mirror image is on the grid
-            assert np.array_equal(full, full[::-1])
+        assert sorted(integrated) == sorted([mp.lam for mp in sweep]
+                                            * n_integrated)
+        assert mirrored.keys() == full.keys()
+        for lam_k, exponents in mirrored.items():
+            assert np.array_equal(exponents, full[lam_k])
+            if grid_side % 2 == 0:  # every orbit's mirror image is on the grid
+                assert np.array_equal(exponents, exponents[::-1])
 
     def test_measure_matches_oracle_within_ci(self):
         for lam in (0.0, 0.5, 1.0, 2.0, 4.0):
@@ -293,6 +299,97 @@ class TestMirrorGrid:
             if lam == 0.0:
                 assert est.mu_A == want == 0.0
             assert abs(est.mu_A - want) <= est.ci_halfwidth + 1e-12
+
+
+def record_grids(monkeypatch) -> dict:
+    """{lam: full-grid exponents} of every estimate made while patched."""
+    grids = {}
+    region = cl._region_estimate
+
+    def recording(lam, exponents, threshold):
+        grids[lam] = exponents.copy()
+        return region(lam, exponents, threshold)
+
+    monkeypatch.setattr(cl, "_region_estimate", recording)
+    return grids
+
+
+def grid_exponents_oracle(params, grid_side, n_steps):
+    """Exponents of the flat centred grid at one kick strength, one orbit
+    per mirror pair, with lam and tau passed as scalars: the scan as it
+    ran before every kick strength joined one batch."""
+    theta, p = cl._centred_grid(grid_side)
+    n = theta.size
+    own = (theta != -theta[::-1]) | (p != -p[::-1]) | (np.arange(n) < n // 2)
+    exponents = np.empty(n)
+    exponents[own] = cl._lyapunov_batch(theta[own], p[own], params.lam,
+                                        params.tau, n_steps)
+    return np.where(own, exponents, exponents[::-1])
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was started")
+
+
+class TestSweep:
+    # lam = 1e200 and 3e200 need the hypot norm, the others the plain one
+    SWEEP = [cl.MapParams(lam) for lam in (0.0, 0.7, 1e200, 2.5, 3e200, 6.0)]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_sweep_matches_per_lambda_bitwise(self, monkeypatch, threads):
+        # small chunks cut the kick strengths' rows at odd offsets
+        monkeypatch.setattr(cl, "_CHUNK_ORBITS", 100)
+        grids = record_grids(monkeypatch)
+        estimates = cl.estimate_chaotic_measures(self.SWEEP, 16, 200,
+                                                 threads=threads)
+        assert [est.lam for est in estimates] == [mp.lam for mp in self.SWEEP]
+        for mp, est in zip(self.SWEEP, estimates):
+            want = grid_exponents_oracle(mp, 16, 200)
+            assert np.array_equal(grids[mp.lam], want)
+            assert est == cl._region_estimate(mp.lam, want,
+                                              cl.DEFAULT_THRESHOLD)
+
+    def test_chunk_bounds(self):
+        def check(n_lambdas, n_hypot, n_own, threads):
+            workers, chunks = cl._chunks(n_lambdas, n_hypot, n_own, threads)
+            assert workers == min(threads, n_lambdas)
+            starts, stops = zip(*chunks)
+            assert starts[0] == 0 and stops[-1] == n_lambdas * n_own
+            assert list(starts[1:]) == list(stops[:-1])
+            assert all(start < stop for start, stop in chunks)
+            split = (n_lambdas - n_hypot) * n_own
+            assert not any(start < split < stop for start, stop in chunks)
+            return workers, chunks
+
+        # never more workers than kick strengths, and a chunk per worker
+        workers, chunks = check(21, 0, 2048, 10**6)
+        assert workers == 21 and len(chunks) == 21
+        # the measure sweep on two threads: balanced chunks, a multiple of
+        # the worker count, none above the chunk size
+        workers, chunks = check(21, 0, 2048, 2)
+        sizes = {stop - start for start, stop in chunks}
+        assert len(chunks) % 2 == 0 and max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= cl._CHUNK_ORBITS
+        check(21, 3, 2048, 2)
+        check(3, 3, 128, 4)
+        assert check(1, 0, 128, 8) == (1, [(0, 128)])
+        assert check(2, 1, 161, 10**6) == (2, [(0, 80), (80, 161),
+                                               (161, 241), (241, 322)])
+
+    def test_pool_only_when_it_can_help(self, monkeypatch):
+        monkeypatch.setattr(cl, "ThreadPoolExecutor", no_pool)
+        assert cl.estimate_chaotic_measures([], 16, 50, threads=4) == []
+        cl.estimate_chaotic_measures(self.SWEEP[:3], 16, 50, threads=1)
+        cl.estimate_chaotic_measures(self.SWEEP[:1], 16, 50, threads=4)
+
+    def test_preconditions_hold_for_an_empty_sweep(self):
+        with pytest.raises(ConfigurationError, match="grid_side"):
+            cl.estimate_chaotic_measures([], 8, 50)
+        with pytest.raises(ConfigurationError, match="n_steps"):
+            cl.estimate_chaotic_measures([], 16, 0)
+        for bad in (0, -1, 1.5, True, "2"):
+            with pytest.raises(ConfigurationError, match="threads"):
+                cl.estimate_chaotic_measures([], 16, 50, threads=bad)
 
 
 WHOLE_TORUS = [cl.Cell(0.0, TWO_PI, 0.0, TWO_PI)]
@@ -346,6 +443,17 @@ class TestSetCorrelation:
         est = cl.set_correlation(QUARTER, QUARTER, cl.MapParams(1.0),
                                  np.int64(1), np.int64(10_000), 0)
         assert est.t == 1 and est.n_samples == 10_000
+
+    def test_seed_precondition(self):
+        # 1.5 used to end in a bare TypeError and -1 in numpy's ValueError
+        for bad in (1.5, -1, True, "1"):
+            with pytest.raises(ConfigurationError, match="seed"):
+                cl.set_correlation(QUARTER, QUARTER, cl.MapParams(1.0), 1,
+                                   10_000, bad)
+        assert (cl.set_correlation(QUARTER, QUARTER, cl.MapParams(1.0), 1,
+                                   10_000, np.int64(7))
+                == cl.set_correlation(QUARTER, QUARTER, cl.MapParams(1.0), 1,
+                                      10_000, 7))
 
     def test_cells_from_json(self):
         cells = cl.cells_from_json(

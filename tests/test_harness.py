@@ -94,6 +94,24 @@ class TestClassicalScan:
         assert (a / "region_estimates.csv").read_bytes() == \
             (b / "region_estimates.csv").read_bytes()
 
+    def test_csv_does_not_depend_on_thread_cap(self, tmp_path, monkeypatch):
+        # lam = 1e200 needs the hypot norm: its orbits run in chunks apart
+        csvs = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("EHLAB_THREADS", threads)
+            out = tmp_path / threads
+            harness.run(harness.ExperimentConfig.from_dict(scan_config(
+                out, lambdas=(0.0, 1e200, 0.5, 1.0, 10.0), grid=17, steps=300)))
+            csvs.append((out / "region_estimates.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_empty_sweep_writes_the_header(self, tmp_path, capsys):
+        config = write_config(tmp_path, scan_config(tmp_path / "out",
+                                                    lambdas=()))
+        assert cli.main(["run", "--config", str(config)]) == 0
+        csv = (tmp_path / "out" / "region_estimates.csv").read_text()
+        assert csv.splitlines() == [harness.REGION_CSV_HEADER]
+
     def test_invalid_grid_rejected_before_writing(self, tmp_path):
         config = harness.ExperimentConfig.from_dict(
             scan_config(tmp_path, grid=4))

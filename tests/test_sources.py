@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import ehlab
 
 
@@ -11,3 +13,60 @@ def test_sources_parse_as_python_3_10():
     assert paths
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+POOLS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread", "Pool"}
+
+
+def called_names(node) -> set[str]:
+    return {getattr(c.func, "id", getattr(c.func, "attr", None))
+            for c in ast.walk(node) if isinstance(c, ast.Call)}
+
+
+def imported_modules(tree) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    return names
+
+
+def check_scan_batch(sources: dict[str, str]):
+    """The scan runs as one sweep: only `classical` starts a pool, and only
+    the sweep and the one-orbit exponent call the Lyapunov batch (a nested
+    function counts as part of the function that holds it)."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    assert "concurrent.futures" not in imported_modules(trees["harness.py"])
+    assert {name for name, tree in trees.items()
+            if called_names(tree) & POOLS} == {"classical.py"}
+    callers = {f.name for f in trees["classical.py"].body
+               if isinstance(f, ast.FunctionDef)
+               and "_lyapunov_batch" in called_names(f)}
+    assert callers == {"estimate_chaotic_measures", "lyapunov_exponent"}
+
+
+def package_sources() -> dict[str, str]:
+    return {path.name: path.read_text()
+            for path in sorted(Path(ehlab.__file__).parent.glob("*.py"))}
+
+
+def test_one_scan_batch():
+    check_scan_batch(package_sources())
+
+
+@pytest.mark.parametrize("module,addition", [
+    ("classical.py", "def _per_lambda(params, theta, p, n_steps):\n"
+                     "    return _lyapunov_batch(theta, p, params.lam,"
+                     " params.tau, n_steps)\n"),
+    ("harness.py", "from concurrent.futures import ThreadPoolExecutor\n"),
+    ("quantum.py", "def _spread(f, xs):\n"
+                   "    with ThreadPoolExecutor() as pool:\n"
+                   "        return list(pool.map(f, xs))\n"),
+])
+def test_scan_batch_check_fails_on_a_mutant(module, addition):
+    sources = package_sources()
+    sources[module] += "\n\n" + addition
+    with pytest.raises(AssertionError):
+        check_scan_batch(sources)
