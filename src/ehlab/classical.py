@@ -8,14 +8,13 @@ and Monte-Carlo correlations between phase-space sets.
 from __future__ import annotations
 
 import json
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import hypot, isfinite
 
 import numpy as np
 
-from .errors import ConfigurationError, is_count
+from .errors import ConfigurationError, is_count, is_real
 
 TWO_PI = 2.0 * np.pi
 
@@ -29,8 +28,12 @@ DEFAULT_THRESHOLD = 0.05
 
 # Orbits per chunk of a scan batch: enough that numpy's per-call overhead
 # and the threads' handovers of the GIL are small against the per-orbit
-# work, few enough that a chunk's twelve arrays stay near half a megabyte.
-_CHUNK_ORBITS = 6144
+# work, few enough that a chunk's eleven arrays stay near a megabyte.
+_CHUNK_ORBITS = 12288
+
+# Steps between renormalizations of a scan's tangent vectors, for orbits
+# whose growth over a block cannot leave the range of the squared norm.
+_BLOCK = 8
 
 
 def _wrap(x):
@@ -60,15 +63,18 @@ def _centre(x, tmp):
 
 
 def _needs_hypot(lam, tau):
-    """Where a unit tangent vector's image may square out of range.
+    """Where a unit tangent vector's image after _BLOCK steps may square
+    out of range.
 
     The Jacobian's absolute entries sum to at most 2 + tau + lam (1 + tau)
-    and its determinant is 1, so the image of a unit vector has norm
-    within [1/bound, bound]: below 1e150 its squares neither overflow nor
-    underflow, above it only hypot is safe.
+    and its determinant is 1, so the image of a unit vector after m steps
+    has norm within [bound**-m, bound**m]: while bound**_BLOCK is below
+    1e150 its squares neither overflow nor underflow, above it only a
+    hypot every step is safe. The bound is compared with the _BLOCK-th
+    root of 1e150, as its power can overflow.
     """
     with np.errstate(over="ignore"):  # an infinite bound is huge too
-        return 2.0 + tau + lam * (1.0 + tau) >= 1e150
+        return 2.0 + tau + lam * (1.0 + tau) >= 1e150 ** (1.0 / _BLOCK)
 
 
 def _advance(theta, p, lam: float, tau: float):
@@ -89,6 +95,10 @@ class PhasePoint:
     p: float
 
     def __post_init__(self):
+        if not (is_real(self.theta) and is_real(self.p)):
+            raise ConfigurationError(
+                f"theta and p must be finite real numbers, got "
+                f"{self.theta!r}, {self.p!r}")
         object.__setattr__(self, "theta", float(_wrap(self.theta)))
         object.__setattr__(self, "p", float(_wrap(self.p)))
 
@@ -101,9 +111,10 @@ class MapParams:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not (isfinite(self.lam) and isfinite(self.tau)):
+        if not (is_real(self.lam) and is_real(self.tau)):
             raise ConfigurationError(
-                f"lam and tau must be finite, got {self.lam}, {self.tau}")
+                f"lam and tau must be finite real numbers, got "
+                f"{self.lam!r}, {self.tau!r}")
         if self.lam < 0:
             raise ConfigurationError(f"kick strength must be >= 0, got {self.lam}")
         if self.tau <= 0:
@@ -167,34 +178,35 @@ def _lyapunov_batch(theta, p, lam, tau, n_steps: int):
     the two sides of :func:`_needs_hypot`. Coordinates are kept centred
     in [-pi, pi], so the batch commutes with the inversion
     (theta, p) -> (-theta, -p) bit for bit: sin is odd and cos even.
-    Tangent vectors are renormalized every step to avoid overflow; the
-    first LYAPUNOV_TRANSIENT iterations are discarded before
-    accumulating. Every per-step temporary lives in a buffer allocated
-    once per call.
+    The tangent map is linear, so the log of a block's growth is the sum
+    of its steps' logs (Benettin et al., Meccanica 15, 9, 1980): tangent
+    vectors are renormalized, and one log taken, every _BLOCK steps, or
+    every step with hypot where _needs_hypot holds. Blocks are counted
+    back from step LYAPUNOV_TRANSIENT, whose iterations are discarded
+    before accumulating; the last block may be short. Every per-step
+    temporary lives in a buffer allocated once per call.
     """
     use_hypot = bool(np.any(_needs_hypot(lam, tau)))
+    block = 1 if use_hypot else _BLOCK
     theta = np.array(theta, dtype=float)
     p = np.array(p, dtype=float)
     v_theta = np.ones_like(theta)
     v_p = np.zeros_like(theta)
     log_sum = np.zeros_like(theta)
-    c, w_p, tmp = (np.empty_like(theta) for _ in range(3))
+    c, tmp = np.empty_like(theta), np.empty_like(theta)
     _centre(theta, tmp)
     _centre(p, tmp)
-    for i in range(LYAPUNOV_TRANSIENT + n_steps):
-        # advance the tangent vector with the Jacobian at the pre-step
-        # point: w = ((1 + tau c) v_theta + tau v_p, c v_theta + v_p)
-        # with c = lam cos(theta); w_theta overwrites v_theta
+    end = LYAPUNOV_TRANSIENT + n_steps
+    for i in range(1, end + 1):
+        # advance the tangent vector in place with the Jacobian at the
+        # pre-step point: v_p += c v_theta, then v_theta += tau v_p,
+        # with c = lam cos(theta)
         np.cos(theta, out=c)
         np.multiply(lam, c, out=c)
-        np.multiply(c, v_theta, out=w_p)
-        np.add(w_p, v_p, out=w_p)
-        np.multiply(tau, c, out=tmp)
-        np.add(1.0, tmp, out=tmp)
-        np.multiply(tmp, v_theta, out=v_theta)
+        np.multiply(c, v_theta, out=tmp)
+        np.add(v_p, tmp, out=v_p)
         np.multiply(tau, v_p, out=tmp)
         np.add(v_theta, tmp, out=v_theta)
-        v_p, w_p = w_p, v_p
         # momentum first, as in _advance, so the map stays invertible
         np.sin(theta, out=tmp)
         np.multiply(lam, tmp, out=tmp)
@@ -203,7 +215,9 @@ def _lyapunov_batch(theta, p, lam, tau, n_steps: int):
         np.multiply(tau, p, out=tmp)
         np.add(theta, tmp, out=theta)
         _centre(theta, tmp)
-        # c is free now and takes the norm of w
+        if (i - LYAPUNOV_TRANSIENT) % block and i < end:
+            continue
+        # c is free now and takes the norm of v
         if use_hypot:
             np.hypot(v_theta, v_p, out=c)
         else:
@@ -213,7 +227,7 @@ def _lyapunov_batch(theta, p, lam, tau, n_steps: int):
             np.sqrt(c, out=c)
         np.divide(v_theta, c, out=v_theta)
         np.divide(v_p, c, out=v_p)
-        if i >= LYAPUNOV_TRANSIENT:
+        if i > LYAPUNOV_TRANSIENT:
             np.log(c, out=c)
             log_sum += c
     log_sum /= n_steps
@@ -391,9 +405,7 @@ def _cell(index: int, spec) -> Cell:
             f"cell {index} must be an object with keys {', '.join(_CELL_KEYS)}")
     bounds = [spec[k] for k in _CELL_KEYS]
     for x in bounds:
-        # the magnitude test also rejects NaN and ints too large for a float
-        if (isinstance(x, bool) or not isinstance(x, (int, float))
-                or not abs(x) <= sys.float_info.max):
+        if not is_real(x):
             raise ConfigurationError(
                 f"cell {index}: bound {x!r} is not a finite number")
     return Cell(*(float(x) for x in bounds))

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the laboratory modules, and the
-integer test their argument checks share."""
+number tests their argument checks share."""
+
+import sys
 
 import numpy as np
 
@@ -7,6 +9,21 @@ import numpy as np
 def is_count(x) -> bool:
     """An integer that is not a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """A finite real number that is not a bool.
+
+    The magnitude test also rejects NaN and ints too large for a float. A
+    Python int is compared exactly, a numpy scalar in float64 (a float32
+    would overflow casting the limit).
+    """
+    if isinstance(x, bool) or not isinstance(
+            x, (int, float, np.integer, np.floating)):
+        return False
+    limit = sys.float_info.max if isinstance(x, int) else np.float64(
+        sys.float_info.max)
+    return bool(abs(x) <= limit)
 
 
 class EhlabError(Exception):

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -60,6 +63,30 @@ class TestStepMap:
             with pytest.raises(ConfigurationError):
                 cl.MapParams(1.0, tau=bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        # PhasePoint(nan, 1) used to classify as Regular with exponent nan
+        params = cl.MapParams(10.0)
+        for theta, p in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ConfigurationError, match="finite"):
+                cl.step_map(cl.PhasePoint(theta, p), params)
+            with pytest.raises(ConfigurationError, match="finite"):
+                cl.lyapunov_exponent(cl.PhasePoint(theta, p), params, 1000)
+            with pytest.raises(ConfigurationError, match="finite"):
+                cl.classify_orbit(cl.PhasePoint(theta, p), params, 1000)
+
+    def test_non_real_params_rejected(self):
+        # True used to pass as 1.0; the others ended in a bare TypeError
+        for bad in (True, False, np.bool_(True), "1", None, 1 + 0j,
+                    np.array([1.0]), 10**400):
+            with pytest.raises(ConfigurationError, match="real"):
+                cl.MapParams(bad)
+            with pytest.raises(ConfigurationError, match="real"):
+                cl.MapParams(1.0, tau=bad)
+        ok = cl.MapParams(np.float32(2.5), np.int64(1))
+        assert cl.step_map(cl.PhasePoint(1.0, 1.0), ok) == cl.step_map(
+            cl.PhasePoint(1.0, 1.0), cl.MapParams(2.5, 1.0))
+
     @pytest.mark.parametrize("lam,tau", [(1.0, 1e308), (1.0, 3e307),
                                          (1e160, 1e160), (1e308, 1e5)])
     def test_overflowing_params_rejected(self, lam, tau):
@@ -113,6 +140,49 @@ def lyapunov_batch_oracle(theta, p, params, n_steps):
         v_p = w_p / norm
         if i >= cl.LYAPUNOV_TRANSIENT:
             log_sum += np.log(norm)
+    return log_sum / n_steps
+
+
+def per_step_batch_oracle(theta, p, lam, tau, n_steps):
+    """The centred in-place batch renormalized every step, with the hypot
+    norm only where a one-step image may square out of range, as the
+    block kernel replaced it."""
+    with np.errstate(over="ignore"):
+        use_hypot = bool(np.any(2.0 + tau + lam * (1.0 + tau) >= 1e150))
+    theta = np.array(theta, dtype=float)
+    p = np.array(p, dtype=float)
+    v_theta = np.ones_like(theta)
+    v_p = np.zeros_like(theta)
+    log_sum = np.zeros_like(theta)
+    c, w_p, tmp = (np.empty_like(theta) for _ in range(3))
+    cl._centre(theta, tmp)
+    cl._centre(p, tmp)
+    for i in range(cl.LYAPUNOV_TRANSIENT + n_steps):
+        np.cos(theta, out=c)
+        np.multiply(lam, c, out=c)
+        np.multiply(c, v_theta, out=w_p)
+        np.add(w_p, v_p, out=w_p)
+        np.multiply(tau, c, out=tmp)
+        np.add(1.0, tmp, out=tmp)
+        np.multiply(tmp, v_theta, out=v_theta)
+        np.multiply(tau, v_p, out=tmp)
+        np.add(v_theta, tmp, out=v_theta)
+        v_p, w_p = w_p, v_p
+        np.sin(theta, out=tmp)
+        np.multiply(lam, tmp, out=tmp)
+        np.add(p, tmp, out=p)
+        cl._centre(p, tmp)
+        np.multiply(tau, p, out=tmp)
+        np.add(theta, tmp, out=theta)
+        cl._centre(theta, tmp)
+        if use_hypot:
+            np.hypot(v_theta, v_p, out=c)
+        else:
+            np.sqrt(v_theta * v_theta + v_p * v_p, out=c)
+        np.divide(v_theta, c, out=v_theta)
+        np.divide(v_p, c, out=v_p)
+        if i >= cl.LYAPUNOV_TRANSIENT:
+            log_sum += np.log(c)
     return log_sum / n_steps
 
 
@@ -174,6 +244,33 @@ class TestLyapunov:
         ref = lyapunov_batch_oracle([x0.theta], [x0.p], params, 1000)[0]
         assert expo == pytest.approx(ref, rel=0.01)
         assert cl.estimate_chaotic_measure(params, 16, 50).mu_A == 1.0
+
+
+class TestBlockKernel:
+    # 1e17 is the largest point of the block group here, 1e30 the
+    # smallest of the hypot group
+    @pytest.mark.parametrize("lam,tau", [(0.0, 1.0), (2.5, 0.37), (0.8, 1.7),
+                                         (10.0, 1.0), (1e17, 1.0),
+                                         (1e30, 1.0), (1e200, 1.0)])
+    def test_matches_per_step_oracle(self, lam, tau):
+        assert cl._needs_hypot(lam, tau) == (lam >= 1e30)
+        theta, p = cl._centred_grid(16)
+        # every residue mod the block length: the run's last block is
+        # short on all but one
+        for n_steps in range(1000, 1000 + cl._BLOCK + 1):
+            got = cl._lyapunov_batch(theta, p, lam, tau, n_steps)
+            want = per_step_batch_oracle(theta, p, lam, tau, n_steps)
+            if lam == 0.0:
+                assert np.array_equal(got, want)
+            np.testing.assert_array_less(
+                np.abs(got - want), 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_block_group_boundary(self):
+        # bound = 2 + tau + lam (1 + tau) with bound**8 just below and
+        # just above 1e150
+        edge = 1e150 ** (1.0 / cl._BLOCK)
+        assert not cl._needs_hypot((edge * (1 - 1e-12) - 3.0) / 2.0, 1.0)
+        assert cl._needs_hypot((edge * (1 + 1e-12) - 3.0) / 2.0, 1.0)
 
 
 class TestClassifyOrbit:
@@ -332,8 +429,10 @@ def no_pool(*args, **kwargs):
 
 
 class TestSweep:
-    # lam = 1e200 and 3e200 need the hypot norm, the others the plain one
-    SWEEP = [cl.MapParams(lam) for lam in (0.0, 0.7, 1e200, 2.5, 3e200, 6.0)]
+    # lam = 1e30, 1e200 and 3e200 need the hypot norm, the others the
+    # plain one in blocks
+    SWEEP = [cl.MapParams(lam)
+             for lam in (0.0, 0.7, 1e200, 2.5, 1e30, 3e200, 6.0)]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_sweep_matches_per_lambda_bitwise(self, monkeypatch, threads):
@@ -348,6 +447,26 @@ class TestSweep:
             assert np.array_equal(grids[mp.lam], want)
             assert est == cl._region_estimate(mp.lam, want,
                                               cl.DEFAULT_THRESHOLD)
+
+    def test_huge_kick_sweep_warns_nothing(self):
+        # the grouping bound overflows at lam = 1e308
+        sweep = [cl.MapParams(1e308), cl.MapParams(1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimates = cl.estimate_chaotic_measures(sweep, 16, 50, threads=2)
+        assert estimates[0].mu_A == 1.0
+
+    def test_measure_sweep_memory(self):
+        # the measure workload's sweep on two threads: two chunks of
+        # eleven arrays each and the sweep's outputs
+        sweep = [cl.MapParams(i / 10) for i in range(21)]
+        tracemalloc.start()
+        try:
+            cl.estimate_chaotic_measures(sweep, 64, 50, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_chunk_bounds(self):
         def check(n_lambdas, n_hypot, n_own, threads):
