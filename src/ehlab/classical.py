@@ -14,7 +14,8 @@ from math import hypot, isfinite
 
 import numpy as np
 
-from .errors import ConfigurationError, is_count, is_real
+from .errors import (ConfigurationError, is_real, require_count,
+                     require_positive)
 
 TWO_PI = 2.0 * np.pi
 
@@ -80,11 +81,12 @@ def _needs_hypot(lam, tau):
 def _advance(theta, p, lam: float, tau: float):
     """One standard-map step on scalars or arrays of torus coordinates.
 
-    The momentum is reduced before the angle update so the torus map
-    stays invertible for non-integer tau.
+    The kicked momentum is reduced to [-pi, pi] as :func:`_centre` does it
+    before the angle update: the batch's map, invertible for any tau.
     """
-    p = _wrap(p + lam * np.sin(theta))
-    return _wrap(theta + tau * p), p
+    p = p + lam * np.sin(theta)
+    p = p - TWO_PI * np.rint(p / TWO_PI)
+    return _wrap(theta + tau * p), _wrap(p)
 
 
 @dataclass(frozen=True)
@@ -158,8 +160,9 @@ def step_map(x: PhasePoint, params: MapParams) -> PhasePoint:
 
 def inverse_step_map(x: PhasePoint, params: MapParams) -> PhasePoint:
     """Exact inverse of :func:`step_map` (the map is invertible)."""
-    theta_old = x.theta - params.tau * x.p
-    p_old = x.p - params.lam * np.sin(theta_old)
+    p = x.p - TWO_PI * np.rint(x.p / TWO_PI)  # as _advance centres it
+    theta_old = x.theta - params.tau * p
+    p_old = p - params.lam * np.sin(theta_old)
     return PhasePoint(theta_old, p_old)
 
 
@@ -183,13 +186,12 @@ def _lyapunov_batch(theta, p, lam, tau, n_steps: int):
     vectors are renormalized, and one log taken, every _BLOCK steps, or
     every step with hypot where _needs_hypot holds. Blocks are counted
     back from step LYAPUNOV_TRANSIENT, whose iterations are discarded
-    before accumulating; the last block may be short. Every per-step
+    before accumulating; the last block may be short. theta and p are
+    float arrays, stepped in place and left overwritten; every per-step
     temporary lives in a buffer allocated once per call.
     """
     use_hypot = bool(np.any(_needs_hypot(lam, tau)))
     block = 1 if use_hypot else _BLOCK
-    theta = np.array(theta, dtype=float)
-    p = np.array(p, dtype=float)
     v_theta = np.ones_like(theta)
     v_p = np.zeros_like(theta)
     log_sum = np.zeros_like(theta)
@@ -236,11 +238,9 @@ def _lyapunov_batch(theta, p, lam, tau, n_steps: int):
 
 def lyapunov_exponent(x0: PhasePoint, params: MapParams, n_steps: int) -> float:
     """Largest Lyapunov exponent (per kick) from the tangent-map method."""
-    if not is_count(n_steps) or n_steps < 1000:
-        raise ConfigurationError(
-            f"n_steps must be an integer >= 1000, got {n_steps!r}")
-    return float(_lyapunov_batch([x0.theta], [x0.p], params.lam, params.tau,
-                                 n_steps)[0])
+    require_count("n_steps", n_steps, 1000)
+    return float(_lyapunov_batch(np.array([x0.theta]), np.array([x0.p]),
+                                 params.lam, params.tau, n_steps)[0])
 
 
 def classify_orbit(x0: PhasePoint, params: MapParams, n_steps: int,
@@ -250,8 +250,7 @@ def classify_orbit(x0: PhasePoint, params: MapParams, n_steps: int,
     Exact ties are classified Regular (conservative toward the
     integrable side).
     """
-    if not threshold > 0:  # NaN fails too
-        raise ConfigurationError(f"threshold must be > 0, got {threshold}")
+    require_positive("threshold", threshold)
     expo = lyapunov_exponent(x0, params, n_steps)
     label = "Chaotic" if expo > threshold else "Regular"
     return OrbitClass(label=label, lyapunov=expo, n_steps=n_steps,
@@ -324,17 +323,10 @@ def estimate_chaotic_measures(params_list: list[MapParams], grid_side: int,
     integrated orbits of every kick strength form one flat batch, cut
     into contiguous chunks that at most `threads` workers step.
     """
-    if not is_count(grid_side) or grid_side < 16:
-        raise ConfigurationError(
-            f"grid_side must be an integer >= 16, got {grid_side!r}")
-    if not is_count(n_steps) or n_steps < 1:
-        raise ConfigurationError(
-            f"n_steps must be an integer >= 1, got {n_steps!r}")
-    if not threshold > 0:  # NaN fails too
-        raise ConfigurationError(f"threshold must be > 0, got {threshold}")
-    if not is_count(threads) or threads < 1:
-        raise ConfigurationError(
-            f"threads must be an integer >= 1, got {threads!r}")
+    require_count("grid_side", grid_side, 16)
+    require_count("n_steps", n_steps, 1)
+    require_positive("threshold", threshold)
+    require_count("threads", threads, 1)
     if not params_list:
         return []
     theta, p = _centred_grid(grid_side)
@@ -451,13 +443,9 @@ def set_correlation(A: list[Cell], B: list[Cell], params: MapParams, t: int,
     so A = B = whole torus gives exactly zero. Empty A or B yields
     -mu(A)*mu(B) with the `empty_input` flag raised.
     """
-    if not is_count(n_samples) or n_samples < 10_000:
-        raise ConfigurationError(
-            f"n_samples must be an integer >= 10^4, got {n_samples!r}")
-    if not is_count(t) or t < 0:
-        raise ConfigurationError(f"t must be an integer >= 0, got {t!r}")
-    if not is_count(seed) or seed < 0:
-        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
+    require_count("n_samples", n_samples, 10_000)
+    require_count("t", t, 0)
+    require_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     theta0 = rng.uniform(0.0, TWO_PI, n_samples)
     p0 = rng.uniform(0.0, TWO_PI, n_samples)

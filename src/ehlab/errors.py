@@ -7,8 +7,9 @@ import numpy as np
 
 
 def is_count(x) -> bool:
-    """An integer that is not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    """An integer that is not a bool and fits in 64 bits, as numpy needs."""
+    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            and bool(-2**63 <= x < 2**63))
 
 
 def is_real(x) -> bool:
@@ -24,6 +25,20 @@ def is_real(x) -> bool:
     limit = sys.float_info.max if isinstance(x, int) else np.float64(
         sys.float_info.max)
     return bool(abs(x) <= limit)
+
+
+def require_count(name: str, x, low: int):
+    """`x` if it is a count (:func:`is_count`) of at least `low`."""
+    if not is_count(x) or x < low:
+        raise ConfigurationError(f"{name} must be an integer >= {low}, got {x!r}")
+    return x
+
+
+def require_positive(name: str, x):
+    """`x` if it is a real number (:func:`is_real`) above zero."""
+    if not is_real(x) or x <= 0:
+        raise ConfigurationError(f"{name} must be a finite number > 0, got {x!r}")
+    return x
 
 
 class EhlabError(Exception):

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyRegionError
+from .errors import ConfigurationError, EmptyRegionError, require_count
 from .quantum import QuantumParams, momentum_ladder
 
 
@@ -33,6 +33,7 @@ class RegionProjector:
     indices: tuple
 
     def __post_init__(self):
+        require_count("dim", self.dim, 1)
         idx = tuple(sorted(set(int(i) for i in self.indices)))
         if not idx:
             raise EmptyRegionError("projector needs at least one index")

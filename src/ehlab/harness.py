@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, geometry, quantum, transition
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_count
 
 REGION_CSV_HEADER = "lambda,mu_A,mu_E,n_samples,threshold,ci_halfwidth"
 # CSV rows formatted per chunk; bounds the Python objects a long CSV holds.
@@ -29,15 +29,13 @@ _CSV_ROWS = 4096
 
 def max_threads() -> int:
     raw = os.environ.get("EHLAB_THREADS", "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ConfigurationError(f"EHLAB_THREADS must be an integer, got {raw!r}")
-        if n < 1:
-            raise ConfigurationError("EHLAB_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
+    if not raw:
+        return os.cpu_count() or 1
+    try:
+        raw = int(raw)
+    except ValueError:
+        pass  # the count check refuses the text itself
+    return require_count("EHLAB_THREADS", raw, 1)
 
 
 @dataclass

@@ -26,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ConfigurationError, DegenerateSpectrumError,
-                     HermiticityError, NumericError, is_count)
+                     HermiticityError, NumericError, is_count, is_real,
+                     require_count, require_positive)
 
 DEFAULT_GAP_TOL = 1e-9
 _HERM_TOL = 1e-10
@@ -73,12 +74,11 @@ class QuantumParams:
         if not is_count(self.dim) or self.dim < 1 or self.dim % 2 == 0:
             raise ConfigurationError(
                 f"dim must be an odd positive integer, got {self.dim!r}")
-        if not all(isfinite(x) for x in (self.lam, self.hbar, self.tau)):
-            raise ConfigurationError("lam, hbar and tau must be finite")
-        if self.hbar <= 0 or self.tau <= 0:
-            raise ConfigurationError("hbar and tau must be > 0")
-        if self.lam < 0:
-            raise ConfigurationError(f"lam must be >= 0, got {self.lam}")
+        require_positive("hbar", self.hbar)
+        require_positive("tau", self.tau)
+        if not is_real(self.lam) or self.lam < 0:
+            raise ConfigurationError(
+                f"lam must be a finite number >= 0, got {self.lam!r}")
         x = self.tau * self.hbar / (4.0 * np.pi)
         if not isfinite(x):
             raise ConfigurationError("tau*hbar overflows")
@@ -173,6 +173,9 @@ def haar_random_pure(dim: int, rng: np.random.Generator) -> DensityState:
 def momentum_window_projector(dim: int, k_lo: float, k_hi: float,
                               hbar: float = 1.0) -> ObservableMatrix:
     """Projector onto ladder sites with hbar*k in [k_lo, k_hi)."""
+    if not (is_real(k_lo) and is_real(k_hi)):
+        raise ConfigurationError(
+            f"k_lo and k_hi must be finite numbers, got {k_lo!r}, {k_hi!r}")
     ladder = momentum_ladder(dim)
     sel = (hbar * ladder >= k_lo) & (hbar * ladder < k_hi)
     if not sel.any():
@@ -659,8 +662,7 @@ def correlation_series(rho0: DensityState, system: FloquetSystem,
     rho* is the Cesaro-limit state (diagonal part in the eigenbasis), so
     C_Q reduces to the off-diagonal phase sum, summed by _phase_sum.
     """
-    if not is_count(horizon) or horizon < 2:
-        raise ConfigurationError(f"horizon must be an integer >= 2, got {horizon!r}")
+    require_count("horizon", horizon, 2)
     if rho0.dim != system.dim or obs.dim != system.dim:
         raise ConfigurationError("dimension mismatch")
     if system.degeneracy_flags and not allow_degenerate:
@@ -690,22 +692,14 @@ def mixing_volume_fraction(system: FloquetSystem,
     """
     if not o_set:
         raise ConfigurationError("observable set must not be empty")
-    if not is_count(n_states) or n_states < 100:
-        raise ConfigurationError(
-            f"n_states must be an integer >= 100, got {n_states!r}")
-    if not is_count(horizon):
-        raise ConfigurationError(f"horizon must be an integer, got {horizon!r}")
-    if not tol > 0:
-        raise ConfigurationError(f"tol must be > 0, got {tol}")
-    if not is_count(seed) or seed < 0:
-        raise ConfigurationError(
-            f"seed must be an integer >= 0, got {seed!r}")
+    require_count("n_states", n_states, 100)
+    # ceil(0.9 h) < h, a non-empty last decile, exactly when h >= 10
+    require_count("horizon", horizon, 10)
+    require_positive("tol", tol)
+    require_count("seed", seed, 0)
     if any(o.dim != system.dim for o in o_set):
         raise ConfigurationError("dimension mismatch")
     times = range(int(np.ceil(0.9 * horizon)), horizon)
-    if len(times) == 0:
-        raise ConfigurationError(
-            f"horizon {horizon} leaves the last decile empty; need >= 10")
     phi = system.quasi_energies
     plan = _SpreadPlan(phi)
     # O_k'k for each source of the plan, one column per observable

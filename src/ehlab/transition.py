@@ -13,7 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ConfigurationError, InsufficientDataError,
-                     OutOfDomainError, SingularFitError)
+                     OutOfDomainError, SingularFitError, is_real,
+                     require_positive)
 
 # Validity window margin eps = EPS_FACTOR * lam_c used by the fit;
 # the Taylor remainder O(|lam - lam_c|^4) grows fast beyond lam_c.
@@ -33,10 +34,8 @@ class TransitionCurve:
     mu_c: float
 
     def __post_init__(self):
-        if not 0.0 < self.lambda_c < np.inf:  # NaN fails too
-            raise ConfigurationError(
-                f"lambda_c must be finite and > 0, got {self.lambda_c}")
-        if not 0.0 < self.mu_c <= 1.0:
+        require_positive("lambda_c", self.lambda_c)
+        if not (is_real(self.mu_c) and 0.0 < self.mu_c <= 1.0):
             raise ConfigurationError(f"mu_c must be in (0, 1], got {self.mu_c}")
 
 
@@ -54,20 +53,20 @@ def cubic_transition(lam: float, curve: TransitionCurve,
     """
     if eps is None:
         eps = MAX_EPS_FACTOR * curve.lambda_c
-    if not 0 <= eps <= MAX_EPS_FACTOR * curve.lambda_c:  # NaN fails too
+    if not (is_real(eps) and 0 <= eps <= MAX_EPS_FACTOR * curve.lambda_c):
         raise ConfigurationError(
-            f"eps must be in [0, {MAX_EPS_FACTOR}*lambda_c], got {eps}")
+            f"eps must be in [0, {MAX_EPS_FACTOR}*lambda_c], got {eps!r}")
     hi = curve.lambda_c + eps
-    if not 0 <= lam <= hi:
+    if not (is_real(lam) and 0 <= lam <= hi):
         raise OutOfDomainError(
-            f"lambda={lam} outside the validity window [0, {hi}]")
+            f"lam={lam!r} outside the validity window [0, {hi}]")
     return curve.mu_c * _shape(lam / curve.lambda_c)
 
 
 def quadratic_small_lambda(lam: float, curve: TransitionCurve) -> float:
     """Small-kick limit mu_c * 1.5 (lam/lam_c)^2 of the cubic law."""
-    if not lam >= 0:
-        raise OutOfDomainError(f"lambda must be >= 0, got {lam}")
+    if not (is_real(lam) and lam >= 0):
+        raise OutOfDomainError(f"lam must be a finite number >= 0, got {lam!r}")
     x = lam / curve.lambda_c
     return curve.mu_c * 1.5 * x * x
 
@@ -104,6 +103,7 @@ def check_critical_conditions(samples: Sequence[tuple[float, float]],
     central difference over the three nearest samples; the origin slope
     by a three-point forward difference.
     """
+    require_positive("lambda_c", lambda_c)
     if len(samples) < 5:
         raise InsufficientDataError(
             f"need at least 5 samples, got {len(samples)}")
@@ -190,6 +190,9 @@ def fit_transition(samples: Sequence[tuple[float, float, float]],
     closed-form weighted solve; lambda_c itself is located by a coarse
     scan followed by golden-section refinement. Deterministic.
     """
+    if not is_real(eps_factor) or eps_factor < 0:
+        raise ConfigurationError(
+            f"eps_factor must be a finite number >= 0, got {eps_factor!r}")
     if len(samples) < 6:
         raise InsufficientDataError(f"need at least 6 samples, got {len(samples)}")
     lams = np.array([s[0] for s in samples], dtype=float)

@@ -1,0 +1,89 @@
+"""Every public entry point refuses a malformed scalar argument with a
+ConfigurationError that names the argument."""
+
+import re
+from functools import cache
+
+import numpy as np
+import pytest
+
+from ehlab import classical as cl
+from ehlab import geometry as ge
+from ehlab import quantum as q
+from ehlab import transition as tr
+from ehlab.errors import ConfigurationError
+
+BAD = [True, "1", None, 1 + 0j, np.array([1.0]), float("nan"), float("inf"),
+       10**400]
+
+CURVE = tr.TransitionCurve(lambda_c=0.97, mu_c=0.9)
+LAMS = np.linspace(0.0, 2.0, 21)
+CUBIC = [(lam, 0.9 * min(1.0, tr._shape(lam / 0.97)), 0.01) for lam in LAMS]
+CELL = [cl.Cell(0.0, np.pi, 0.0, np.pi)]
+
+
+@cache
+def system():
+    return q.build_floquet(q.QuantumParams(dim=17, lam=10.0))
+
+
+def orbit(**kw):
+    return {"x0": cl.PhasePoint(1.0, 1.0), "params": cl.MapParams(1.0),
+            "n_steps": 1000, **kw}
+
+
+# (entry point, keyword arguments that it accepts, scalar arguments)
+TABLE = [
+    (cl.PhasePoint, lambda: {"theta": 1.0, "p": 1.0}, ["theta", "p"]),
+    (cl.MapParams, lambda: {"lam": 1.0, "tau": 1.0}, ["lam", "tau"]),
+    (cl.lyapunov_exponent, orbit, ["n_steps"]),
+    (cl.classify_orbit, lambda: orbit(threshold=0.05),
+     ["n_steps", "threshold"]),
+    (cl.estimate_chaotic_measures,
+     lambda: {"params_list": [cl.MapParams(1.0)], "grid_side": 16,
+              "n_steps": 50, "threshold": 0.05, "threads": 1},
+     ["grid_side", "n_steps", "threshold", "threads"]),
+    (cl.set_correlation,
+     lambda: {"A": CELL, "B": CELL, "params": cl.MapParams(1.0), "t": 1,
+              "n_samples": 10_000, "seed": 0},
+     ["n_samples", "t", "seed"]),
+    (q.QuantumParams, lambda: {"dim": 17, "lam": 1.0, "hbar": 1.0,
+                               "tau": 1.0},
+     ["dim", "lam", "hbar", "tau"]),
+    (q.correlation_series,
+     lambda: {"rho0": q.momentum_eigenstate(17, 0), "system": system(),
+              "obs": q.cos_theta_observable(17), "horizon": 10},
+     ["horizon"]),
+    (q.mixing_volume_fraction,
+     lambda: {"system": system(), "o_set": [q.cos_theta_observable(17)],
+              "n_states": 100, "horizon": 10, "tol": 0.1, "seed": 0},
+     ["n_states", "horizon", "tol", "seed"]),
+    (q.momentum_window_projector,
+     lambda: {"dim": 17, "k_lo": 0.0, "k_hi": 5.0}, ["k_lo", "k_hi"]),
+    (tr.TransitionCurve, lambda: {"lambda_c": 0.97, "mu_c": 0.9},
+     ["lambda_c", "mu_c"]),
+    (tr.cubic_transition, lambda: {"lam": 0.5, "curve": CURVE, "eps": 0.1},
+     ["lam", "eps"]),
+    (tr.quadratic_small_lambda, lambda: {"lam": 0.5, "curve": CURVE},
+     ["lam"]),
+    (tr.check_critical_conditions,
+     lambda: {"samples": [s[:2] for s in CUBIC], "lambda_c": 0.97},
+     ["lambda_c"]),
+    (tr.fit_transition, lambda: {"samples": CUBIC, "eps_factor": 0.2},
+     ["eps_factor"]),
+    (ge.RegionProjector, lambda: {"dim": 17, "indices": (0, 1)}, ["dim"]),
+]
+# optional arguments, for which None picks the default
+OPTIONAL = {(tr.cubic_transition, "eps")}
+
+
+@pytest.mark.parametrize("entry,valid,name", [
+    pytest.param(entry, valid, name, id=f"{entry.__name__}-{name}")
+    for entry, valid, names in TABLE for name in names])
+def test_malformed_scalar_is_a_configuration_error(entry, valid, name):
+    entry(**valid())  # the table's own arguments are accepted
+    for bad in BAD:
+        if bad is None and (entry, name) in OPTIONAL:
+            continue
+        with pytest.raises(ConfigurationError, match=rf"\b{re.escape(name)}\b"):
+            entry(**{**valid(), name: bad})

@@ -214,6 +214,16 @@ class TestLyapunov:
         divergence = two_orbit_divergence(x0, params, 20_000)
         assert tangent == pytest.approx(divergence, rel=0.05)
 
+    def test_agrees_with_two_orbit_estimator_at_fractional_tau(self):
+        # step_map took the kicked momentum in [0, 2pi) before the angle
+        # update and the batch in [-pi, pi]: at tau = 0.37 they integrated
+        # different maps, and the two estimators read 0.0006 and 0.54
+        params = cl.MapParams(2.5, 0.37)
+        x0 = cl.PhasePoint(1.0, 3.0)
+        tangent = cl.lyapunov_exponent(x0, params, 20_000)
+        divergence = two_orbit_divergence(x0, params, 20_000)
+        assert tangent == pytest.approx(divergence, rel=0.05)
+
     def test_kam_orbit_stays_regular(self):
         # brute-force scan for the most regular low-lambda orbit
         params = cl.MapParams(0.5)
@@ -258,7 +268,9 @@ class TestBlockKernel:
         # every residue mod the block length: the run's last block is
         # short on all but one
         for n_steps in range(1000, 1000 + cl._BLOCK + 1):
-            got = cl._lyapunov_batch(theta, p, lam, tau, n_steps)
+            # the batch overwrites its input, so it steps copies
+            got = cl._lyapunov_batch(theta.copy(), p.copy(), lam, tau,
+                                     n_steps)
             want = per_step_batch_oracle(theta, p, lam, tau, n_steps)
             if lam == 0.0:
                 assert np.array_equal(got, want)

@@ -514,6 +514,20 @@ class TestCli:
             "parameters": {"input_csv": str(csv)}})
         assert cli.main(["run", "--config", str(config)]) == 3
 
+    @pytest.mark.parametrize("eps_factor", [-0.5, -1, True, "x", None])
+    def test_bad_fit_margin_is_exit_2(self, tmp_path, monkeypatch, eps_factor):
+        # on exact cubic data -0.5 used to exit 0 with lambda_c = 1.2 over
+        # the window [0, 0.6], and -1 to exit 3
+        monkeypatch.chdir(tmp_path)
+        lams = np.linspace(0.0, 2.0, 21)
+        exact = 0.9 * (1.5 * (lams / 0.97) ** 2 - 0.5 * (lams / 0.97) ** 3)
+        write_files(tmp_path, {
+            "config.json": {**FIT_CONFIG, "parameters": {
+                "input_csv": "in.csv", "eps_factor": eps_factor}},
+            "in.csv": region_csv(str(exact[10]))})
+        assert cli.main(RUN) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_plot_subcommand(self, tmp_path, capsys):
         config = write_config(tmp_path, scan_config(tmp_path / "out"))
         assert cli.main(["run", "--config", str(config)]) == 0

@@ -70,3 +70,38 @@ def test_scan_batch_check_fails_on_a_mutant(module, addition):
     sources[module] += "\n\n" + addition
     with pytest.raises(AssertionError):
         check_scan_batch(sources)
+
+
+COUNT_RULE = "must be an integer >="
+
+
+def check_count_rule(sources: dict[str, str]):
+    """The count rule is written out once: no string constant outside
+    errors.py, f-string parts included, states it, so every other module
+    refuses a count through errors.require_count."""
+    writers = {name for name, text in sources.items()
+               for node in ast.walk(ast.parse(text))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and COUNT_RULE in node.value}
+    assert writers == {"errors.py"}
+
+
+def test_one_count_rule():
+    check_count_rule(package_sources())
+
+
+@pytest.mark.parametrize("module,addition", [
+    ("quantum.py", "def _check_horizon(horizon):\n"
+                   "    if not is_count(horizon) or horizon < 2:\n"
+                   "        raise ConfigurationError(\n"
+                   "            f\"horizon must be an integer >= 2, got {horizon!r}\")\n"),
+    ("harness.py", "def _threads(n):\n"
+                   "    if n < 1:\n"
+                   "        raise ConfigurationError("
+                   "\"EHLAB_THREADS must be an integer >= 1\")\n"),
+])
+def test_count_rule_check_fails_on_a_mutant(module, addition):
+    sources = package_sources()
+    sources[module] += "\n\n" + addition
+    with pytest.raises(AssertionError):
+        check_count_rule(sources)

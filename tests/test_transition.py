@@ -182,3 +182,13 @@ class TestFitTransition:
         short = [(float(l), 0.1 * l, 0.01) for l in np.linspace(0, 1, 11)]
         with pytest.raises(ConfigurationError):
             tr.fit_transition(short)
+
+    @pytest.mark.parametrize("eps_factor", [-0.5, -1, True, "x", None])
+    def test_eps_factor_must_be_a_number_at_least_0(self, eps_factor):
+        # on exact cubic data -0.5 used to return lambda_c = 1.2 and
+        # mu_c = 1.32 over [0, 0.6], a window ending below lambda_c, and -1
+        # a SingularFitError
+        samples = _fit_samples(tr.TransitionCurve(0.97, 0.9), n=21)
+        with pytest.raises(ConfigurationError, match="eps_factor"):
+            tr.fit_transition(samples, eps_factor=eps_factor)
+        assert tr.fit_transition(samples, eps_factor=0.0).n_points >= 6
