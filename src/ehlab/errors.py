@@ -7,9 +7,9 @@ import numpy as np
 
 
 def is_count(x) -> bool:
-    """An integer that is not a bool and fits in 64 bits, as numpy needs."""
+    """An integer that is not a bool and below 2**63 in magnitude (int64)."""
     return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-            and bool(-2**63 <= x < 2**63))
+            and bool(-2**63 < x < 2**63))
 
 
 def is_real(x) -> bool:

@@ -34,10 +34,11 @@ class RegionProjector:
 
     def __post_init__(self):
         require_count("dim", self.dim, 1)
-        idx = tuple(sorted(set(int(i) for i in self.indices)))
+        idx = self.indices if np.iterable(self.indices) else (self.indices,)
+        idx = tuple(sorted({int(require_count("indices", i, 0)) for i in idx}))
         if not idx:
             raise EmptyRegionError("projector needs at least one index")
-        if idx[0] < 0 or idx[-1] >= self.dim:
+        if idx[-1] >= self.dim:
             raise ConfigurationError(f"indices out of range for dim {self.dim}")
         object.__setattr__(self, "indices", idx)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import time
 import warnings
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, geometry, quantum, transition
-from .errors import ConfigurationError, require_count
+from .errors import ConfigurationError, is_count, is_real, require_count
 
 REGION_CSV_HEADER = "lambda,mu_A,mu_E,n_samples,threshold,ci_halfwidth"
 # CSV rows formatted per chunk; bounds the Python objects a long CSV holds.
@@ -83,24 +82,21 @@ _CONFIG = {"kind": str, "parameters": dict, "seed": 0, "output_dir": "."}
 
 # lower bounds that no library call checks; a list bound holds per entry
 _AT_LEAST = {"seed": 0, "n_kicks": 0, "ranks_per_dim": 1, "dims": 2}
+_NUMBERS = {int: "a 64-bit integer", float: "a finite number or a 64-bit integer"}
 
 
 def _check(name: str, val, typ):
     """Return `val` as a `typ` or raise a ConfigurationError.
 
-    An int stands for a float, a bool is never a number, an int must fit
-    in 64 bits and a float must be finite (JSON admits NaN and Infinity).
+    Numbers follow the package's rule (errors.is_count, errors.is_real):
+    an int is a count and stands for a float too, and a float must be
+    finite (JSON admits NaN and Infinity).
     """
-    if isinstance(val, int) and abs(val) >= 2 ** 63:
-        raise ConfigurationError(f"{name} must be below 2**63 in magnitude, got {val}")
-    is_number = isinstance(val, (int, float)) and not isinstance(val, bool)
-    if typ is float and is_number:
-        val = float(val)
-    ok = isinstance(val, typ) and (typ is bool or not isinstance(val, bool))
-    if not ok or (typ is float and not math.isfinite(val)):
-        what = "a finite number" if typ is float else f"of type {typ.__name__}"
+    number = is_count(val) or typ is float and isinstance(val, float) and is_real(val)
+    if not (number if typ in _NUMBERS else isinstance(val, typ)):
+        what = _NUMBERS.get(typ, f"of type {typ.__name__}")
         raise ConfigurationError(f"{name} must be {what}, got {val!r}")
-    return val
+    return float(val) if typ is float else val
 
 
 def _read(spec, table: dict, where: str) -> dict:
@@ -273,12 +269,10 @@ def _run_quantum_evolve(p: dict, seed: int, art: _Artifacts):
     qp = _quantum_params(p)
     system = quantum.build_floquet(qp)
     ladder = quantum.momentum_ladder(qp.dim)
-    psi0 = np.zeros(qp.dim, dtype=complex)
-    idx = np.flatnonzero(ladder == p["initial_k"])
-    if idx.size == 0:
+    psi0 = (ladder == p["initial_k"]).astype(complex)
+    if not psi0.any():
         raise ConfigurationError(
             f"parameters.initial_k={p['initial_k']} not on ladder")
-    psi0[idx[0]] = 1.0
     psi = quantum.evolve_vector(psi0, system, p["n_kicks"])
     probs = np.abs(psi) ** 2
     probs /= probs.sum()

@@ -55,15 +55,14 @@ _MIX = np.sqrt(2.0) - 1.0
 # eigh's eigenvectors for values g apart are accurate to about 1e-16/g, so
 # eigenvalues of A + _MIX B closer than this are refined together.
 _CLUSTER_GAP = 1e-4
+# The localization fit reads the bulk |k| <= _BULK_FRACTION * max |k|.
+_BULK_FRACTION = 0.9
 
 
 @dataclass(frozen=True)
 class QuantumParams:
-    """Hilbert-space dimension and kicked-rotator parameters.
-
-    The dimension must be odd so the momentum ladder
-    k in {-(N-1)/2, ..., (N-1)/2} is symmetric.
-    """
+    """Hilbert-space dimension and kicked-rotator parameters; the
+    dimension must be odd (see `momentum_ladder`)."""
 
     dim: int
     lam: float
@@ -71,9 +70,7 @@ class QuantumParams:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not is_count(self.dim) or self.dim < 1 or self.dim % 2 == 0:
-            raise ConfigurationError(
-                f"dim must be an odd positive integer, got {self.dim!r}")
+        _odd_dim(self.dim)
         require_positive("hbar", self.hbar)
         require_positive("tau", self.tau)
         if not is_real(self.lam) or self.lam < 0:
@@ -89,9 +86,16 @@ class QuantumParams:
                     f"of {round(x * q)}/{q}")
 
 
+def _odd_dim(dim) -> int:
+    """`dim` if it is an odd count, the size of a symmetric ladder."""
+    if not is_count(dim) or dim < 1 or dim % 2 == 0:
+        raise ConfigurationError(f"dim must be an odd positive integer, got {dim!r}")
+    return dim
+
+
 def momentum_ladder(dim: int) -> np.ndarray:
-    """Integer momentum indices -(N-1)/2 ... (N-1)/2."""
-    half = (dim - 1) // 2
+    """Integer momentum indices -(N-1)/2 ... (N-1)/2 of an odd dim N."""
+    half = (_odd_dim(dim) - 1) // 2
     return np.arange(-half, half + 1)
 
 
@@ -151,22 +155,19 @@ def pure_state(vector) -> DensityState:
 
 def momentum_eigenstate(dim: int, k: int) -> DensityState:
     """|k><k| on the symmetric ladder."""
-    ladder = momentum_ladder(dim)
-    idx = np.flatnonzero(ladder == k)
-    if idx.size == 0:
-        raise ConfigurationError(f"k={k} not on the ladder of dim {dim}")
-    m = np.zeros((dim, dim), dtype=complex)
-    m[idx[0], idx[0]] = 1.0
-    return DensityState(m)
+    sel = momentum_ladder(dim) == k if is_count(k) else False
+    if not np.any(sel):
+        raise ConfigurationError(f"k={k!r} not on the ladder of dim {dim}")
+    return DensityState(np.diag(sel.astype(complex)))
 
 
 def maximally_mixed(dim: int) -> DensityState:
-    return DensityState(np.eye(dim) / dim)
+    return DensityState(np.eye(require_count("dim", dim, 1)) / dim)
 
 
 def haar_random_pure(dim: int, rng: np.random.Generator) -> DensityState:
     """Haar-random pure state from a normalized complex Gaussian vector."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v = rng.normal(size=require_count("dim", dim, 1)) + 1j * rng.normal(size=dim)
     return pure_state(v)
 
 
@@ -176,6 +177,7 @@ def momentum_window_projector(dim: int, k_lo: float, k_hi: float,
     if not (is_real(k_lo) and is_real(k_hi)):
         raise ConfigurationError(
             f"k_lo and k_hi must be finite numbers, got {k_lo!r}, {k_hi!r}")
+    require_positive("hbar", hbar)
     ladder = momentum_ladder(dim)
     sel = (hbar * ladder >= k_lo) & (hbar * ladder < k_hi)
     if not sel.any():
@@ -208,12 +210,13 @@ def _circulant(coeffs: np.ndarray) -> np.ndarray:
 
 def cos_theta_observable(dim: int) -> ObservableMatrix:
     """cos(theta) on the angle grid, expressed in the momentum basis."""
-    m = _circulant(_angle_coefficients(np.cos(_angle_grid(dim))))
+    m = _circulant(_angle_coefficients(np.cos(_angle_grid(_odd_dim(dim)))))
     return ObservableMatrix(m, label="cos_theta")
 
 
 def l_squared_observable(dim: int, hbar: float = 1.0) -> ObservableMatrix:
     """(hbar k)^2, diagonal in the momentum basis."""
+    require_positive("hbar", hbar)
     ladder = momentum_ladder(dim)
     return ObservableMatrix(np.diag((hbar * ladder).astype(complex) ** 2),
                             label="L_squared")
@@ -741,17 +744,16 @@ class LocalizationFit:
     r_squared: float
 
 
-def localization_fit(distribution: Sequence[tuple[int, float]],
-                     bulk_fraction: float = 0.9) -> LocalizationFit:
+def localization_fit(distribution: Sequence[tuple[int, float]]) -> LocalizationFit:
     """Fit ln p vs |k| over the bulk of the ladder.
 
-    The outer (1 - bulk_fraction) of the ladder is excluded; sites with
+    The outer (1 - _BULK_FRACTION) of the ladder is excluded; sites with
     vanishing probability are dropped from the fit.
     """
     ks = np.array([d[0] for d in distribution], dtype=float)
     ps = np.array([d[1] for d in distribution], dtype=float)
     k_max = np.max(np.abs(ks))
-    mask = (np.abs(ks) <= bulk_fraction * k_max) & (ps > 0.0)
+    mask = (np.abs(ks) <= _BULK_FRACTION * k_max) & (ps > 0.0)
     if mask.sum() < 3:
         raise ConfigurationError("fewer than 3 usable sites in the bulk")
     x = np.abs(ks[mask])
@@ -766,7 +768,6 @@ def localization_fit(distribution: Sequence[tuple[int, float]],
                            intercept=float(intercept), r_squared=r2)
 
 
-def localization_length(distribution: Sequence[tuple[int, float]],
-                        bulk_fraction: float = 0.9) -> float:
+def localization_length(distribution: Sequence[tuple[int, float]]) -> float:
     """Localization length l_s, or inf when no exponential decay is seen."""
-    return localization_fit(distribution, bulk_fraction).length
+    return localization_fit(distribution).length

@@ -8,6 +8,7 @@ mu(lam) = mu_c * (1.5 (lam/lam_c)^2 - 0.5 (lam/lam_c)^3) on a window
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +25,9 @@ MAX_EPS_FACTOR = 0.5
 # Floor applied to the CI-derived variances in the weighted fit, so the
 # zero-width CIs at lam = 0 cannot dominate.
 WEIGHT_VARIANCE_FLOOR = 1e-4
+# Thresholds of check_critical_conditions: the largest |mu(0)|, |mu'(0)|,
+# the least mu at the last sample, and the largest |mu''(lambda_c)|.
+ORIGIN_TOL, SLOPE_TOL, PLATEAU_MIN, D2_TOL = 0.05, 0.05, 0.9, 0.01
 
 
 @dataclass(frozen=True)
@@ -92,11 +96,7 @@ class CriticalReport:
 
 
 def check_critical_conditions(samples: Sequence[tuple[float, float]],
-                              lambda_c: float,
-                              origin_tol: float = 0.05,
-                              slope_tol: float = 0.05,
-                              plateau_min: float = 0.9,
-                              d2_tol: float = 0.01) -> CriticalReport:
+                              lambda_c: float) -> CriticalReport:
     """Check origin/plateau/inflection conditions on (lambda, mu_A) samples.
 
     The second derivative at lambda_c is estimated by an unequal-spacing
@@ -131,10 +131,10 @@ def check_critical_conditions(samples: Sequence[tuple[float, float]],
                           + f2 / (g2 * (g1 + g2))))
 
     return CriticalReport(
-        vanishes_at_origin=abs(origin_value) <= origin_tol,
-        slope_zero_at_origin=abs(origin_slope) <= slope_tol,
-        saturates=plateau_value >= plateau_min,
-        inflects_at_critical=abs(second) <= d2_tol,
+        vanishes_at_origin=abs(origin_value) <= ORIGIN_TOL,
+        slope_zero_at_origin=abs(origin_slope) <= SLOPE_TOL,
+        saturates=plateau_value >= PLATEAU_MIN,
+        inflects_at_critical=abs(second) <= D2_TOL,
         origin_value=origin_value,
         origin_slope=origin_slope,
         plateau_value=plateau_value,
@@ -190,9 +190,6 @@ def fit_transition(samples: Sequence[tuple[float, float, float]],
     closed-form weighted solve; lambda_c itself is located by a coarse
     scan followed by golden-section refinement. Deterministic.
     """
-    if not is_real(eps_factor) or eps_factor < 0:
-        raise ConfigurationError(
-            f"eps_factor must be a finite number >= 0, got {eps_factor!r}")
     if len(samples) < 6:
         raise InsufficientDataError(f"need at least 6 samples, got {len(samples)}")
     lams = np.array([s[0] for s in samples], dtype=float)
@@ -200,6 +197,12 @@ def fit_transition(samples: Sequence[tuple[float, float, float]],
     cis = np.array([s[2] for s in samples], dtype=float)
     if lams.min() > 0.0 or lams.max() < 2.0:
         raise ConfigurationError("samples must span lambda in [0, 2]")
+    # candidates lambda_c <= max lambda: the widest window must be finite
+    if not (is_real(eps_factor) and eps_factor >= 0 and isfinite(
+            (1.0 + float(eps_factor)) * float(lams.max()))):
+        raise ConfigurationError(
+            f"eps_factor must be a finite number >= 0 and (1 + eps_factor) * "
+            f"max lambda finite, got {eps_factor!r} and {lams.max()}")
     if np.ptp(mus) == 0.0:
         raise SingularFitError("all mu_A values are equal")
     weights = 1.0 / np.maximum(cis * cis, WEIGHT_VARIANCE_FLOOR)

@@ -59,7 +59,17 @@ TABLE = [
               "n_states": 100, "horizon": 10, "tol": 0.1, "seed": 0},
      ["n_states", "horizon", "tol", "seed"]),
     (q.momentum_window_projector,
-     lambda: {"dim": 17, "k_lo": 0.0, "k_hi": 5.0}, ["k_lo", "k_hi"]),
+     lambda: {"dim": 17, "k_lo": 0.0, "k_hi": 5.0, "hbar": 1.0},
+     ["k_lo", "k_hi", "dim", "hbar"]),
+    (q.momentum_ladder, lambda: {"dim": 17}, ["dim"]),
+    (q.cos_theta_observable, lambda: {"dim": 17}, ["dim"]),
+    (q.l_squared_observable, lambda: {"dim": 17, "hbar": 1.0},
+     ["dim", "hbar"]),
+    (q.momentum_eigenstate, lambda: {"dim": 17, "k": 1}, ["dim", "k"]),
+    # states are not tied to the ladder: any dimension >= 1 will do
+    (q.haar_random_pure,
+     lambda: {"dim": 16, "rng": np.random.default_rng(0)}, ["dim"]),
+    (q.maximally_mixed, lambda: {"dim": 16}, ["dim"]),
     (tr.TransitionCurve, lambda: {"lambda_c": 0.97, "mu_c": 0.9},
      ["lambda_c", "mu_c"]),
     (tr.cubic_transition, lambda: {"lam": 0.5, "curve": CURVE, "eps": 0.1},
@@ -71,10 +81,21 @@ TABLE = [
      ["lambda_c"]),
     (tr.fit_transition, lambda: {"samples": CUBIC, "eps_factor": 0.2},
      ["eps_factor"]),
-    (ge.RegionProjector, lambda: {"dim": 17, "indices": (0, 1)}, ["dim"]),
+    (ge.RegionProjector, lambda: {"dim": 17, "indices": (0, 1)},
+     ["dim", "indices"]),
 ]
 # optional arguments, for which None picks the default
 OPTIONAL = {(tr.cubic_transition, "eps")}
+# more malformed values of one argument, besides BAD: a ladder dimension
+# is odd, hbar positive, and projector indices are counts, never strings
+LADDER = [q.QuantumParams, q.momentum_window_projector, q.momentum_ladder,
+          q.cos_theta_observable, q.l_squared_observable,
+          q.momentum_eigenstate]
+MORE = {**{(entry, "dim"): [4, 2.5] for entry in LADDER},
+        **{(entry, "hbar"): [-1, "x"] for entry in
+           (q.momentum_window_projector, q.l_squared_observable)},
+        (ge.RegionProjector, "indices"): [("3",), (2.5,), (True,),
+                                          (2.5, True)]}
 
 
 @pytest.mark.parametrize("entry,valid,name", [
@@ -82,7 +103,7 @@ OPTIONAL = {(tr.cubic_transition, "eps")}
     for entry, valid, names in TABLE for name in names])
 def test_malformed_scalar_is_a_configuration_error(entry, valid, name):
     entry(**valid())  # the table's own arguments are accepted
-    for bad in BAD:
+    for bad in BAD + MORE.get((entry, name), []):
         if bad is None and (entry, name) in OPTIONAL:
             continue
         with pytest.raises(ConfigurationError, match=rf"\b{re.escape(name)}\b"):

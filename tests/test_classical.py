@@ -63,6 +63,11 @@ class TestStepMap:
             with pytest.raises(ConfigurationError):
                 cl.MapParams(1.0, tau=bad)
 
+    @pytest.mark.parametrize("tau", [0, 0.0, -1.0])
+    def test_non_positive_tau_rejected(self, tau):
+        with pytest.raises(ConfigurationError, match="kick period"):
+            cl.MapParams(1.0, tau)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_rejected(self, bad):
         # PhasePoint(nan, 1) used to classify as Regular with exponent nan

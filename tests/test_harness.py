@@ -380,6 +380,26 @@ MALFORMED = [
                  {}, id="ranks_per_dim-beyond-int64"),
     pytest.param("geometry-check", GEOMETRY, {"seed": 10 ** 400},
                  id="seed-beyond-int64"),
+    # the 64-bit bound is symmetric, on a float key and on int keys
+    pytest.param("correlation-series",
+                 {**SERIES, "observable": {"type": "momentum_window",
+                                           "k_lo": 2 ** 63, "k_hi": 5}},
+                 {}, id="k_lo-2**63"),
+    pytest.param("correlation-series",
+                 {**SERIES, "observable": {"type": "momentum_window",
+                                           "k_lo": -2 ** 63, "k_hi": 5}},
+                 {}, id="k_lo-minus-2**63"),
+    pytest.param("correlation-series", {**SERIES, "horizon": 2 ** 63}, {},
+                 id="horizon-2**63"),
+    pytest.param("quantum-evolve", {**EVOLVE, "initial_k": -2 ** 63}, {},
+                 id="initial_k-minus-2**63"),
+    pytest.param("quantum-evolve", {**EVOLVE, "initial_k": 17}, {},
+                 id="initial_k-off-ladder"),
+    pytest.param("correlation-series",
+                 {**SERIES, "observable": {"type": "sin_theta"}}, {},
+                 id="observable-type-unknown"),
+    pytest.param("correlation-series", {**SERIES, "observable": {}}, {},
+                 id="observable-type-missing"),
 ]
 
 NOT_UTF8 = b"\xff\xfe\x00"
@@ -415,6 +435,16 @@ UNUSABLE_FILES = [
                  id="csv-not-utf8"),
     pytest.param(RUN, {"config.json": FIT_CONFIG,
                        "in.csv": region_csv("nan")}, id="csv-nan"),
+    pytest.param(RUN, {"config.json": FIT_CONFIG,
+                       "in.csv": region_csv().replace(b"lambda,", b"lam,", 1)},
+                 id="csv-wrong-header"),
+    pytest.param(RUN, {"config.json": FIT_CONFIG,
+                       "in.csv": region_csv().replace(b",0.01\n", b"\n", 1)},
+                 id="csv-row-of-5-columns"),
+    pytest.param(RUN, {"config.json": {"kind": "geometry-check",
+                                       "output_dir": "file/out",
+                                       "parameters": GEOMETRY},
+                       "file": b""}, id="output_dir-under-a-file"),
     pytest.param(PLOT, {"manifest.json": []}, id="manifest-list"),
     pytest.param(PLOT, {"manifest.json": {**SCAN_MANIFEST,
                                           "artifacts": [1]}},
@@ -502,6 +532,18 @@ class TestCli:
             "localization.json", "momentum_distribution.csv", "params.json",
             "spectrum.csv"]
 
+    def test_haar_state_is_the_default(self, tmp_path, monkeypatch):
+        # a correlation series without a state starts from the documented
+        # Haar-random state of the config's seed
+        monkeypatch.chdir(tmp_path)
+        for out, extra in (("default", {}), ("haar", {"state": {"type": "haar"}})):
+            write_files(tmp_path, {"config.json": {
+                "kind": "correlation-series", "seed": 7, "output_dir": out,
+                "parameters": {**SERIES, **extra}}})
+            assert cli.main(RUN) == 0
+        assert ((tmp_path / "default" / "correlation_series.csv").read_bytes()
+                == (tmp_path / "haar" / "correlation_series.csv").read_bytes())
+
     def test_numeric_error_exit_code(self, tmp_path):
         # constant mu_A sweep makes the fit singular: exit 3
         csv = tmp_path / "flat.csv"
@@ -514,10 +556,13 @@ class TestCli:
             "parameters": {"input_csv": str(csv)}})
         assert cli.main(["run", "--config", str(config)]) == 3
 
-    @pytest.mark.parametrize("eps_factor", [-0.5, -1, True, "x", None])
+    @pytest.mark.parametrize("eps_factor", [
+        -0.5, -1, True, "x", None,
+        pytest.param(1e308, marks=pytest.mark.filterwarnings("error"))])
     def test_bad_fit_margin_is_exit_2(self, tmp_path, monkeypatch, eps_factor):
         # on exact cubic data -0.5 used to exit 0 with lambda_c = 1.2 over
-        # the window [0, 0.6], and -1 to exit 3
+        # the window [0, 0.6], and -1 to exit 3; 1e308 overflowed the
+        # window with a RuntimeWarning and exited 0
         monkeypatch.chdir(tmp_path)
         lams = np.linspace(0.0, 2.0, 21)
         exact = 0.9 * (1.5 * (lams / 0.97) ** 2 - 0.5 * (lams / 0.97) ** 3)

@@ -56,20 +56,40 @@ class DenseFloquet:
         return z.conj().T @ matrix @ z
 
 
-def schur_floquet(params):
-    """The Floquet system by the complex Schur form of F (exact oracle)."""
-    f = q.kick_operator(params) * q.free_propagator_diagonal(params)[None, :]
-    t, z = scipy.linalg.schur(f, output="complex")
-    phi = np.mod(-np.angle(np.diag(t)), 2.0 * np.pi)
+def dense_floquet(params):
+    """The dense F = kick * free."""
+    return q.kick_operator(params) * q.free_propagator_diagonal(params)[None, :]
+
+
+def sorted_spectrum(eigenvalues):
+    """Quasi-energies of F's eigenvalues in increasing order, that order,
+    and the pairs closer than DEFAULT_GAP_TOL (2 pi wraparound included)."""
+    phi = np.mod(-np.angle(eigenvalues), 2.0 * np.pi)
     order = np.argsort(phi, kind="stable")
-    phi, z = phi[order], z[:, order]
-    n = params.dim
+    phi = phi[order]
+    n = len(phi)
     gap_tol = q.DEFAULT_GAP_TOL
     flags = [(int(i), int(i + 1))
              for i in np.flatnonzero(np.diff(phi) < gap_tol)]
     if n > 1 and (phi[0] + 2.0 * np.pi - phi[-1]) < gap_tol:
         flags.append((n - 1, 0))
-    return DenseFloquet(quasi_energies=phi, eigenbasis=z,
+    return phi, order, flags
+
+
+def schur_floquet(params):
+    """The Floquet system by the complex Schur form of F (exact oracle)."""
+    t, z = scipy.linalg.schur(dense_floquet(params), output="complex")
+    phi, order, flags = sorted_spectrum(np.diag(t))
+    return DenseFloquet(quasi_energies=phi, eigenbasis=z[:, order],
+                        degeneracy_flags=flags)
+
+
+def eigvals_floquet(params):
+    """The spectrum of F alone by LAPACK's eigenvalue-only QR iteration:
+    the Schur iteration of `schur_floquet` without accumulating the Schur
+    vectors, which the spectrum does not need (exact oracle)."""
+    phi, _, flags = sorted_spectrum(scipy.linalg.eigvals(dense_floquet(params)))
+    return DenseFloquet(quasi_energies=phi, eigenbasis=None,
                         degeneracy_flags=flags)
 
 
@@ -320,7 +340,7 @@ class TestFloquet:
             for hbar in (1.0, 0.7):
                 params = q.QuantumParams(dim=dim, lam=lam, hbar=hbar)
                 system = q.build_floquet(params)
-                assert_same_spectrum(system, schur_floquet(params))
+                assert_same_spectrum(system, eigvals_floquet(params))
                 z, phi = system.eigenbasis, system.quasi_energies
                 assert np.max(np.abs(system.unitary @ z
                                      - z * np.exp(-1j * phi))) <= 1e-10
@@ -581,6 +601,16 @@ class TestEvolution:
         for psi in (np.ones(15), np.ones(18), np.ones((17, 1)), np.ones((17, 17))):
             with pytest.raises(ConfigurationError, match="dimension mismatch"):
                 q.evolve_vector(psi, system, 5)
+
+    def test_dimension_mismatch(self):
+        system = q.build_floquet(q.QuantumParams(dim=17, lam=3.0))
+        rho15 = q.maximally_mixed(15)
+        with pytest.raises(ConfigurationError, match="dimension mismatch"):
+            q.evolve(rho15, system, 5)
+        with pytest.raises(ConfigurationError, match="dimension mismatch"):
+            q.cesaro_limit_state(rho15, system, allow_degenerate=True)
+        with pytest.raises(ConfigurationError, match="dimension mismatch"):
+            q.expectation(rho15, q.cos_theta_observable(17))
 
     def test_kick_count_must_be_an_integer(self):
         # F^2.5 used to come back as a unit vector / a valid density matrix

@@ -105,3 +105,37 @@ def test_count_rule_check_fails_on_a_mutant(module, addition):
     sources[module] += "\n\n" + addition
     with pytest.raises(AssertionError):
         check_count_rule(sources)
+
+
+def writes_int64_bound(node) -> bool:
+    """`2 ** 63`, or the bound written out as a literal."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return (getattr(node.left, "value", None) == 2
+                and getattr(node.right, "value", None) == 63)
+    return (isinstance(node, ast.Constant) and type(node.value) is int
+            and node.value in (2 ** 63, 2 ** 63 - 1))
+
+
+def check_one_number_test(sources: dict[str, str]):
+    """The 64-bit bound of a count is written once, in errors.py, so every
+    other module tests a number through errors.is_count and is_real."""
+    writers = {name for name, text in sources.items()
+               for node in ast.walk(ast.parse(text))
+               if writes_int64_bound(node)}
+    assert writers == {"errors.py"}
+
+
+def test_one_number_test():
+    check_one_number_test(package_sources())
+
+
+@pytest.mark.parametrize("module,addition", [
+    ("harness.py", "def _too_big(val):\n"
+                   "    return isinstance(val, int) and abs(val) >= 2 ** 63\n"),
+    ("quantum.py", "_INT64_MAX = 9223372036854775807\n"),
+])
+def test_number_test_check_fails_on_a_mutant(module, addition):
+    sources = package_sources()
+    sources[module] += "\n\n" + addition
+    with pytest.raises(AssertionError):
+        check_one_number_test(sources)

@@ -114,7 +114,7 @@ class TestCriticalConditions:
     def test_non_saturating_sweep_flagged(self):
         lams = np.linspace(0.0, 2.0, 21)
         samples = [(lam, 0.1 * tr._shape(min(lam, 1.0))) for lam in lams]
-        rep = tr.check_critical_conditions(samples, 1.0, d2_tol=1.0)
+        rep = tr.check_critical_conditions(samples, 1.0)
         assert not rep.saturates
 
     def test_requires_enough_samples(self):
@@ -183,11 +183,14 @@ class TestFitTransition:
         with pytest.raises(ConfigurationError):
             tr.fit_transition(short)
 
-    @pytest.mark.parametrize("eps_factor", [-0.5, -1, True, "x", None])
+    @pytest.mark.parametrize("eps_factor", [
+        -0.5, -1, True, "x", None,
+        pytest.param(1e308, marks=pytest.mark.filterwarnings("error"))])
     def test_eps_factor_must_be_a_number_at_least_0(self, eps_factor):
         # on exact cubic data -0.5 used to return lambda_c = 1.2 and
         # mu_c = 1.32 over [0, 0.6], a window ending below lambda_c, and -1
-        # a SingularFitError
+        # a SingularFitError; 1e308 overflowed (1 + eps_factor) * lambda_c
+        # with a RuntimeWarning and wrote the window [0, 1.65e308]
         samples = _fit_samples(tr.TransitionCurve(0.97, 0.9), n=21)
         with pytest.raises(ConfigurationError, match="eps_factor"):
             tr.fit_transition(samples, eps_factor=eps_factor)
