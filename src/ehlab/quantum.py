@@ -87,9 +87,13 @@ class QuantumParams:
 
 
 def _odd_dim(dim) -> int:
-    """`dim` if it is an odd count, the size of a symmetric ladder."""
+    """`dim` if it is an odd count, the size of a symmetric ladder, whose
+    dense N x N complex array numpy can index."""
     if not is_count(dim) or dim < 1 or dim % 2 == 0:
         raise ConfigurationError(f"dim must be an odd positive integer, got {dim!r}")
+    if 16 * int(dim) ** 2 > np.iinfo(np.intp).max:
+        raise ConfigurationError(
+            f"dim = {dim} is too large for a dense {dim} x {dim} complex array")
     return dim
 
 

@@ -184,7 +184,8 @@ def _fit_objective(lc, lams, mus, weights, eps_factor):
 
 def fit_transition(samples: Sequence[tuple[float, float, float]],
                    eps_factor: float = FIT_EPS_FACTOR) -> FitResult:
-    """Extract (lambda_c, mu_c) from (lambda, mu_A, ci_halfwidth) samples.
+    """Extract (lambda_c, mu_c) from (lambda, mu_A, ci_halfwidth) samples,
+    each three finite numbers.
 
     mu_c enters the model linearly, so each candidate lambda_c gets a
     closed-form weighted solve; lambda_c itself is located by a coarse
@@ -192,6 +193,11 @@ def fit_transition(samples: Sequence[tuple[float, float, float]],
     """
     if len(samples) < 6:
         raise InsufficientDataError(f"need at least 6 samples, got {len(samples)}")
+    for i, sample in enumerate(samples):
+        if len(sample) < 3 or not all(is_real(x) for x in sample[:3]):
+            raise ConfigurationError(
+                f"sample {i} must hold a finite lambda, mu_A and CI, got "
+                f"{tuple(sample)!r}")
     lams = np.array([s[0] for s in samples], dtype=float)
     mus = np.array([s[1] for s in samples], dtype=float)
     cis = np.array([s[2] for s in samples], dtype=float)

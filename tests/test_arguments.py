@@ -87,11 +87,13 @@ TABLE = [
 # optional arguments, for which None picks the default
 OPTIONAL = {(tr.cubic_transition, "eps")}
 # more malformed values of one argument, besides BAD: a ladder dimension
-# is odd, hbar positive, and projector indices are counts, never strings
+# is odd and small enough for numpy to index a dense N x N complex array
+# (these two are refused before anything is allocated), hbar positive, and
+# projector indices are counts, never strings
 LADDER = [q.QuantumParams, q.momentum_window_projector, q.momentum_ladder,
           q.cos_theta_observable, q.l_squared_observable,
           q.momentum_eigenstate]
-MORE = {**{(entry, "dim"): [4, 2.5] for entry in LADDER},
+MORE = {**{(entry, "dim"): [4, 2.5, 2**62 + 1, 2**31 + 1] for entry in LADDER},
         **{(entry, "hbar"): [-1, "x"] for entry in
            (q.momentum_window_projector, q.l_squared_observable)},
         (ge.RegionProjector, "indices"): [("3",), (2.5,), (True,),

@@ -261,12 +261,47 @@ class TestLyapunov:
         assert cl.estimate_chaotic_measure(params, 16, 50).mu_A == 1.0
 
 
+def centred_map_oracle(theta, p, lam, tau, n):
+    """n steps of the centred map, with libm's sin and the reduction
+    x - 2pi rint(x / 2pi) written out."""
+    def centre(x):
+        return x - TWO_PI * np.rint(x / TWO_PI)
+    theta, p = centre(np.array(theta)), centre(np.array(p))
+    for _ in range(n):
+        p = centre(p + lam * np.sin(theta))
+        theta = centre(theta + tau * p)
+    return theta, p
+
+
+class TestCosFromSin:
+    def test_even_and_within_bound_of_libm(self):
+        eps = np.finfo(float).eps
+        half = np.pi / 2
+        theta = np.concatenate([
+            np.random.default_rng(0).uniform(-np.pi, np.pi, 10**5),
+            [0.0, half, -half, np.nextafter(half, np.inf),
+             np.nextafter(-half, -np.inf), np.pi, -np.pi]])
+        got = {}
+        for sign in (1.0, -1.0):
+            c = np.sin(sign * theta)
+            cl._cos_from_sin(sign * theta, c, np.empty_like(theta))
+            got[sign] = c
+        assert np.array_equal(got[1.0], got[-1.0])
+        want = np.cos(theta)
+        np.testing.assert_array_less(np.abs(got[1.0] - want),
+                                     eps * (1.0 + 1.0 / np.abs(want)))
+        # the sign is right at the quarter turns, where cos is near 0
+        assert np.array_equal(np.signbit(got[1.0][-7:]), np.signbit(want[-7:]))
+
+
+# 1e17 is the largest point of the block group here, 1e30 the smallest of
+# the hypot group
+BLOCK_PARAMS = [(0.0, 1.0), (2.5, 0.37), (0.8, 1.7), (10.0, 1.0), (1e17, 1.0),
+                (1e30, 1.0), (1e200, 1.0)]
+
+
 class TestBlockKernel:
-    # 1e17 is the largest point of the block group here, 1e30 the
-    # smallest of the hypot group
-    @pytest.mark.parametrize("lam,tau", [(0.0, 1.0), (2.5, 0.37), (0.8, 1.7),
-                                         (10.0, 1.0), (1e17, 1.0),
-                                         (1e30, 1.0), (1e200, 1.0)])
+    @pytest.mark.parametrize("lam,tau", BLOCK_PARAMS)
     def test_matches_per_step_oracle(self, lam, tau):
         assert cl._needs_hypot(lam, tau) == (lam >= 1e30)
         theta, p = cl._centred_grid(16)
@@ -281,6 +316,19 @@ class TestBlockKernel:
                 assert np.array_equal(got, want)
             np.testing.assert_array_less(
                 np.abs(got - want), 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("lam,tau", BLOCK_PARAMS)
+    def test_orbit_is_the_libm_map_bitwise(self, lam, tau):
+        # the tangent map's cos comes from the orbit's own sin, and the
+        # orbit keeps libm's sin and every operation of the map
+        theta, p = cl._centred_grid(16)
+        n_steps = 1000
+        got_theta, got_p = theta.copy(), p.copy()
+        cl._lyapunov_batch(got_theta, got_p, lam, tau, n_steps)
+        want_theta, want_p = centred_map_oracle(
+            theta, p, lam, tau, cl.LYAPUNOV_TRANSIENT + n_steps)
+        assert np.array_equal(got_theta, want_theta)
+        assert np.array_equal(got_p, want_p)
 
     def test_block_group_boundary(self):
         # bound = 2 + tau + lam (1 + tau) with bound**8 just below and

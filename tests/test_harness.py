@@ -334,6 +334,11 @@ MALFORMED = [
                  id="tau-inf"),
     pytest.param("quantum-evolve", {**EVOLVE, "dim": True}, {},
                  id="dim-bool"),
+    # these used to end in numpy's "array is too big" or try to allocate
+    pytest.param("quantum-evolve", {**EVOLVE, "dim": 2**62 + 1}, {},
+                 id="dim-2**62+1"),
+    pytest.param("quantum-evolve", {**EVOLVE, "dim": 2**31 + 1}, {},
+                 id="dim-2**31+1"),
     pytest.param("quantum-evolve", {**EVOLVE, "n_kicks": -5}, {},
                  id="n_kicks-negative"),
     pytest.param("quantum-evolve", EVOLVE, {"output_dir": 5},

@@ -139,3 +139,49 @@ def test_number_test_check_fails_on_a_mutant(module, addition):
     sources[module] += "\n\n" + addition
     with pytest.raises(AssertionError):
         check_one_number_test(sources)
+
+
+def np_calls(node, name: str) -> int:
+    """Calls of `np.<name>` in node."""
+    return sum(isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+               and c.func.attr == name
+               and getattr(c.func.value, "id", None) == "np"
+               for c in ast.walk(node))
+
+
+def check_one_libm_call(sources: dict[str, str]):
+    """The scan's kernel takes its cos from its sin: `_lyapunov_batch`, with
+    the functions of classical.py it calls, calls np.sin once and np.cos
+    never."""
+    functions = {f.name: f for f in ast.parse(sources["classical.py"]).body
+                 if isinstance(f, ast.FunctionDef)}
+    kernel, todo = set(), ["_lyapunov_batch"]
+    while todo:
+        name = todo.pop()
+        if name not in kernel:
+            kernel.add(name)
+            todo += called_names(functions[name]) & functions.keys()
+    assert sum(np_calls(functions[name], "sin") for name in kernel) == 1
+    assert sum(np_calls(functions[name], "cos") for name in kernel) == 0
+
+
+def test_one_libm_call_per_step():
+    check_one_libm_call(package_sources())
+
+
+@pytest.mark.parametrize("old,new", [
+    pytest.param("        _cos_from_sin(theta, c, tmp)\n",
+                 "        np.cos(theta, out=c)\n", id="cos-in-kernel"),
+    pytest.param("    np.copysign(s, tmp, out=s)\n",
+                 "    np.copysign(s, tmp, out=s)\n    np.cos(theta, out=s)\n",
+                 id="cos-in-helper"),
+    pytest.param("        np.multiply(lam, c, out=tmp)\n",
+                 "        np.sin(theta, out=tmp)\n"
+                 "        np.multiply(lam, tmp, out=tmp)\n", id="second-sin"),
+])
+def test_libm_call_check_fails_on_a_mutant(old, new):
+    sources = package_sources()
+    assert sources["classical.py"].count(old) == 1
+    sources["classical.py"] = sources["classical.py"].replace(old, new)
+    with pytest.raises(AssertionError):
+        check_one_libm_call(sources)

@@ -183,6 +183,32 @@ class TestFitTransition:
         with pytest.raises(ConfigurationError):
             tr.fit_transition(short)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("row,col,bad", [
+        (5, 1, float("nan")), (20, 0, float("inf")), (0, 0, -float("inf")),
+        (7, 2, float("nan")), (9, 2, float("inf"))])
+    def test_non_finite_sample_is_named(self, row, col, bad):
+        # a NaN mu_A used to end in SingularFitError after RuntimeWarnings,
+        # and an infinite lambda was reported as an eps_factor problem
+        samples = _fit_samples(tr.TransitionCurve(0.97, 0.9), n=21)
+        samples[row] = tuple(bad if j == col else x
+                             for j, x in enumerate(samples[row]))
+        with pytest.raises(ConfigurationError, match=rf"^sample {row} "):
+            tr.fit_transition(samples)
+
+    def test_non_finite_sample_is_refused_before_the_span(self):
+        samples = _fit_samples(tr.TransitionCurve(0.97, 0.9), n=21)[:11]
+        samples[3] = (samples[3][0], float("nan"), samples[3][2])
+        with pytest.raises(ConfigurationError, match=r"^sample 3 "):
+            tr.fit_transition(samples)
+
+    def test_sample_without_a_ci_is_named(self):
+        # it used to end in a bare IndexError
+        samples = _fit_samples(tr.TransitionCurve(0.97, 0.9), n=21)
+        samples[4] = samples[4][:2]
+        with pytest.raises(ConfigurationError, match=r"^sample 4 "):
+            tr.fit_transition(samples)
+
     @pytest.mark.parametrize("eps_factor", [
         -0.5, -1, True, "x", None,
         pytest.param(1e308, marks=pytest.mark.filterwarnings("error"))])
