@@ -44,11 +44,11 @@ _TAU = np.pi * _SPREAD / (3.0 * _WINDOW ** 2)
 _KERNEL = (2.0 * np.pi / _GRID) ** 2 / (4.0 * _TAU)  # per grid step squared
 # Grid bins per tile of the spreading: one dense kernel block and GEMM each.
 _TILE = 8
-# Weight columns spread and transformed together: at most _COLUMNS, and at
-# most _CHUNK_BYTES of them where the sources are many. With the tiles this
+# Columns summed together: at most _COLUMNS, fewer where the bytes that scale
+# with them (see _SpreadPlan) would pass _CHUNK_BYTES. With the tiles this
 # bounds a phase sum's memory independently of n_states and horizon.
-_COLUMNS = 8
-_CHUNK_BYTES = 8 << 20
+_COLUMNS = 64
+_CHUNK_BYTES = 4 << 20
 # Fixed irrational weight in eigh(A + _MIX B): the commuting real and
 # imaginary parts of a parity block share one real orthonormal eigenbasis.
 _MIX = np.sqrt(2.0) - 1.0
@@ -543,9 +543,9 @@ class _SpreadPlan:
 
     The sources are sorted by grid bin and cut into tiles of _TILE bins.
     Each tile keeps its dense kernel block over the grid points its
-    sources reach, so spreading a chunk of weight columns is one real
-    GEMM per tile. `sweep` is the one loop over windows of times: it owns
-    the grid, its transform and the column buffers of a sweep.
+    sources reach, so spreading is one real GEMM per tile over the columns
+    it forms from amplitudes and weights. `sweep` is the one loop over
+    windows of times.
     """
 
     def __init__(self, phi: np.ndarray):
@@ -575,7 +575,10 @@ class _SpreadPlan:
         # 2 / (grid size x the kernel's Fourier coefficient sqrt(tau/pi)
         # exp(-tau s^2)), the 2 being that of 2 Re
         self.deconv = 2.0 * np.exp(_TAU * s * s) / (_GRID * np.sqrt(_TAU / np.pi))
-        self.columns = max(1, min(_COLUMNS, _CHUNK_BYTES // (16 * len(u) or 1)))
+        # bytes per column: the extended grid and the sums (20 a grid point),
+        # amplitudes (32 each) and the largest tile's columns (48 a source)
+        column_bytes = 20 * _GRID + 32 * len(phi) + 48 * int(np.diff(edges).max())
+        self.columns = max(1, min(_COLUMNS, _CHUNK_BYTES // column_bytes))
 
     def sweep(self, phi: np.ndarray, times, amps: np.ndarray,
               weights: np.ndarray):
@@ -586,9 +589,9 @@ class _SpreadPlan:
         sums[i, j * p + c] = 2 Re sum_{k<k'} a_k conj(a_k') w_kk'
         exp(-i t omega_kk') at t = times[lo + i], w being column j of the
         plan-order (sources, q) `weights` and a column c of the (N, p)
-        `amps`, which carry the window centre's phase. Up to self.columns
-        columns of consecutive windows are spread at a time, in buffers
-        allocated once per sweep.
+        `amps`. Consecutive windows are summed together, up to
+        self.columns columns (one window at least), each window's
+        amplitudes carrying its centre's phase.
         """
         windows, lo = [], 0
         while lo < len(times):
@@ -596,44 +599,38 @@ class _SpreadPlan:
             hi = bisect_left(times, t0 + _WINDOW, lo)
             windows.append((t0, lo, hi))
             lo = hi
-        n, q, p = len(weights), weights.shape[1], amps.shape[1]
+        q, p = weights.shape[1], amps.shape[1]
         per = max(1, min(self.columns // (q * p), len(windows)))
-        # the first group is whole, so a shorter last one leaves stale
-        # columns behind, summed but never read
-        cols = np.empty((n, per, q, p), dtype=complex)
-        pair, scratch = np.empty((2, n, p), dtype=complex)
-        ext = np.empty((_GRID + 2 * _SPREAD - 1, 2 * per * q * p))
-        f = np.empty((_GRID, per * q * p), dtype=complex)
         for first in range(0, len(windows), per):
             group = windows[first:first + per]
-            for g, (t0, _, _) in enumerate(group):
-                a = amps * np.exp(-1j * (t0 + _WINDOW // 2) * phi)[:, None]
-                # mode="clip" lets take write into out unbuffered; no index clips
-                np.take(a, self.k, axis=0, out=pair, mode="clip")
-                np.take(a.conj(), self.kp, axis=0, out=scratch, mode="clip")
-                np.multiply(pair, scratch, out=pair)
-                np.multiply(weights[:, :, None], pair[:, None], out=cols[:, g])
-            vals = self.sums(cols.reshape(n, per * q * p), ext, f)
+            a = np.hstack([amps * np.exp(-1j * (t0 + _WINDOW // 2) * phi)[:, None]
+                           for t0, _, _ in group])
+            vals = self.sums(a, weights).reshape(_WINDOW, q, len(group), p)
             for g, (t0, lo, hi) in enumerate(group):
                 rows = np.asarray(times[lo:hi]) - t0
-                yield lo, hi, vals[rows, g * q * p:(g + 1) * q * p]
+                yield lo, hi, vals[rows, :, g].reshape(len(rows), q * p)
             del vals, rows  # before the next group makes its own
 
-    def sums(self, cols: np.ndarray, ext: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """2 Re sum_j cols[j, c] exp(-i s omega_j) for each s in
-        [-_WINDOW/2, _WINDOW/2) (rows) and each column c of the
-        C-contiguous complex (sources, columns) weights, with `ext` and `f`
-        the real extended grid and the transform of those columns."""
-        flat = cols.view(float)
-        ext.fill(0.0)
+    def sums(self, amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """2 Re sum_{k<k'} w_kk' a_k conj(a_k') exp(-i s omega_kk') for each
+        s in [-_WINDOW/2, _WINDOW/2) (rows), in column j * m + c for column
+        j of the plan-order (sources, q) `weights` and column c of the
+        complex (N, m) `amps`. Each tile forms its own columns."""
+        conj = amps.conj()
+        ext = np.zeros((_GRID + 2 * _SPREAD - 1, 2 * weights.shape[1] * amps.shape[1]))
         for a, lo, hi, block in self.tiles:
-            ext[a:a + len(block)] += block @ flat[lo:hi]
+            pair = amps[self.k[lo:hi]]
+            pair *= conj[self.kp[lo:hi]]
+            cols = weights[lo:hi, :, None] * pair[:, None]
+            ext[a:a + len(block)] += block @ cols.reshape(hi - lo, -1).view(float)
         # fold the points past either end of the grid back onto it
         grid = ext[_SPREAD - 1:_SPREAD - 1 + _GRID]
         grid[:_SPREAD] += ext[_SPREAD - 1 + _GRID:]
         grid[_GRID - _SPREAD + 1:] += ext[:_SPREAD - 1]
-        np.fft.fft(grid.view(complex), axis=0, out=f)
-        return f[self.modes].real * self.deconv[:, None]
+        f = np.fft.fft(grid.view(complex), axis=0, out=grid.view(complex))
+        vals = f.real[self.modes]
+        vals *= self.deconv[:, None]
+        return vals
 
 
 def _phase_sum(m: np.ndarray, phi: np.ndarray, times) -> np.ndarray:
@@ -693,9 +690,11 @@ def mixing_volume_fraction(system: FloquetSystem,
     horizon. Per-state RNG streams derive from (seed, state index), so
     the result is independent of evaluation order.
 
-    One NUFFT plan serves every state. A chunk of states is one sweep of
-    the tail, with the amplitudes c = Z^dagger psi of each state and the
-    weights O_k'k of each observable. Memory holds the plan and one chunk.
+    One NUFFT plan serves every state. A chunk of states, as many as fill
+    the plan's columns with one per observable, is one sweep of the tail
+    with the amplitudes c = Z^dagger psi of each state and the weights
+    O_k'k of each observable. Memory holds the plan, the weights and what
+    one chunk's columns need.
     """
     if not o_set:
         raise ConfigurationError("observable set must not be empty")
@@ -708,24 +707,25 @@ def mixing_volume_fraction(system: FloquetSystem,
         raise ConfigurationError("dimension mismatch")
     times = range(int(np.ceil(0.9 * horizon)), horizon)
     phi = system.quasi_energies
+    # Z^dagger O Z before the plan, so that their transients never meet it;
+    # each is dropped once its O_k'k, one column per observable, is gathered
+    obs_e = [system.to_eigenbasis(o.matrix) for o in o_set]
     plan = _SpreadPlan(phi)
-    # O_k'k for each source of the plan, one column per observable
-    o_pairs = np.stack([system.to_eigenbasis(o.matrix)[plan.kp, plan.k]
-                        for o in o_set], axis=1)
+    o_pairs = np.stack([obs_e.pop(0)[plan.kp, plan.k] for _ in o_set], axis=1)
     per = max(1, plan.columns // len(o_set))
     n_ok = 0
     for first in range(0, n_states, per):
-        # a last, shorter chunk is padded with zero amplitudes
-        v = np.zeros((system.dim, per), dtype=complex)
-        for j, i in enumerate(range(first, min(first + per, n_states))):
-            rng = np.random.default_rng([seed, i])
+        v = np.empty((system.dim, min(per, n_states - first)), dtype=complex)
+        for j in range(v.shape[1]):
+            rng = np.random.default_rng([seed, first + j])
             u = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
             v[:, j] = u / np.linalg.norm(u)
-        worst = np.zeros(per)
+        worst = np.zeros(v.shape[1])
         for _, _, sums in plan.sweep(phi, times, system._z_dag(v), o_pairs):
             worst = np.maximum(worst, np.abs(sums).max(axis=0)
-                               .reshape(len(o_set), per).max(axis=0))
-        n_ok += int(np.count_nonzero(worst[:n_states - first] < tol))
+                               .reshape(len(o_set), -1).max(axis=0))
+            del sums  # before the sweep sums its next group
+        n_ok += int(np.count_nonzero(worst < tol))
     return n_ok / n_states
 
 

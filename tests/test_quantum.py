@@ -177,6 +177,39 @@ def tail_maxima_oracle(system, o_set, n_states, horizon, seed):
     return out
 
 
+def pair_column_sweep_oracle(plan, phi, times, amps, weights):
+    """What `plan.sweep` yields, by the spreading that per-tile amplitude
+    columns replaced: per window, all (sources, q, p) columns w_kk' a_k
+    conj(a_k') formed by two takes and a multiply into one buffer, then
+    one GEMM per tile over that buffer. Returns (len(times), q * p), column
+    j * p + c, for integer `times` in any order."""
+    window, grid, spread = q._WINDOW, q._GRID, q._SPREAD
+    times = np.asarray(times)
+    order = np.argsort(times, kind="stable")
+    ordered = times[order]
+    n, p = weights.shape[0], amps.shape[1]
+    modes = np.arange(-window // 2, window // 2) % grid
+    out = np.empty((len(times), weights.shape[1] * p))
+    lo = 0
+    while lo < len(times):
+        t0 = ordered[lo]
+        hi = int(np.searchsorted(ordered, t0 + window))
+        a = amps * np.exp(-1j * (t0 + window // 2) * phi)[:, None]
+        pair = np.take(a, plan.k, axis=0) * np.take(a.conj(), plan.kp, axis=0)
+        cols = weights[:, :, None] * pair[:, None]
+        flat = cols.reshape(n, -1).view(float)
+        ext = np.zeros((grid + 2 * spread - 1, flat.shape[1]))
+        for start, first, last, block in plan.tiles:
+            ext[start:start + len(block)] += block @ flat[first:last]
+        g = ext[spread - 1:spread - 1 + grid]
+        g[:spread] += ext[spread - 1 + grid:]
+        g[grid - spread + 1:] += ext[:spread - 1]
+        sums = np.fft.fft(g.view(complex), axis=0)[modes].real * plan.deconv[:, None]
+        out[order[lo:hi]] = sums[ordered[lo:hi] - t0]
+        lo = hi
+    return out
+
+
 class TestParamsAndStates:
     def test_even_dim_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -521,6 +554,10 @@ class TestFloquet:
         # _SpreadPlan.sweep is the one loop over NUFFT windows: only it
         # finds window ends and sums a spread, and both relaxation layers
         # go through it
+        def reads_pair_index(node):
+            return any(isinstance(a, ast.Attribute) and a.attr in ("k", "kp")
+                       for a in ast.walk(node))
+
         owners = {}
         for path in sorted(Path(q.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text())
@@ -534,10 +571,23 @@ class TestFloquet:
                     if isinstance(a, ast.Call):
                         name = getattr(a.func, "attr", getattr(a.func, "id", None))
                         owners.setdefault(name, set()).add((path.name, scope))
+                    index = (isinstance(a, ast.Subscript)
+                             and not isinstance(a.slice, ast.Tuple)
+                             and reads_pair_index(a.slice))
+                    take = (isinstance(a, ast.Call)
+                            and getattr(a.func, "attr", None) == "take"
+                            and any(map(reads_pair_index, a.args)))
+                    if index or take:
+                        owners.setdefault(".k/.kp row gather", set()).add(
+                            (path.name, scope))
         assert owners["bisect_left"] == {("quantum.py", "_SpreadPlan.sweep")}
         assert owners["sums"] == {("quantum.py", "_SpreadPlan.sweep")}
         assert owners["sweep"] == {("quantum.py", "_phase_sum"),
                                    ("quantum.py", "mixing_volume_fraction")}
+        # and only sums gathers amplitude rows by the plan's k / kp, one
+        # tile at a time: an index of one axis, or a take, that reads .k or
+        # .kp (the weights' gathers index both axes)
+        assert owners[".k/.kp row gather"] == {("quantum.py", "_SpreadPlan.sums")}
 
     def test_unitary_and_spectrum(self):
         params = q.QuantumParams(dim=65, lam=10.0)
@@ -817,8 +867,9 @@ class TestCorrelationSeries:
         assert np.max(np.abs(got - ref)) <= 1e-10
 
     def test_chunks_of_one_column(self, monkeypatch):
-        # where the sources are many a chunk holds one column; the sums and
-        # the volume fraction do not depend on the chunking
+        # where one column's grid, sums and tile columns pass _CHUNK_BYTES a
+        # chunk holds one column; the sums and the volume fraction do not
+        # depend on the chunking
         rng = np.random.default_rng(5)
         n = 41
         phi = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
@@ -836,6 +887,53 @@ class TestCorrelationSeries:
         assert np.max(np.abs(q._phase_sum(stack, phi, times) - sums)) <= 1e-12
         assert q.mixing_volume_fraction(system, o_set, 150, 30_000, 0.41,
                                         2) == fraction
+
+    def test_amplitude_tiles_match_pair_columns(self):
+        # columns formed per tile from amplitudes against the whole-buffer
+        # pair columns they replaced, on random phases, unit amplitude
+        # columns and complex weights
+        rng = np.random.default_rng(23)
+        window = q._WINDOW
+
+        def check(phi, times, p, n_weights, columns=None):
+            plan = q._SpreadPlan(phi)
+            if columns is not None:
+                plan.columns = columns
+            amps = (rng.normal(size=(len(phi), p))
+                    + 1j * rng.normal(size=(len(phi), p)))
+            amps /= np.linalg.norm(amps, axis=0)
+            weights = (rng.normal(size=(len(plan.k), n_weights))
+                       + 1j * rng.normal(size=(len(plan.k), n_weights)))
+            got = np.full((len(times), n_weights * p), np.nan)
+            for lo, hi, sums in plan.sweep(phi, times, amps, weights):
+                got[lo:hi] = sums
+            ref = pair_column_sweep_oracle(plan, phi, times, amps, weights)
+            assert np.max(np.abs(got - ref)) <= 1e-12
+            return plan
+
+        # phases within 0.3 of each other leave most tiles empty, and their
+        # sources sit at the grid's wrap-around
+        plan = check(np.sort(rng.uniform(0.0, 0.3, 40)),
+                     np.arange(2 * window + 7), 2, 2)
+        assert len(plan.tiles) < q._GRID // q._TILE // 10
+        phi = np.sort(rng.uniform(0.0, 2.0 * np.pi, 45))
+        # 6 columns a window: groups of 10 windows, the last of 3, read
+        # from a range
+        plan = check(phi, range(500_000, 500_000 + 12 * window + 37), 3, 2)
+        assert plan.columns == q._COLUMNS == 64
+        # q p = 6 above a cap of 4: one window per group
+        check(phi, np.r_[np.arange(0, 700), np.arange(5000, 5300), 10 ** 6], 3, 2,
+              columns=4)
+        # unsorted times with repeats go through _phase_sum, which sorts
+        # them: unit amplitudes, one weight column per matrix
+        stack = np.stack([q._offdiag_weights(random_density(45, rng).matrix,
+                                             random_observable(45, rng).matrix)
+                          for _ in range(2)])
+        times = rng.permutation(np.r_[np.arange(2500), 4000, 4000, 10 ** 5])
+        plan = q._SpreadPlan(phi)
+        ref = pair_column_sweep_oracle(plan, phi, times, np.ones((45, 1)),
+                                       stack[:, plan.k, plan.kp].T)
+        assert np.max(np.abs(q._phase_sum(stack, phi, times) - ref.T)) <= 1e-12
 
     def test_phase_sum_without_sources_is_zero(self):
         # N = 1 has no pair k < k'
@@ -977,6 +1075,33 @@ class TestVolumeFraction:
             assert np.any((first < tol) & (worst >= tol))
         assert q.mixing_volume_fraction(system, o_set, 150, horizon, tol,
                                         seed) == expected
+
+    @pytest.mark.parametrize("dim", [257, 513])
+    def test_working_memory_beyond_the_plan(self, dim, monkeypatch):
+        # once the plan exists a call holds the pair weights, one chunk of
+        # states and what scales with its columns (the extended grid, the
+        # sums, one tile's columns): under 8 MiB, which a whole-buffer
+        # chunk of columns took by itself
+        system = q.build_floquet(q.QuantumParams(dim=dim, lam=10.0))
+        o_set = [q.momentum_window_projector(dim, 10.0, 60.0),
+                 q.cos_theta_observable(dim)]
+        held = []
+
+        class Plan(q._SpreadPlan):
+            def __init__(self, phi):
+                super().__init__(phi)
+                held.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+
+        monkeypatch.setattr(q, "_SpreadPlan", Plan)
+        tracemalloc.start()
+        try:
+            q.mixing_volume_fraction(system, o_set, 100, 3000, 1e6, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1
+        assert peak - held[0] < 8 << 20
 
     def test_memory_grows_with_neither_horizon_nor_states(self):
         # tol so loose that every state runs the whole tail; both tails are
