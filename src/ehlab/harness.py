@@ -8,6 +8,7 @@ Reruns with identical config and seed produce byte-identical CSVs.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
@@ -24,6 +25,9 @@ from .errors import ConfigurationError, is_count, is_real, require_count
 REGION_CSV_HEADER = "lambda,mu_A,mu_E,n_samples,threshold,ci_halfwidth"
 # CSV rows formatted per chunk; bounds the Python objects a long CSV holds.
 _CSV_ROWS = 4096
+# glibc's malloc_trim, where the C library has one
+_MALLOC_TRIM = (getattr(ctypes.CDLL(None), "malloc_trim", None)
+                if os.name == "posix" else None)
 
 
 def max_threads() -> int:
@@ -389,6 +393,12 @@ def run(config: ExperimentConfig) -> dict:
     _write_atomic(manifest_path,
                   (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     manifest["manifest_path"] = str(manifest_path)
+    # glibc keeps the pages of arrays freed in the middle of its heap, so the
+    # next experiment in this process would start from this one's holes: the
+    # N = 2049 Floquet build after an N = 1025 one peaked 6 MiB higher or not
+    # with the heap layout. Hand them back once the experiment is done.
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(ctypes.c_size_t(0))
     return manifest
 
 

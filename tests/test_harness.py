@@ -608,6 +608,42 @@ class TestCli:
             env={**os.environ, "PYTHONPATH": path})
         assert proc.stdout == "False\n"
 
+    @pytest.mark.skipif(harness._MALLOC_TRIM is None
+                        or not os.path.exists("/proc/self/smaps"),
+                        reason="needs glibc's malloc_trim and /proc")
+    def test_run_hands_freed_heap_pages_back(self, tmp_path):
+        # 8 MiB of freed arrays below a live block stay resident in glibc's
+        # heap until a run returns them; a fresh process fixes the layout
+        config = write_config(tmp_path, scan_config(tmp_path / "out"))
+        child = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from ehlab import harness\n"
+            "def heap_kib():\n"
+            "    kib, heap = 0, False\n"
+            "    for line in open('/proc/self/smaps'):\n"
+            "        field = line.split()\n"
+            "        if '-' in field[0]:\n"
+            "            heap = field[-1] == '[heap]'\n"
+            "        elif heap and field[0] == 'Rss:':\n"
+            "            kib += int(field[1])\n"
+            "    return kib\n"
+            "big = np.ones(1 << 20)\n"
+            "del big  # lifts glibc's mmap threshold to 8 MiB\n"
+            "holes = [np.ones(1 << 17) for _ in range(8)]\n"
+            "pin = bytearray(1 << 16)\n"
+            "del holes\n"
+            "before = heap_kib()\n"
+            "harness.run(harness.ExperimentConfig.from_file(sys.argv[1]))\n"
+            "print(before - heap_kib())\n")
+        src = str(Path(ehlab.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(config)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path})
+        assert int(proc.stdout) >= 6 * 1024
+
 
 def test_csv_bytes_match_per_value_formatting():
     # one %-string per row writes what format(float(x), ".17g") and str()
