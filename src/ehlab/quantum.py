@@ -91,7 +91,13 @@ def _odd_dim(dim) -> int:
     dense N x N complex array numpy can index."""
     if not is_count(dim) or dim < 1 or dim % 2 == 0:
         raise ConfigurationError(f"dim must be an odd positive integer, got {dim!r}")
-    if 16 * int(dim) ** 2 > np.iinfo(np.intp).max:
+    return _dense_dim(dim)
+
+
+def _dense_dim(dim) -> int:
+    """`dim` if it is a count >= 1 whose dense N x N complex array numpy
+    can index."""
+    if 16 * int(require_count("dim", dim, 1)) ** 2 > np.iinfo(np.intp).max:
         raise ConfigurationError(
             f"dim = {dim} is too large for a dense {dim} x {dim} complex array")
     return dim
@@ -166,12 +172,12 @@ def momentum_eigenstate(dim: int, k: int) -> DensityState:
 
 
 def maximally_mixed(dim: int) -> DensityState:
-    return DensityState(np.eye(require_count("dim", dim, 1)) / dim)
+    return DensityState(np.eye(_dense_dim(dim)) / dim)
 
 
 def haar_random_pure(dim: int, rng: np.random.Generator) -> DensityState:
     """Haar-random pure state from a normalized complex Gaussian vector."""
-    v = rng.normal(size=require_count("dim", dim, 1)) + 1j * rng.normal(size=dim)
+    v = rng.normal(size=_dense_dim(dim)) + 1j * rng.normal(size=dim)
     return pure_state(v)
 
 
@@ -521,14 +527,6 @@ class CorrelationSeries:
         return float(np.max(np.abs(self.cesaro[1:]) * n)) if len(n) else 0.0
 
 
-def _offdiag_weights(rho_e: np.ndarray, obs_e: np.ndarray) -> np.ndarray:
-    """M_kk' = rho_kk' O_k'k with a zero diagonal, rho and O given in the
-    eigenbasis: C_Q(t) = sum_{k,k'} M_kk' exp(-i t (phi_k - phi_k'))."""
-    m = rho_e * obs_e.T
-    np.fill_diagonal(m, 0.0)
-    return m
-
-
 class _SpreadPlan:
     """A type-1 NUFFT of the Hermitian half of an off-diagonal phase sum.
 
@@ -545,10 +543,12 @@ class _SpreadPlan:
     Each tile keeps its dense kernel block over the grid points its
     sources reach, so spreading is one real GEMM per tile over the columns
     it forms from amplitudes and weights. `sweep` is the one loop over
-    windows of times.
+    windows of times. The plan keeps the quasi-energies `phi` whose pairs
+    it spreads, so a sweep cannot be handed phases of another spectrum.
     """
 
     def __init__(self, phi: np.ndarray):
+        self.phi = phi
         k, kp = np.triu_indices(len(phi), 1)
         u = np.mod(phi[k] - phi[kp], 2.0 * np.pi) * (_GRID / (2.0 * np.pi))
         u[u >= _GRID] = 0.0  # np.mod(-tiny, 2 pi) rounds up to 2 pi
@@ -580,8 +580,7 @@ class _SpreadPlan:
         column_bytes = 20 * _GRID + 32 * len(phi) + 48 * int(np.diff(edges).max())
         self.columns = max(1, min(_COLUMNS, _CHUNK_BYTES // column_bytes))
 
-    def sweep(self, phi: np.ndarray, times, amps: np.ndarray,
-              weights: np.ndarray):
+    def sweep(self, times, amps: np.ndarray, weights: np.ndarray):
         """(lo, hi, sums) for each window times[lo:hi] of the ascending
         `times`: those in [t0, t0 + _WINDOW) from t0 = times[lo]. A range is
         read without an array of all its times.
@@ -603,7 +602,7 @@ class _SpreadPlan:
         per = max(1, min(self.columns // (q * p), len(windows)))
         for first in range(0, len(windows), per):
             group = windows[first:first + per]
-            a = np.hstack([amps * np.exp(-1j * (t0 + _WINDOW // 2) * phi)[:, None]
+            a = np.hstack([amps * np.exp(-1j * (t0 + _WINDOW // 2) * self.phi)[:, None]
                            for t0, _, _ in group])
             vals = self.sums(a, weights).reshape(_WINDOW, q, len(group), p)
             for g, (t0, lo, hi) in enumerate(group):
@@ -633,48 +632,33 @@ class _SpreadPlan:
         return vals
 
 
-def _phase_sum(m: np.ndarray, phi: np.ndarray, times) -> np.ndarray:
-    """sum_{k,k'} m_kk' exp(-i t (phi_k - phi_k')) for each t in `times`.
-
-    `m` is one zero-diagonal weight matrix with m_k'k = conj(m_kk') (see
-    _offdiag_weights) or a stack of them, giving one row of sums each.
-    `times` is an integer array or an ascending range. Each matrix is one
-    weight column of a plan sweep with unit amplitudes.
-    """
-    m = np.asarray(m)
-    plan = _SpreadPlan(phi)
-    stack = m.reshape(-1, len(phi), len(phi))
-    w = np.ascontiguousarray(stack[:, plan.k, plan.kp].T)  # (sources, len(stack))
-    order = None
-    if not isinstance(times, range):
-        times = np.asarray(times)
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-    out = np.empty((len(stack), len(times)))
-    for lo, hi, sums in plan.sweep(phi, times, np.ones((len(phi), 1)), w):
-        out[:, lo:hi] = sums.T
-    if order is not None:
-        out[:, order] = out.copy()
-    return out.reshape(m.shape[:-2] + (len(times),))
-
-
 def correlation_series(rho0: DensityState, system: FloquetSystem,
                        obs: ObservableMatrix, horizon: int,
                        allow_degenerate: bool = False) -> CorrelationSeries:
     """C_Q(rho(t), O) for t = 0..horizon-1 with running Cesaro averages.
 
     rho* is the Cesaro-limit state (diagonal part in the eigenbasis), so
-    C_Q reduces to the off-diagonal phase sum, summed by _phase_sum.
+    C_Q(t) = sum_{k != k'} m_kk' exp(-i t (phi_k - phi_k')) with m_kk' =
+    rho_kk' O_k'k in the eigenbasis: one plan sweep with unit amplitudes
+    and m's pairs as its one weight column.
     """
-    require_count("horizon", horizon, 2)
+    if 8 * require_count("horizon", horizon, 2) > np.iinfo(np.intp).max:
+        raise ConfigurationError(
+            f"horizon = {horizon} is too large for an array of {horizon} floats")
     if rho0.dim != system.dim or obs.dim != system.dim:
         raise ConfigurationError("dimension mismatch")
     if system.degeneracy_flags and not allow_degenerate:
         raise DegenerateSpectrumError(system.degeneracy_flags)
+    # Z^dagger rho Z and Z^dagger O Z before the plan, so that their
+    # transients never meet it; m is dropped once its pairs are gathered
+    m = system.to_eigenbasis(rho0.matrix) * system.to_eigenbasis(obs.matrix).T
+    plan = _SpreadPlan(system.quasi_energies)
+    w = m[plan.k, plan.kp][:, None]
+    del m
     times = np.arange(horizon)
-    c_q = _phase_sum(_offdiag_weights(system.to_eigenbasis(rho0.matrix),
-                                      system.to_eigenbasis(obs.matrix)),
-                     system.quasi_energies, times)
+    c_q = np.empty(horizon)
+    for lo, hi, sums in plan.sweep(times, np.ones((system.dim, 1)), w):
+        c_q[lo:hi] = sums[:, 0]
     cesaro = np.cumsum(c_q) / (times + 1)
     return CorrelationSeries(times=times, c_q=c_q, cesaro=cesaro,
                              observable_label=obs.label, state_label="rho0")
@@ -706,11 +690,10 @@ def mixing_volume_fraction(system: FloquetSystem,
     if any(o.dim != system.dim for o in o_set):
         raise ConfigurationError("dimension mismatch")
     times = range(int(np.ceil(0.9 * horizon)), horizon)
-    phi = system.quasi_energies
     # Z^dagger O Z before the plan, so that their transients never meet it;
     # each is dropped once its O_k'k, one column per observable, is gathered
     obs_e = [system.to_eigenbasis(o.matrix) for o in o_set]
-    plan = _SpreadPlan(phi)
+    plan = _SpreadPlan(system.quasi_energies)
     o_pairs = np.stack([obs_e.pop(0)[plan.kp, plan.k] for _ in o_set], axis=1)
     per = max(1, plan.columns // len(o_set))
     n_ok = 0
@@ -721,7 +704,7 @@ def mixing_volume_fraction(system: FloquetSystem,
             u = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
             v[:, j] = u / np.linalg.norm(u)
         worst = np.zeros(v.shape[1])
-        for _, _, sums in plan.sweep(phi, times, system._z_dag(v), o_pairs):
+        for _, _, sums in plan.sweep(times, system._z_dag(v), o_pairs):
             worst = np.maximum(worst, np.abs(sums).max(axis=0)
                                .reshape(len(o_set), -1).max(axis=0))
             del sums  # before the sweep sums its next group

@@ -115,14 +115,24 @@ def test_criterion_04_ergodicity_at_every_lambda():
 TAIL = np.arange(9000, 10_000)
 
 
+def plan_series(m, phi, times):
+    """sum_{k != k'} m_kk' exp(-i t (phi_k - phi_k')) at the ascending
+    `times`, for one weight matrix with m_k'k = conj(m_kk'): one plan sweep
+    with unit amplitudes and m's pairs, in plan order, as its one column."""
+    plan = q._SpreadPlan(phi)
+    out = np.empty(len(times))
+    for lo, hi, sums in plan.sweep(times, np.ones((len(phi), 1)),
+                                   m[plan.k, plan.kp][:, None]):
+        out[lo:hi] = sums[:, 0]
+    return out
+
+
 def _tail_std(system, obs, i):
     rng = np.random.default_rng([42, i])
     v = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
     c = system.eigenbasis.conj().T @ (v / np.linalg.norm(v))
-    return float(np.std(q._phase_sum(
-        q._offdiag_weights(np.outer(c, c.conj()),
-                           system.to_eigenbasis(obs.matrix)),
-        system.quasi_energies, TAIL)))
+    m = np.outer(c, c.conj()) * system.to_eigenbasis(obs.matrix).T
+    return float(np.std(plan_series(m, system.quasi_energies, TAIL)))
 
 
 def _haar_tail_std(system, obs, window):
@@ -177,8 +187,8 @@ def test_criterion_05b_variance_formula():
     predicted = float(np.sum(np.abs(rho_e) ** 2 * np.abs(obs_e) ** 2)
                       - np.sum(np.abs(np.diag(rho_e) * np.diag(obs_e)) ** 2))
     times = np.unique(np.linspace(1e4, 1e6, 6000).astype(np.int64))
-    measured = float(np.var(q._phase_sum(q._offdiag_weights(rho_e, obs_e),
-                                         system.quasi_energies, times)))
+    measured = float(np.var(plan_series(rho_e * obs_e.T,
+                                        system.quasi_energies, times)))
     assert measured == pytest.approx(predicted, rel=0.2)
     report("5b", f"long-time variance {measured:.3e} vs nondegenerate-gap "
                  f"formula {predicted:.3e} (ratio {measured / predicted:.3f})")

@@ -379,6 +379,9 @@ MALFORMED = [
                  id="grid_side-beyond-int64"),
     pytest.param("correlation-series", {**SERIES, "horizon": 10 ** 400}, {},
                  id="horizon-beyond-int64"),
+    # a 64-bit count, but more floats than numpy can index
+    pytest.param("correlation-series", {**SERIES, "horizon": 2**62}, {},
+                 id="horizon-2**62"),
     pytest.param("geometry-check", {"dims": [10 ** 400]}, {},
                  id="dims-entry-beyond-int64"),
     pytest.param("geometry-check", {**GEOMETRY, "ranks_per_dim": 10 ** 400},

@@ -177,24 +177,34 @@ def tail_maxima_oracle(system, o_set, n_states, horizon, seed):
     return out
 
 
-def pair_column_sweep_oracle(plan, phi, times, amps, weights):
+def plan_series(m, phi, times):
+    """sum_{k != k'} m_kk' exp(-i t (phi_k - phi_k')) at the ascending
+    `times`, for one weight matrix with m_k'k = conj(m_kk'): one plan sweep
+    with unit amplitudes and m's pairs, in plan order, as its one column."""
+    plan = q._SpreadPlan(phi)
+    out = np.empty(len(times))
+    for lo, hi, sums in plan.sweep(times, np.ones((len(phi), 1)),
+                                   m[plan.k, plan.kp][:, None]):
+        out[lo:hi] = sums[:, 0]
+    return out
+
+
+def pair_column_sweep_oracle(plan, times, amps, weights):
     """What `plan.sweep` yields, by the spreading that per-tile amplitude
     columns replaced: per window, all (sources, q, p) columns w_kk' a_k
     conj(a_k') formed by two takes and a multiply into one buffer, then
     one GEMM per tile over that buffer. Returns (len(times), q * p), column
-    j * p + c, for integer `times` in any order."""
+    j * p + c, for ascending integer `times`."""
     window, grid, spread = q._WINDOW, q._GRID, q._SPREAD
     times = np.asarray(times)
-    order = np.argsort(times, kind="stable")
-    ordered = times[order]
     n, p = weights.shape[0], amps.shape[1]
     modes = np.arange(-window // 2, window // 2) % grid
     out = np.empty((len(times), weights.shape[1] * p))
     lo = 0
     while lo < len(times):
-        t0 = ordered[lo]
-        hi = int(np.searchsorted(ordered, t0 + window))
-        a = amps * np.exp(-1j * (t0 + window // 2) * phi)[:, None]
+        t0 = times[lo]
+        hi = int(np.searchsorted(times, t0 + window))
+        a = amps * np.exp(-1j * (t0 + window // 2) * plan.phi)[:, None]
         pair = np.take(a, plan.k, axis=0) * np.take(a.conj(), plan.kp, axis=0)
         cols = weights[:, :, None] * pair[:, None]
         flat = cols.reshape(n, -1).view(float)
@@ -205,7 +215,7 @@ def pair_column_sweep_oracle(plan, phi, times, amps, weights):
         g[:spread] += ext[spread - 1 + grid:]
         g[grid - spread + 1:] += ext[:spread - 1]
         sums = np.fft.fft(g.view(complex), axis=0)[modes].real * plan.deconv[:, None]
-        out[order[lo:hi]] = sums[ordered[lo:hi] - t0]
+        out[lo:hi] = sums[times[lo:hi] - t0]
         lo = hi
     return out
 
@@ -582,7 +592,7 @@ class TestFloquet:
                             (path.name, scope))
         assert owners["bisect_left"] == {("quantum.py", "_SpreadPlan.sweep")}
         assert owners["sums"] == {("quantum.py", "_SpreadPlan.sweep")}
-        assert owners["sweep"] == {("quantum.py", "_phase_sum"),
+        assert owners["sweep"] == {("quantum.py", "correlation_series"),
                                    ("quantum.py", "mixing_volume_fraction")}
         # and only sums gathers amplitude rows by the plan's k / kp, one
         # tile at a time: an index of one axis, or a take, that reads .k or
@@ -807,8 +817,7 @@ class TestCorrelationSeries:
         predicted = float(np.sum(np.abs(rho_e) ** 2 * np.abs(obs_e) ** 2)
                           - np.sum(np.abs(np.diag(rho_e) * np.diag(obs_e)) ** 2))
         times = np.unique(np.linspace(1e4, 1e6, 6000).astype(np.int64))
-        c = q._phase_sum(q._offdiag_weights(rho_e, obs_e),
-                         system.quasi_energies, times)
+        c = plan_series(rho_e * obs_e.T, system.quasi_energies, times)
         assert float(np.var(c)) == pytest.approx(predicted, rel=0.2)
 
     def test_preconditions(self):
@@ -834,7 +843,7 @@ class TestCorrelationSeries:
         phi = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
         rho_e = random_density(n, rng).matrix
         obs_e = random_observable(n, rng).matrix
-        m = q._offdiag_weights(rho_e, obs_e)
+        m = rho_e * obs_e.T
         block, window = ORACLE_BLOCK, q._WINDOW
         cases = [np.arange(h) for h in (1, 2, block - 1, block + 1,
                                         3 * block + 37, window - 1, window,
@@ -847,24 +856,24 @@ class TestCorrelationSeries:
                   for k in (1300, 6000)]
         cases += [np.r_[np.arange(0, 700), np.arange(5000, 5300), 10 ** 6],
                   np.arange(100, 5000, 3),
-                  rng.permutation(np.r_[np.arange(2500), 4000, 4000, 10 ** 5])]
+                  np.sort(rng.permutation(
+                      np.r_[np.arange(2500), 4000, 4000, 10 ** 5]))]
         for times in cases:
             ref = offdiag_series_oracle(rho_e, obs_e, phi, times)
-            assert np.max(np.abs(q._phase_sum(m, phi, times) - ref)) <= 1e-10
+            assert np.max(np.abs(plan_series(m, phi, times) - ref)) <= 1e-10
         # a range is read window by window, without an array of all times
         r = range(123_456, 123_456 + 2 * window + 3)
-        assert np.max(np.abs(q._phase_sum(m, phi, r) - offdiag_series_oracle(
+        assert np.max(np.abs(plan_series(m, phi, r) - offdiag_series_oracle(
             rho_e, obs_e, phi, np.arange(r.start, r.stop)))) <= 1e-10
-        # a stack of weight matrices gives one row of sums each
+        # more weight matrices on the same phases, one sweep each
         pairs = [(rho_e, obs_e)] + [(random_density(n, rng).matrix,
                                      random_observable(n, rng).matrix)
                                     for _ in range(2)]
-        stack = np.stack([q._offdiag_weights(*p) for p in pairs])
         times = np.arange(2 * window + 9)
-        ref = np.stack([offdiag_series_oracle(*p, phi, times) for p in pairs])
-        got = q._phase_sum(stack, phi, times)
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-10
+        for rho_p, obs_p in pairs:
+            ref = offdiag_series_oracle(rho_p, obs_p, phi, times)
+            got = plan_series(rho_p * obs_p.T, phi, times)
+            assert np.max(np.abs(got - ref)) <= 1e-10
 
     def test_chunks_of_one_column(self, monkeypatch):
         # where one column's grid, sums and tile columns pass _CHUNK_BYTES a
@@ -873,18 +882,18 @@ class TestCorrelationSeries:
         rng = np.random.default_rng(5)
         n = 41
         phi = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
-        stack = np.stack([q._offdiag_weights(random_density(n, rng).matrix,
-                                             random_observable(n, rng).matrix)
-                          for _ in range(2)])
+        ms = [random_density(n, rng).matrix * random_observable(n, rng).matrix.T
+              for _ in range(2)]
         times = np.arange(3 * q._WINDOW + 5)
         system = q.build_floquet(q.QuantumParams(dim=33, lam=10.0))
         o_set = [q.momentum_window_projector(33, 0.0, 8.0),
                  q.cos_theta_observable(33)]
-        sums = q._phase_sum(stack, phi, times)
+        sums = [plan_series(m, phi, times) for m in ms]
         fraction = q.mixing_volume_fraction(system, o_set, 150, 30_000, 0.41, 2)
         monkeypatch.setattr(q, "_CHUNK_BYTES", 1)
         assert q._SpreadPlan(phi).columns == 1
-        assert np.max(np.abs(q._phase_sum(stack, phi, times) - sums)) <= 1e-12
+        for m, before in zip(ms, sums):
+            assert np.max(np.abs(plan_series(m, phi, times) - before)) <= 1e-12
         assert q.mixing_volume_fraction(system, o_set, 150, 30_000, 0.41,
                                         2) == fraction
 
@@ -905,9 +914,9 @@ class TestCorrelationSeries:
             weights = (rng.normal(size=(len(plan.k), n_weights))
                        + 1j * rng.normal(size=(len(plan.k), n_weights)))
             got = np.full((len(times), n_weights * p), np.nan)
-            for lo, hi, sums in plan.sweep(phi, times, amps, weights):
+            for lo, hi, sums in plan.sweep(times, amps, weights):
                 got[lo:hi] = sums
-            ref = pair_column_sweep_oracle(plan, phi, times, amps, weights)
+            ref = pair_column_sweep_oracle(plan, times, amps, weights)
             assert np.max(np.abs(got - ref)) <= 1e-12
             return plan
 
@@ -924,27 +933,24 @@ class TestCorrelationSeries:
         # q p = 6 above a cap of 4: one window per group
         check(phi, np.r_[np.arange(0, 700), np.arange(5000, 5300), 10 ** 6], 3, 2,
               columns=4)
-        # unsorted times with repeats go through _phase_sum, which sorts
-        # them: unit amplitudes, one weight column per matrix
-        stack = np.stack([q._offdiag_weights(random_density(45, rng).matrix,
-                                             random_observable(45, rng).matrix)
-                          for _ in range(2)])
-        times = rng.permutation(np.r_[np.arange(2500), 4000, 4000, 10 ** 5])
+        # times with repeats, unit amplitudes and one weight matrix's pairs
+        ms = [random_density(45, rng).matrix * random_observable(45, rng).matrix.T
+              for _ in range(2)]
+        times = np.sort(rng.permutation(np.r_[np.arange(2500), 4000, 4000, 10 ** 5]))
         plan = q._SpreadPlan(phi)
-        ref = pair_column_sweep_oracle(plan, phi, times, np.ones((45, 1)),
-                                       stack[:, plan.k, plan.kp].T)
-        assert np.max(np.abs(q._phase_sum(stack, phi, times) - ref.T)) <= 1e-12
+        for m in ms:
+            ref = pair_column_sweep_oracle(plan, times, np.ones((45, 1)),
+                                           m[plan.k, plan.kp][:, None])
+            assert np.max(np.abs(plan_series(m, phi, times) - ref[:, 0])) <= 1e-12
 
     def test_phase_sum_without_sources_is_zero(self):
         # N = 1 has no pair k < k'
         phi = np.array([0.3])
         for times in (np.arange(5), range(10 ** 6, 10 ** 6 + 3000)):
-            out = q._phase_sum(np.zeros((1, 1), complex), phi, times)
+            out = plan_series(np.zeros((1, 1), complex), phi, times)
             assert out.shape == (len(times),) and not out.any()
-        out = q._phase_sum(np.zeros((2, 1, 1), complex), phi, np.arange(7))
-        assert out.shape == (2, 7) and not out.any()
-        assert q._phase_sum(np.zeros((1, 1), complex), phi,
-                            np.arange(0)).shape == (0,)
+        assert plan_series(np.zeros((1, 1), complex), phi,
+                           np.arange(0)).shape == (0,)
 
     def test_phase_sum_on_degenerate_spectrum(self):
         # exact repeats put sources at omega = 0, and phases at both ends of
@@ -955,10 +961,10 @@ class TestCorrelationSeries:
         n = len(phi)
         rho_e = random_density(n, rng).matrix
         obs_e = random_observable(n, rng).matrix
-        m = q._offdiag_weights(rho_e, obs_e)
+        m = rho_e * obs_e.T
         for times in (np.arange(3000), np.arange(999_000, 1_001_100)):
             ref = offdiag_series_oracle(rho_e, obs_e, phi, times)
-            assert np.max(np.abs(q._phase_sum(m, phi, times) - ref)) <= 1e-10
+            assert np.max(np.abs(plan_series(m, phi, times) - ref)) <= 1e-10
 
 
 class TestLocalization:
