@@ -23,7 +23,7 @@ from . import classical, geometry, quantum, transition
 from .errors import ConfigurationError, is_count, is_real, require_count
 
 REGION_CSV_HEADER = "lambda,mu_A,mu_E,n_samples,threshold,ci_halfwidth"
-# CSV rows formatted per chunk; bounds the Python objects a long CSV holds.
+# CSV rows formatted per chunk; bounds the working arrays a long CSV needs.
 _CSV_ROWS = 4096
 # glibc's malloc_trim, where the C library has one
 _MALLOC_TRIM = (getattr(ctypes.CDLL(None), "malloc_trim", None)
@@ -165,36 +165,25 @@ class _Artifacts:
     the whole experiment has computed successfully."""
 
     def __init__(self):
-        self.files: dict[str, bytes] = {}
+        self.files: dict[str, bytes | bytearray] = {}
 
     def add_text(self, name: str, text: str):
         self.files[name] = text.encode()
 
     def add_csv(self, name: str, header: str, columns):
         """One line per row of the equal-length `columns` (arrays or
-        sequences), formatted by one %-string: %.17g (round-trip safe) for
-        a float and %s, i.e. str(), for anything else. Rows are formatted
-        _CSV_ROWS at a time; a column chunk that mixes floats with other
-        values has its floats formatted one by one."""
+        sequences; an array is read as its `tolist()`): '%.17g' % v
+        (round-trip safe) for a float and str(v) for anything else.
+        Rows are formatted _CSV_ROWS at a time by `_csv_rows`."""
         columns = list(columns)
-        chunks = [(header + "\n").encode()]
-        for lo in range(0, len(columns[0]) if columns else 0, _CSV_ROWS):
-            formats, cols = [], []
-            for col in columns:
-                col = col[lo:lo + _CSV_ROWS]
-                col = col.tolist() if isinstance(col, np.ndarray) else list(col)
-                floats = [issubclass(t, float) for t in set(map(type, col))]
-                if all(floats):
-                    formats.append("%.17g")
-                else:
-                    if any(floats):
-                        col = ["%.17g" % v if isinstance(v, float) else v
-                               for v in col]
-                    formats.append("%s")
-                cols.append(col)
-            line = ",".join(formats) + "\n"
-            chunks.append("".join(map(line.__mod__, zip(*cols))).encode())
-        self.files[name] = b"".join(chunks)
+        lengths = [len(col) for col in columns]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"{name}: columns differ in length: {lengths}")
+        # one buffer grown chunk by chunk, not the chunks and then their join
+        blob = bytearray((header + "\n").encode())
+        for lo in range(0, lengths[0] if columns else 0, _CSV_ROWS):
+            blob += memoryview(_csv_rows([col[lo:lo + _CSV_ROWS] for col in columns]))
+        self.files[name] = blob
 
     def add_json(self, name: str, payload):
         self.add_text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -205,6 +194,217 @@ class _Artifacts:
             _write_atomic(out_dir / name, blob)
             checksums[name] = hashlib.sha256(blob).hexdigest()
         return checksums
+
+
+# ------------------------------------------------------------ CSV cells
+#
+# The cells of a column chunk are (text, lengths): row i of the uint8 matrix
+# `text` holds cell i's bytes in its first lengths[i] entries. A number is
+# laid out from its source row of 33 bytes, its 20 decimal digits (zero
+# padded) and then _ASCII, by a table of source columns per layout key.
+
+_ASCII = np.frombuffer(b"0123456789.-e", np.uint8)
+_ZERO, _DOT, _MINUS, _E = 20, 30, 31, 32  # source columns of _ASCII
+# the four ASCII digits of 0 .. 9999
+_QUADS = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48).astype(
+    np.uint8, order="C")
+_POW5 = np.cumprod(np.r_[1, np.full(27, 5)]).astype(np.uint64)  # 5**0 .. 5**27
+_POW10 = np.cumprod(np.full(19, 10, np.uint64))  # 10**1 .. 10**19
+_M32 = 0xFFFF_FFFF
+
+
+def _float_layout() -> tuple[np.ndarray, np.ndarray]:
+    """Source columns and lengths of '%.17g' per key ((X + 10) * 2 +
+    negative) * 17 + kept - 1: the first `kept` of 17 significant digits
+    (source columns 3..19) at %e exponent X in [-10, 12]. X >= 0 prints
+    ddd.ddd, -4 <= X < 0 prints 0.000ddd and X < -4 prints d.ddde-XX."""
+    x = np.arange(-10, 13)[:, None, None, None]
+    neg = np.arange(2)[:, None, None]
+    kept = np.arange(1, 18)[:, None]
+    q = np.arange(23) - neg  # position after the sign
+    d = 3 + q  # digit q
+    zeros = -1 - x  # 0.000ddd: zeros after the point
+    e_at = np.where(kept > 1, kept + 1, 1)  # d.ddde-XX: where e stands
+    big, small = x >= 0, x >= -4
+    src = np.select(
+        [q == -1, big & (q <= x), big & (q == x + 1), big,
+         small & (q == 1), small & (q < 2 + zeros), small,
+         q == 0, (q == 1) & (kept > 1), q < e_at,
+         q == e_at, q == e_at + 1, q == e_at + 2],
+        [_MINUS, d, _DOT, d - 1,
+         _DOT, _ZERO, d - 2 - zeros,
+         d, _DOT, d - 1,
+         _E, _MINUS, _ZERO + (-x) // 10],
+        _ZERO + (-x) % 10)
+    length = neg + np.select(
+        [big, small], [np.maximum(x + 1, kept) + (kept > x + 1), 2 + zeros + kept],
+        e_at + 4)
+    src = np.where(np.arange(23) < length, src, 0)
+    return src.reshape(-1, 23), length.ravel()
+
+
+def _int_layout() -> tuple[np.ndarray, np.ndarray]:
+    """Source columns and lengths of str() per key negative * 20 + n - 1
+    for an int of n digits."""
+    neg = np.arange(2)[:, None, None]
+    n = np.arange(1, 21)[:, None]
+    p = np.arange(21)
+    length = neg + n
+    src = np.where(p < neg, _MINUS, 20 - n + p - neg)
+    return np.where(p < length, src, 0).reshape(-1, 21), length.ravel()
+
+
+_FLOAT_LAYOUT, _INT_LAYOUT = _float_layout(), _int_layout()
+
+
+def _csv_rows(columns) -> np.ndarray:
+    """The bytes of the CSV lines of equal-length column chunks."""
+    cells = [_cells(col) for col in columns]
+    widths = [text.shape[1] + 1 for text, _ in cells]  # and a separator
+    rows = np.empty((len(cells[0][1]), sum(widths)), np.uint8)
+    keep = np.empty(rows.shape, bool)
+    at = 0
+    for (text, lengths), w in zip(cells, widths):
+        rows[:, at:at + w - 1] = text
+        keep[:, at:at + w - 1] = _present(lengths, w - 1)
+        rows[:, at + w - 1] = ord(",")
+        keep[:, at + w - 1] = True
+        at += w
+    rows[:, -1] = ord("\n")
+    return rows[keep]
+
+
+def _present(lengths: np.ndarray, width: int) -> np.ndarray:
+    """Row i: lengths[i] True entries, then False ones, `width` in all."""
+    return (np.arange(width) < np.arange(width + 1)[:, None]).take(lengths, axis=0)
+
+
+def _cells(col):
+    """The cells of one column chunk.
+
+    A float array, read as float64, goes to `_float_cells` and an integer
+    array to `_int_cells`. Any other column is read value by value: its
+    floats and its counts (errors.is_count) go to those two as arrays, and
+    every other value is formatted by str() in `_texts`.
+    """
+    if isinstance(col, np.ndarray) and col.ndim == 1 and col.dtype.kind in "fiu" \
+            and col.dtype.itemsize <= 8:
+        if col.dtype.kind == "f":
+            return _float_cells(col.astype(np.float64, copy=False))
+        return _int_cells(col)
+    vals = col.tolist() if isinstance(col, np.ndarray) else list(col)
+
+    def kind(v):  # 0 a float, 1 an int64 (a count), 2 anything else
+        return 0 if isinstance(v, float) else 2 - is_count(v)
+    kinds = np.fromiter(map(kind, vals), np.int8, len(vals))
+    rows = [np.flatnonzero(kinds == i) for i in range(3)]
+    return _merge(len(vals), [
+        (rows[0], _float_cells(np.array([vals[i] for i in rows[0]], np.float64))),
+        (rows[1], _int_cells(np.array([vals[i] for i in rows[1]], np.int64))),
+        (rows[2], _texts([str(vals[i]) for i in rows[2]]))])
+
+
+def _merge(n: int, parts):
+    """The cells of n rows from (rows, cells) parts."""
+    text = np.zeros((n, max(t.shape[1] for _, (t, _) in parts)), np.uint8)
+    lengths = np.empty(n, np.intp)
+    for rows, (t, l) in parts:
+        text[rows, :t.shape[1]] = t
+        lengths[rows] = l
+    return text, lengths
+
+
+def _texts(strings):
+    """The cells of `strings`, encoded as UTF-8."""
+    blobs = [s.encode() for s in strings]
+    lengths = np.fromiter(map(len, blobs), np.intp, len(blobs))
+    text = np.zeros((len(blobs), lengths.max(initial=0)), np.uint8)
+    text[_present(lengths, text.shape[1])] = np.frombuffer(b"".join(blobs), np.uint8)
+    return text, lengths
+
+
+def _source(u: np.ndarray) -> np.ndarray:
+    """The source rows of the uint64 `u`: 20 ASCII digits each, zero
+    padded, then _ASCII."""
+    quads, rest = np.empty((len(u), 5), np.uint64), u.copy()
+    for j, p in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)):
+        quads[:, j] = rest // p  # the first below 1845
+        rest -= quads[:, j] * p
+    quads[:, 4] = rest
+    src = np.empty((len(u), 33), np.uint8)
+    src[:, :20] = _QUADS.view(np.uint32).take(quads, mode="clip").view(
+        np.uint8).reshape(-1, 20)
+    src[:, 20:] = _ASCII
+    return src
+
+
+def _layout(src: np.ndarray, keys: np.ndarray, layout) -> tuple:
+    """The cells laid out from `src` by the keyed rows of `layout`."""
+    table, lengths = layout
+    idx = table.take(keys, axis=0, mode="clip")
+    idx += np.arange(0, src.size, src.shape[1])[:, None]
+    return src.ravel().take(idx, mode="clip"), lengths[keys]
+
+
+def _int_cells(v: np.ndarray):
+    """str() of each entry of a signed or unsigned integer array."""
+    neg = v < 0
+    mag = v.astype(np.uint64)
+    np.negative(mag, where=neg, out=mag)  # |v|, also of -2**63
+    n = 1 + np.searchsorted(_POW10, mag, side="right")
+    return _layout(_source(mag), neg * 20 + n - 1, _INT_LAYOUT)
+
+
+def _float_cells(x: np.ndarray):
+    """'%.17g' % v of each entry of a float64 array.
+
+    Exact for 1e-10 <= |v| < 1e13, where v * 10**k, k = 16 - floor(log10
+    |v|) in [4, 26], has a 17-digit integer part: with v = m * 2**e for
+    the 53-bit m, that part is m * 5**k >> -(e + k), and 5**27 < 2**63
+    keeps the product in two uint64 words. It is rounded half to even. No
+    double of the domain lies within half a unit of the 17th digit below
+    a power of ten, so none rounds up to 18 digits. Every other entry (0,
+    a subnormal, nan, inf, or too small or large) is formatted by '%.17g'.
+    """
+    a = np.abs(x)
+    ok = (a >= 1e-10) & (a < 1e13)
+    if not ok.all():
+        rows = np.flatnonzero(ok), np.flatnonzero(~ok)
+        return _merge(len(x), [
+            (rows[0], _float_cells(x[rows[0]])),
+            (rows[1], _texts(["%.17g" % v for v in x[rows[1]].tolist()]))])
+    bits = x.view(np.uint64)
+    m = (bits & (2 ** 52 - 1)) | 2 ** 52  # with the implicit leading bit
+    e = (bits >> 52 & 0x7FF).astype(np.int64) - 1075
+    k = 16 - np.floor(np.log10(a)).astype(np.int64)
+    # k from the truncated digits, in [3, 27] at first: log10 may put it one
+    # off next to a power of 10
+    d, up = _scaled(m, e, k)
+    off = (d < 10 ** 16).astype(np.int64) - (d >= 10 ** 17)
+    bad = np.flatnonzero(off)
+    if len(bad):
+        k[bad] += off[bad]
+        d[bad], up[bad] = _scaled(m[bad], e[bad], k[bad])
+    src = _source(d + up)
+    tz = np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)  # trailing zeros
+    keys = ((26 - k) * 2 + (x < 0)) * 17 + 16 - tz  # %e exponent 16 - k
+    return _layout(src, keys, _FLOAT_LAYOUT)
+
+
+def _scaled(m, e, k):
+    """floor(m * 2**e * 10**k) and whether it rounds up, half to even;
+    s = -(e + k) must lie in [1, 63] and m * 5**k >> s below 2**64."""
+    s = (-(e + k)).astype(np.uint64)
+    f = _POW5[k]
+    ml, mh, fl, fh = m & _M32, m >> 32, f & _M32, f >> 32
+    ll = ml * fl
+    mid = ml * fh + mh * fl + (ll >> 32)  # < 2**63 + 2**53 + 2**32
+    lo = mid << 32 | ll & _M32
+    hi = mh * fh + (mid >> 32)
+    d = hi << 64 - s | lo >> s
+    rest = lo & (1 << s) - 1
+    half = 1 << s - 1
+    return d, (rest > half) | (rest == half) & (d & 1 == 1)
 
 
 def _load(path, parse):

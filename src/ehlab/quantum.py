@@ -590,18 +590,19 @@ class _SpreadPlan:
         plan-order (sources, q) `weights` and a column c of the (N, p)
         `amps`. Consecutive windows are summed together, up to
         self.columns columns (one window at least), each window's
-        amplitudes carrying its centre's phase.
+        amplitudes carrying its centre's phase. A group's windows are found
+        as the sweep reaches them, so no list of all windows is held.
         """
-        windows, lo = [], 0
-        while lo < len(times):
-            t0 = int(times[lo])
-            hi = bisect_left(times, t0 + _WINDOW, lo)
-            windows.append((t0, lo, hi))
-            lo = hi
         q, p = weights.shape[1], amps.shape[1]
-        per = max(1, min(self.columns // (q * p), len(windows)))
-        for first in range(0, len(windows), per):
-            group = windows[first:first + per]
+        per = max(1, self.columns // (q * p))
+        end = 0
+        while end < len(times):
+            group = []
+            while end < len(times) and len(group) < per:
+                t0 = int(times[end])
+                hi = bisect_left(times, t0 + _WINDOW, end)
+                group.append((t0, end, hi))
+                end = hi
             a = np.hstack([amps * np.exp(-1j * (t0 + _WINDOW // 2) * self.phi)[:, None]
                            for t0, _, _ in group])
             vals = self.sums(a, weights).reshape(_WINDOW, q, len(group), p)

@@ -5,7 +5,9 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehlab
-from ehlab import cli, harness
+from ehlab import cli, harness, quantum
 from ehlab.errors import ConfigurationError
 
 
@@ -648,26 +650,209 @@ class TestCli:
         assert int(proc.stdout) >= 6 * 1024
 
 
-def test_csv_bytes_match_per_value_formatting():
-    # one %-string per row writes what format(float(x), ".17g") and str()
-    # wrote value by value, also for a column that mixes floats with others
-    floats = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
-              1.7976931348623157e308, 1 / 3]
-    ints = [0, -1, 2 ** 70, 7, True, np.int64(-5), 3]
-    mixed = [1, 0.5, True, np.float64(1 / 3), "x", np.int64(7), -0.0]
+def per_value_csv(header: str, columns) -> bytes:
+    """What add_csv writes, by the per-row loop its array kernel replaced:
+    one %-string per row of each _CSV_ROWS chunk, %.17g for a float and
+    %s for anything else, with the floats of a column chunk that mixes
+    them with other values formatted one by one."""
+    columns = list(columns)
+    chunks = [(header + "\n").encode()]
+    for lo in range(0, len(columns[0]) if columns else 0, harness._CSV_ROWS):
+        formats, cols = [], []
+        for col in columns:
+            col = col[lo:lo + harness._CSV_ROWS]
+            col = col.tolist() if isinstance(col, np.ndarray) else list(col)
+            floats = [issubclass(t, float) for t in set(map(type, col))]
+            if all(floats):
+                formats.append("%.17g")
+            else:
+                if any(floats):
+                    col = ["%.17g" % v if isinstance(v, float) else v
+                           for v in col]
+                formats.append("%s")
+            cols.append(col)
+        line = ",".join(formats) + "\n"
+        chunks.append("".join(map(line.__mod__, zip(*cols))).encode())
+    return b"".join(chunks)
+
+
+def csv_bytes(columns, header="c") -> bytes:
     art = harness._Artifacts()
-    art.add_csv("a.csv", "f,i,m", (floats, ints, mixed))
+    art.add_csv("a.csv", header, columns)
+    return art.files["a.csv"]
+
+
+def test_csv_bytes_match_per_value_formatting():
+    # what format(float(x), ".17g") and str() write value by value, also
+    # for a column that mixes floats with others
+    floats = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+              1.7976931348623157e308, 1 / 3, np.float64(0.1)]
+    ints = [0, -1, 2 ** 70, -2 ** 63, True, np.int64(-5), 3, 2 ** 63]
+    mixed = [1, 0.5, True, np.float64(1 / 3), "x,y", np.float32(0.1),
+             "nul\0", -0.0]
+    got = csv_bytes((floats, ints, mixed), "f,i,m")
 
     def per_value(v):
         return format(float(v), ".17g") if isinstance(v, float) else str(v)
     want = ["f,i,m"] + [",".join(map(per_value, row))
                         for row in zip(floats, ints, mixed)]
-    assert art.files["a.csv"] == ("\n".join(want) + "\n").encode()
+    assert got == ("\n".join(want) + "\n").encode()
+    assert got == per_value_csv("f,i,m", (floats, ints, mixed))
     assert [line.split(",")[0] for line in want[1:]] == [
         "-0", "nan", "inf", "-inf", "4.9406564584124654e-324",
-        "1.7976931348623157e+308", "0.33333333333333331"]
-    art.add_csv("empty.csv", "a,b", ([], []))
-    assert art.files["empty.csv"] == b"a,b\n"
+        "1.7976931348623157e+308", "0.33333333333333331", "0.10000000000000001"]
+    assert b",nul\0\n" in got and b",-5,0.1\n" in got
+    assert csv_bytes(([], []), "a,b") == b"a,b\n"
+    assert csv_bytes((), "a,b") == b"a,b\n"
+
+
+@pytest.mark.parametrize("rows", [1, harness._CSV_ROWS - 1, harness._CSV_ROWS,
+                                  harness._CSV_ROWS + 1, 3 * harness._CSV_ROWS + 7])
+def test_csv_chunks_match_the_per_value_oracle(rows):
+    # columns of every type the harness accepts, over chunk edges: float
+    # and int arrays (with values outside the kernel's domain), float32,
+    # uint64 and bool arrays, and lists mixing floats, ints beyond int64,
+    # bools, numpy scalars and strings with a separator or a NUL in them
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal(rows) * 10.0 ** rng.integers(-14, 17, rows)
+    x[::5] = 0.0
+    x[1::7] = np.nan
+    ints = rng.integers(-2 ** 63, 2 ** 63, rows, dtype=np.int64)
+    ints[::3] //= 10 ** rng.integers(0, 19, len(ints[::3]))
+    pool = [0.25, -1e-11, 3, -2 ** 63, 2 ** 70, True, np.float32(0.1),
+            np.int64(7), np.uint64(2 ** 64 - 1), "a,b", "\0", None, (1, 2)]
+    mixed = [pool[i] for i in rng.integers(0, len(pool), rows)]
+    columns = (np.arange(rows), x, ints, x.astype(np.float32),
+               ints.view(np.uint64), x > 0, mixed, x.tolist(), range(rows))
+    header = ",".join("c%d" % i for i in range(len(columns)))
+    assert csv_bytes(columns, header) == per_value_csv(header, columns)
+
+
+def test_csv_columns_of_unequal_length_are_refused():
+    with pytest.raises(ValueError, match=r"b\.csv: columns differ in length: \[3, 2\]"):
+        harness._Artifacts().add_csv("b.csv", "a,b", ([1, 2, 3], np.ones(2)))
+
+
+def test_every_kind_writes_its_csvs_as_the_per_value_oracle(tmp_path, monkeypatch):
+    written = []
+    add_csv = harness._Artifacts.add_csv
+
+    def checked(self, name, header, columns):
+        columns = list(columns)
+        add_csv(self, name, header, columns)
+        assert self.files[name] == per_value_csv(header, columns), name
+        written.append(name)
+    monkeypatch.setattr(harness._Artifacts, "add_csv", checked)
+    scan = scan_config(tmp_path / "scan", lambdas=(0.0, 0.5, 1.0, 10.0),
+                       grid=16, steps=300)
+    lams = np.linspace(0.0, 2.0, 41)
+    mus = 0.9 * (1.5 * (lams / 0.97) ** 2 - 0.5 * (lams / 0.97) ** 3)
+    rows = [f"{l},{m},{1 - m},1024,0.05,0.01" for l, m in zip(lams, mus)]
+    (tmp_path / "fit.csv").write_text(
+        "\n".join([harness.REGION_CSV_HEADER, *rows]) + "\n")
+    fit = {"kind": "transition-fit",
+           "parameters": {"input_csv": str(tmp_path / "fit.csv")}}
+    series = {**SERIES, "horizon": harness._CSV_ROWS + 100,
+              "state": {"type": "momentum", "k": 0}}
+    configs = [scan, fit] + [{"kind": kind, "parameters": params} for kind, params in (
+        ("quantum-evolve", {**EVOLVE, "dim": 65}), ("correlation-series", series),
+        ("volume-fraction", FRACTION), ("geometry-check", {"dims": [8, 33]}))]
+    for i, config in enumerate(configs):
+        config = {"output_dir": str(tmp_path / str(i)), **config}
+        harness.run(harness.ExperimentConfig.from_dict(config))
+    assert written == ["region_estimates.csv", "momentum_distribution.csv",
+                       "spectrum.csv", "correlation_series.csv",
+                       "geometry_check.csv"]
+
+
+def test_float_kernel_matches_percent_g():
+    # over 10**6 doubles: random mantissas in every binade from 1e-12 to
+    # 1e15 of both signs (past the kernel's domain on either side), every
+    # power of ten and its neighbours, exact ties of the 17th digit, and
+    # the values only the per-cell route formats
+    rng = np.random.default_rng(2024)
+    lo, hi = np.frexp([1e-12, 1e15])[1]
+    binades = np.arange(lo - 1, hi + 1)
+    per = -(-10 ** 6 // len(binades))
+    x = np.ldexp(rng.uniform(0.5, 1.0, (len(binades), per)), binades[:, None]).ravel()
+    x[::2] *= -1
+    tens = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    x = np.concatenate([x, tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+                        -tens, exact_ties(rng), [0.0, -0.0, np.inf, -np.inf, np.nan,
+                        5e-324, -5e-324, 2.2250738585072009e-308,
+                        2.2250738585072014e-308, 1.7976931348623157e308],
+                        rng.uniform(0, 2.2250738585072014e-308, 1000)])
+    assert len(x) >= 10 ** 6
+    got = csv_bytes([x]).split(b"\n")[1:-1]
+    want = ["%.17g" % v for v in x.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w.encode()]
+    assert not bad[:5] and len(got) == len(want)
+
+
+def test_no_double_of_the_float_kernel_domain_rounds_to_18_digits():
+    # a 17-digit value rounds up to 10**17 only from within half a unit of
+    # its 17th digit below a power of ten, and no double of [1e-10, 1e13)
+    # lies there, so the kernel has no carry to make
+    for j in range(-10, 14):
+        power = Decimal(10) ** j
+        below = np.nextafter(float(power), 0) if Decimal(float(power)) >= power \
+            else float(power)
+        assert Decimal(below) < power * (1 - Decimal("5e-18")), j
+
+
+def exact_ties(rng) -> np.ndarray:
+    """Doubles m * 2**e, m odd, whose exact decimal expansion has 18
+    significant digits and ends in 5: half-way between two 17-digit
+    values. With k = -e - 1, these are the odd m with m * 2**e in
+    [10**(16 - k), 10**(17 - k)); every one for e >= -24, at most 5000 a
+    binade above, down to k = 4 (e = -5)."""
+    ties = []
+    for e in range(-27, -4):
+        k = -e - 1
+        first = -(-10 ** (16 - k + 27) * 2 ** -e // 10 ** 27) | 1  # odd, >= the bound
+        last = 10 ** (17 - k + 27) * 2 ** -e // 10 ** 27
+        count = max(0, (last - first) // 2 + 1)
+        odd = (np.arange(count) if count <= 5000
+               else np.unique(rng.integers(0, count, 5000)))
+        ties.append(np.ldexp((first + 2 * odd).astype(np.float64), e))
+    ties = np.concatenate(ties)
+    for v in ties[::97]:
+        digits = Decimal(float(v)).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    return ties
+
+
+def test_int_kernel_matches_str():
+    edges = [0, 1, -1, 2 ** 63 - 1, -2 ** 63, -2 ** 63 + 1]
+    edges += [s * (10 ** j + d) for j in range(19) for d in (-1, 0, 1)
+              for s in (1, -1)]
+    v = np.array(edges, np.int64)
+    want = "c\n" + "".join(f"{i}\n" for i in edges)
+    assert csv_bytes([v]) == csv_bytes([edges]) == want.encode()
+    u = np.array([0, 2 ** 63, 2 ** 64 - 1, 10 ** 19, 10 ** 19 - 1], np.uint64)
+    assert csv_bytes([u]) == ("c\n" + "".join(f"{i}\n" for i in u.tolist())).encode()
+
+
+def test_relax_series_csv_memory():
+    # formatting in chunks keeps the 10**5-row series' peak near the
+    # bytes it writes
+    params = quantum.QuantumParams(dim=257, lam=10.0)
+    system = quantum.build_floquet(params)
+    series = quantum.correlation_series(
+        quantum.momentum_eigenstate(257, 0), system,
+        quantum.momentum_window_projector(257, 10.0, 60.0), 10 ** 5,
+        allow_degenerate=True)
+    columns = (series.times, series.c_q, series.cesaro)
+    art = harness._Artifacts()
+    tracemalloc.start()
+    try:
+        art.add_csv("c.csv", "t,c_q,cesaro", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = len(art.files["c.csv"])
+    assert peak <= 2.5 * size
+    assert art.files["c.csv"] == per_value_csv("t,c_q,cesaro", columns)
 
 
 # ---------------------------------------------------------------- fuzzing

@@ -943,6 +943,23 @@ class TestCorrelationSeries:
                                            m[plan.k, plan.kp][:, None])
             assert np.max(np.abs(plan_series(m, phi, times) - ref[:, 0])) <= 1e-12
 
+    def test_sweep_finds_its_windows_as_it_goes(self):
+        # the first group of a sweep over 10**8 times holds its own window,
+        # not a list of all ~10**5 of them
+        phi = np.sort(np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 5))
+        plan = q._SpreadPlan(phi)
+        plan.columns = 1
+        sweep = plan.sweep(range(0, 10 ** 8), np.ones((5, 1)),
+                           np.ones((len(plan.k), 1), complex))
+        tracemalloc.start()
+        try:
+            lo, hi, sums = next(sweep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (lo, hi, sums.shape) == (0, q._WINDOW, (q._WINDOW, 1))
+        assert peak < 1 << 20
+
     def test_phase_sum_without_sources_is_zero(self):
         # N = 1 has no pair k < k'
         phi = np.array([0.3])
