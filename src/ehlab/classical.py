@@ -343,7 +343,10 @@ def estimate_chaotic_measures(params_list: list[MapParams], grid_side: int,
     integrated orbits of every kick strength form one flat batch, cut
     into contiguous chunks that at most `threads` workers step.
     """
-    require_count("grid_side", grid_side, 16)
+    if 8 * require_count("grid_side", grid_side, 16) ** 2 > np.iinfo(np.intp).max:
+        raise ConfigurationError(
+            f"grid_side = {grid_side} is too large for an array of "
+            f"{grid_side}**2 floats")
     require_count("n_steps", n_steps, 1)
     require_positive("threshold", threshold)
     require_count("threads", threads, 1)

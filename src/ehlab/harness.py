@@ -167,15 +167,19 @@ class _Artifacts:
     def __init__(self):
         self.files: dict[str, bytes | bytearray] = {}
 
-    def add_text(self, name: str, text: str):
-        self.files[name] = text.encode()
-
     def add_csv(self, name: str, header: str, columns):
-        """One line per row of the equal-length `columns` (arrays or
-        sequences; an array is read as its `tolist()`): '%.17g' % v
-        (round-trip safe) for a float and str(v) for anything else.
-        Rows are formatted _CSV_ROWS at a time by `_csv_rows`."""
+        """One line per row of the equal-length `columns`, each a 1-D
+        float or integer numpy array of at most 64 bits: '%.17g' % v
+        (round-trip safe) for a float and str(v) for an integer. Any other
+        column is a TypeError. Rows are formatted _CSV_ROWS at a time by
+        `_csv_rows`."""
         columns = list(columns)
+        for i, col in enumerate(columns):
+            if not (isinstance(col, np.ndarray) and col.ndim == 1
+                    and col.dtype.kind in "fiu" and col.dtype.itemsize <= 8):
+                raise TypeError(f"{name}: column {i} is not a 1-D float or "
+                                f"integer array: {type(col).__name__} "
+                                f"{getattr(col, 'dtype', '')}")
         lengths = [len(col) for col in columns]
         if len(set(lengths)) > 1:
             raise ValueError(f"{name}: columns differ in length: {lengths}")
@@ -186,7 +190,7 @@ class _Artifacts:
         self.files[name] = blob
 
     def add_json(self, name: str, payload):
-        self.add_text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        self.files[name] = _json_bytes(payload)
 
     def write(self, out_dir: Path) -> dict[str, str]:
         checksums = {}
@@ -196,28 +200,32 @@ class _Artifacts:
         return checksums
 
 
+def _json_bytes(payload) -> bytes:
+    """The artifact and manifest encoding of a JSON payload."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
 # ------------------------------------------------------------ CSV cells
 #
-# The cells of a column chunk are (text, lengths): row i of the uint8 matrix
-# `text` holds cell i's bytes in its first lengths[i] entries. A number is
-# laid out from its source row of 33 bytes, its 20 decimal digits (zero
-# padded) and then _ASCII, by a table of source columns per layout key.
+# The cells of a column chunk are the rows of a uint8 matrix, each cell's
+# ASCII bytes padded with NULs, which no cell holds. A float is laid out
+# from its source row of 34 bytes, its 20 decimal digits (zero padded) and
+# then _ASCII, by a table of source columns per layout key.
 
-_ASCII = np.frombuffer(b"0123456789.-e", np.uint8)
-_ZERO, _DOT, _MINUS, _E = 20, 30, 31, 32  # source columns of _ASCII
+_ASCII = np.frombuffer(b"0123456789.-e\0", np.uint8)
+_ZERO, _DOT, _MINUS, _E, _NUL = 20, 30, 31, 32, 33  # source columns of _ASCII
 # the four ASCII digits of 0 .. 9999
 _QUADS = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48).astype(
     np.uint8, order="C")
 _POW5 = np.cumprod(np.r_[1, np.full(27, 5)]).astype(np.uint64)  # 5**0 .. 5**27
-_POW10 = np.cumprod(np.full(19, 10, np.uint64))  # 10**1 .. 10**19
 _M32 = 0xFFFF_FFFF
 
 
-def _float_layout() -> tuple[np.ndarray, np.ndarray]:
-    """Source columns and lengths of '%.17g' per key ((X + 10) * 2 +
-    negative) * 17 + kept - 1: the first `kept` of 17 significant digits
-    (source columns 3..19) at %e exponent X in [-10, 12]. X >= 0 prints
-    ddd.ddd, -4 <= X < 0 prints 0.000ddd and X < -4 prints d.ddde-XX."""
+def _float_layout() -> np.ndarray:
+    """Source columns of '%.17g' per key ((X + 10) * 2 + negative) * 17 +
+    kept - 1: the first `kept` of 17 significant digits (source columns
+    3..19) at %e exponent X in [-10, 12]. X >= 0 prints ddd.ddd, -4 <= X <
+    0 prints 0.000ddd and X < -4 prints d.ddde-XX."""
     x = np.arange(-10, 13)[:, None, None, None]
     neg = np.arange(2)[:, None, None]
     kept = np.arange(1, 18)[:, None]
@@ -239,88 +247,30 @@ def _float_layout() -> tuple[np.ndarray, np.ndarray]:
     length = neg + np.select(
         [big, small], [np.maximum(x + 1, kept) + (kept > x + 1), 2 + zeros + kept],
         e_at + 4)
-    src = np.where(np.arange(23) < length, src, 0)
-    return src.reshape(-1, 23), length.ravel()
+    return np.where(np.arange(23) < length, src, _NUL).reshape(-1, 23)
 
 
-def _int_layout() -> tuple[np.ndarray, np.ndarray]:
-    """Source columns and lengths of str() per key negative * 20 + n - 1
-    for an int of n digits."""
-    neg = np.arange(2)[:, None, None]
-    n = np.arange(1, 21)[:, None]
-    p = np.arange(21)
-    length = neg + n
-    src = np.where(p < neg, _MINUS, 20 - n + p - neg)
-    return np.where(p < length, src, 0).reshape(-1, 21), length.ravel()
-
-
-_FLOAT_LAYOUT, _INT_LAYOUT = _float_layout(), _int_layout()
+_FLOAT_LAYOUT = _float_layout()
 
 
 def _csv_rows(columns) -> np.ndarray:
     """The bytes of the CSV lines of equal-length column chunks."""
     cells = [_cells(col) for col in columns]
-    widths = [text.shape[1] + 1 for text, _ in cells]  # and a separator
-    rows = np.empty((len(cells[0][1]), sum(widths)), np.uint8)
-    keep = np.empty(rows.shape, bool)
+    rows = np.empty((len(cells[0]), sum(c.shape[1] + 1 for c in cells)), np.uint8)
     at = 0
-    for (text, lengths), w in zip(cells, widths):
-        rows[:, at:at + w - 1] = text
-        keep[:, at:at + w - 1] = _present(lengths, w - 1)
-        rows[:, at + w - 1] = ord(",")
-        keep[:, at + w - 1] = True
-        at += w
+    for c in cells:
+        rows[:, at:at + c.shape[1]] = c
+        at += c.shape[1] + 1
+        rows[:, at - 1] = ord(",")
     rows[:, -1] = ord("\n")
-    return rows[keep]
+    return rows[rows != 0]
 
 
-def _present(lengths: np.ndarray, width: int) -> np.ndarray:
-    """Row i: lengths[i] True entries, then False ones, `width` in all."""
-    return (np.arange(width) < np.arange(width + 1)[:, None]).take(lengths, axis=0)
-
-
-def _cells(col):
-    """The cells of one column chunk.
-
-    A float array, read as float64, goes to `_float_cells` and an integer
-    array to `_int_cells`. Any other column is read value by value: its
-    floats and its counts (errors.is_count) go to those two as arrays, and
-    every other value is formatted by str() in `_texts`.
-    """
-    if isinstance(col, np.ndarray) and col.ndim == 1 and col.dtype.kind in "fiu" \
-            and col.dtype.itemsize <= 8:
-        if col.dtype.kind == "f":
-            return _float_cells(col.astype(np.float64, copy=False))
-        return _int_cells(col)
-    vals = col.tolist() if isinstance(col, np.ndarray) else list(col)
-
-    def kind(v):  # 0 a float, 1 an int64 (a count), 2 anything else
-        return 0 if isinstance(v, float) else 2 - is_count(v)
-    kinds = np.fromiter(map(kind, vals), np.int8, len(vals))
-    rows = [np.flatnonzero(kinds == i) for i in range(3)]
-    return _merge(len(vals), [
-        (rows[0], _float_cells(np.array([vals[i] for i in rows[0]], np.float64))),
-        (rows[1], _int_cells(np.array([vals[i] for i in rows[1]], np.int64))),
-        (rows[2], _texts([str(vals[i]) for i in rows[2]]))])
-
-
-def _merge(n: int, parts):
-    """The cells of n rows from (rows, cells) parts."""
-    text = np.zeros((n, max(t.shape[1] for _, (t, _) in parts)), np.uint8)
-    lengths = np.empty(n, np.intp)
-    for rows, (t, l) in parts:
-        text[rows, :t.shape[1]] = t
-        lengths[rows] = l
-    return text, lengths
-
-
-def _texts(strings):
-    """The cells of `strings`, encoded as UTF-8."""
-    blobs = [s.encode() for s in strings]
-    lengths = np.fromiter(map(len, blobs), np.intp, len(blobs))
-    text = np.zeros((len(blobs), lengths.max(initial=0)), np.uint8)
-    text[_present(lengths, text.shape[1])] = np.frombuffer(b"".join(blobs), np.uint8)
-    return text, lengths
+def _cells(col: np.ndarray) -> np.ndarray:
+    """The cells of one column chunk: a float array is read as float64."""
+    if col.dtype.kind == "f":
+        return _float_cells(col.astype(np.float64, copy=False))
+    return _int_cells(col)
 
 
 def _source(u: np.ndarray) -> np.ndarray:
@@ -331,31 +281,29 @@ def _source(u: np.ndarray) -> np.ndarray:
         quads[:, j] = rest // p  # the first below 1845
         rest -= quads[:, j] * p
     quads[:, 4] = rest
-    src = np.empty((len(u), 33), np.uint8)
+    src = np.empty((len(u), 34), np.uint8)
     src[:, :20] = _QUADS.view(np.uint32).take(quads, mode="clip").view(
         np.uint8).reshape(-1, 20)
     src[:, 20:] = _ASCII
     return src
 
 
-def _layout(src: np.ndarray, keys: np.ndarray, layout) -> tuple:
-    """The cells laid out from `src` by the keyed rows of `layout`."""
-    table, lengths = layout
-    idx = table.take(keys, axis=0, mode="clip")
-    idx += np.arange(0, src.size, src.shape[1])[:, None]
-    return src.ravel().take(idx, mode="clip"), lengths[keys]
-
-
-def _int_cells(v: np.ndarray):
-    """str() of each entry of a signed or unsigned integer array."""
+def _int_cells(v: np.ndarray) -> np.ndarray:
+    """str() of each entry of a signed or unsigned integer array: a sign
+    column, then the 20 zero-padded digits of |v| with its leading zeros
+    (all but the last digit's) set to NUL."""
     neg = v < 0
     mag = v.astype(np.uint64)
     np.negative(mag, where=neg, out=mag)  # |v|, also of -2**63
-    n = 1 + np.searchsorted(_POW10, mag, side="right")
-    return _layout(_source(mag), neg * 20 + n - 1, _INT_LAYOUT)
+    cells = np.empty((len(v), 21), np.uint8)
+    cells[:, 0] = neg * np.uint8(ord("-"))
+    cells[:, 1:] = _source(mag)[:, :20]
+    lead = cells[:, 1:20]
+    np.copyto(lead, 0, where=np.logical_and.accumulate(lead == ord("0"), axis=1))
+    return cells
 
 
-def _float_cells(x: np.ndarray):
+def _float_cells(x: np.ndarray) -> np.ndarray:
     """'%.17g' % v of each entry of a float64 array.
 
     Exact for 1e-10 <= |v| < 1e13, where v * 10**k, k = 16 - floor(log10
@@ -369,10 +317,12 @@ def _float_cells(x: np.ndarray):
     a = np.abs(x)
     ok = (a >= 1e-10) & (a < 1e13)
     if not ok.all():
-        rows = np.flatnonzero(ok), np.flatnonzero(~ok)
-        return _merge(len(x), [
-            (rows[0], _float_cells(x[rows[0]])),
-            (rows[1], _texts(["%.17g" % v for v in x[rows[1]].tolist()]))])
+        kernel = _float_cells(x[ok])
+        text = np.array(["%.17g" % v for v in x[~ok].tolist()], "S")
+        cells = np.zeros((len(x), max(kernel.shape[1], text.itemsize)), np.uint8)
+        cells[ok, :kernel.shape[1]] = kernel
+        cells[~ok, :text.itemsize] = text.view(np.uint8).reshape(len(text), -1)
+        return cells
     bits = x.view(np.uint64)
     m = (bits & (2 ** 52 - 1)) | 2 ** 52  # with the implicit leading bit
     e = (bits >> 52 & 0x7FF).astype(np.int64) - 1075
@@ -388,7 +338,9 @@ def _float_cells(x: np.ndarray):
     src = _source(d + up)
     tz = np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)  # trailing zeros
     keys = ((26 - k) * 2 + (x < 0)) * 17 + 16 - tz  # %e exponent 16 - k
-    return _layout(src, keys, _FLOAT_LAYOUT)
+    idx = _FLOAT_LAYOUT.take(keys, axis=0, mode="clip")
+    idx += np.arange(0, src.size, src.shape[1])[:, None]
+    return src.ravel().take(idx, mode="clip")
 
 
 def _scaled(m, e, k):
@@ -439,9 +391,9 @@ def _run_classical_scan(p: dict, seed: int, art: _Artifacts):
     estimates = classical.estimate_chaotic_measures(
         param_list, p["grid_side"], p["n_steps"], p["threshold"],
         threads=max_threads())
-    art.add_csv("region_estimates.csv", REGION_CSV_HEADER,
-                zip(*[(est.lam, est.mu_A, est.mu_E, est.n_samples,
-                       est.threshold, est.ci_halfwidth) for est in estimates]))
+    art.add_csv("region_estimates.csv", REGION_CSV_HEADER, [
+        np.array([getattr(est, key) for est in estimates])
+        for key in ("lam", "mu_A", "mu_E", "n_samples", "threshold", "ci_halfwidth")])
 
 
 def read_region_csv(path) -> list[tuple[float, float, float]]:
@@ -482,9 +434,9 @@ def _run_quantum_evolve(p: dict, seed: int, art: _Artifacts):
     probs /= probs.sum()
     dist = list(zip(ladder.tolist(), probs.tolist()))
     fit = quantum.localization_fit(dist)
-    art.add_csv("momentum_distribution.csv", "k,p", zip(*dist))
+    art.add_csv("momentum_distribution.csv", "k,p", (ladder, probs))
     art.add_csv("spectrum.csv", "k,phi_k",
-                (range(qp.dim), system.quasi_energies))
+                (np.arange(qp.dim), system.quasi_energies))
     art.add_json("localization.json", {
         "length": fit.length if np.isfinite(fit.length) else "inf",
         "slope": fit.slope, "intercept": fit.intercept,
@@ -537,8 +489,9 @@ def _run_geometry_check(p: dict, seed: int, art: _Artifacts):
         for mu in ranks:
             proj = geometry.RegionProjector(dim=n, indices=tuple(range(mu)))
             check = geometry.verify_theorem2(proj)
-            rows.append((n, mu, float(check.d_squared), float(check.residual)))
-    art.add_csv("geometry_check.csv", "N,mu,d2,residual", zip(*rows))
+            rows.append((n, mu, check.d_squared, check.residual))
+    art.add_csv("geometry_check.csv", "N,mu,d2,residual",
+                [np.array(col) for col in zip(*rows)])
 
 
 # kind -> (runner, parameter table); runners index the validated table
@@ -565,15 +518,20 @@ KINDS = tuple(_KINDS)
 def run(config: ExperimentConfig) -> dict:
     """Execute one experiment and write its artifacts plus a manifest.
 
-    All artifacts are computed in memory first, so an invalid config or
-    a numeric failure never leaves partial output files behind. Any old
-    manifest is removed before the first write and each file is replaced
-    whole, so `manifest.json` is present only after a complete write.
+    All artifacts are computed in memory first, so an invalid config, a
+    numeric failure or running out of memory (a ConfigurationError) never
+    leaves partial output files behind. Any old manifest is removed before
+    the first write and each file is replaced whole, so `manifest.json` is
+    present only after a complete write.
     """
     runner, table = _KINDS[config.kind]
     art = _Artifacts()
     start = time.perf_counter()
-    runner(_read(config.parameters, table, "parameters"), config.seed, art)
+    try:
+        runner(_read(config.parameters, table, "parameters"), config.seed, art)
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too
+        raise ConfigurationError(f"{config.kind} ran out of memory: "
+                                 f"{str(exc) or 'MemoryError'}") from exc
     wall = time.perf_counter() - start
     out_dir = Path(config.output_dir)
     manifest_path = out_dir / "manifest.json"
@@ -590,8 +548,7 @@ def run(config: ExperimentConfig) -> dict:
         "artifacts": checksums,
         "wall_time_s": wall,
     }
-    _write_atomic(manifest_path,
-                  (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    _write_atomic(manifest_path, _json_bytes(manifest))
     manifest["manifest_path"] = str(manifest_path)
     # glibc keeps the pages of arrays freed in the middle of its heap, so the
     # next experiment in this process would start from this one's holes: the

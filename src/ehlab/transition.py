@@ -160,7 +160,8 @@ class FitResult:
 
 
 def _fit_objective(lc, lams, mus, weights, eps_factor):
-    """Mean weighted square residual at a candidate lambda_c.
+    """Mean weighted square residual at a candidate lambda_c, with mu_c,
+    the window's point count and its unweighted residual sum of squares.
 
     mu_c is solved in closed form (it enters linearly). The objective is
     normalized per point so windows of different sizes are comparable.
@@ -176,10 +177,11 @@ def _fit_objective(lc, lams, mus, weights, eps_factor):
     y = mus[mask]
     denom = float(np.sum(w * f * f))
     if mask.sum() < min_points or denom <= 0.0:
-        return np.inf, np.nan, 0
+        return np.inf, np.nan, 0, np.nan
     mu_c = float(np.sum(w * f * y) / denom)
     r = y - mu_c * f
-    return float(np.sum(w * r * r)) / mask.sum(), mu_c, int(mask.sum())
+    return (float(np.sum(w * r * r)) / mask.sum(), mu_c, int(mask.sum()),
+            float(np.sum(r * r)))
 
 
 def fit_transition(samples: Sequence[tuple[float, float, float]],
@@ -237,16 +239,12 @@ def fit_transition(samples: Sequence[tuple[float, float, float]],
             d = a + invphi * (b - a)
             fd = _fit_objective(d, lams, mus, weights, eps_factor)[0]
     lc = 0.5 * (a + b)
-    obj, mu_c, n_used = _fit_objective(lc, lams, mus, weights, eps_factor)
+    obj, mu_c, n_used, rss = _fit_objective(lc, lams, mus, weights, eps_factor)
     if not np.isfinite(obj) or obj > values[best]:
         # refinement wandered onto an inadmissible plateau; keep the scan result
         lc = float(grid[best])
-        obj, mu_c, n_used = _fit_objective(lc, lams, mus, weights, eps_factor)
+        obj, mu_c, n_used, rss = _fit_objective(lc, lams, mus, weights, eps_factor)
     if not np.isfinite(obj):
         raise SingularFitError("no admissible fit window")
-    hi = (1.0 + eps_factor) * lc
-    window = lams <= hi
-    resid = mus[window] - mu_c * _shape(lams[window] / lc)
-    return FitResult(lambda_c=float(lc), mu_c=mu_c,
-                     rss=float(np.sum(resid * resid)), n_points=n_used,
-                     fit_window=(0.0, float(hi)))
+    return FitResult(lambda_c=float(lc), mu_c=mu_c, rss=rss, n_points=n_used,
+                     fit_window=(0.0, float((1.0 + eps_factor) * lc)))

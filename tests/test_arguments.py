@@ -89,8 +89,9 @@ OPTIONAL = {(tr.cubic_transition, "eps")}
 # more malformed values of one argument, besides BAD: a ladder dimension
 # is odd and small enough for numpy to index a dense N x N complex array
 # (these two are refused before anything is allocated), a state's dimension
-# is held to the same size, a series' horizon to an array numpy can index,
-# hbar is positive, and projector indices are counts, never strings
+# is held to the same size, a series' horizon and a scan's grid to an array
+# numpy can index, hbar is positive, and projector indices are counts,
+# never strings
 LADDER = [q.QuantumParams, q.momentum_window_projector, q.momentum_ladder,
           q.cos_theta_observable, q.l_squared_observable,
           q.momentum_eigenstate]
@@ -98,6 +99,7 @@ MORE = {**{(entry, "dim"): [4, 2.5, 2**62 + 1, 2**31 + 1] for entry in LADDER},
         **{(entry, "dim"): [2**62] for entry in
            (q.maximally_mixed, q.haar_random_pure)},
         (q.correlation_series, "horizon"): [2**62],
+        (cl.estimate_chaotic_measures, "grid_side"): [2**31],
         **{(entry, "hbar"): [-1, "x"] for entry in
            (q.momentum_window_projector, q.l_squared_observable)},
         (ge.RegionProjector, "indices"): [("3",), (2.5,), (True,),
