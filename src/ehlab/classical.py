@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import hypot, isfinite
 
 import numpy as np
 
@@ -32,9 +31,13 @@ DEFAULT_THRESHOLD = 0.05
 # work, few enough that a chunk's eleven arrays stay near a megabyte.
 _CHUNK_ORBITS = 12288
 
-# Steps between renormalizations of a scan's tangent vectors, for orbits
-# whose growth over a block cannot leave the range of the squared norm.
+# Steps between renormalizations of a scan's tangent vectors.
 _BLOCK = 8
+# The Jacobian's absolute entries sum to at most 2 + tau + lam (1 + tau)
+# and its determinant is 1, so a unit tangent vector's image after m steps
+# has norm within [bound**-m, bound**m]. MapParams holds the bound below
+# the _BLOCK-th root of 1e150, where a block's squared norm stays in range.
+_MAX_ROW_SUM = 1e150 ** (1.0 / _BLOCK)
 
 
 def _wrap(x):
@@ -81,21 +84,6 @@ def _cos_from_sin(theta, s, tmp):
     np.copysign(s, tmp, out=s)
 
 
-def _needs_hypot(lam, tau):
-    """Where a unit tangent vector's image after _BLOCK steps may square
-    out of range.
-
-    The Jacobian's absolute entries sum to at most 2 + tau + lam (1 + tau)
-    and its determinant is 1, so the image of a unit vector after m steps
-    has norm within [bound**-m, bound**m]: while bound**_BLOCK is below
-    1e150 its squares neither overflow nor underflow, above it only a
-    hypot every step is safe. The bound is compared with the _BLOCK-th
-    root of 1e150, as its power can overflow.
-    """
-    with np.errstate(over="ignore"):  # an infinite bound is huge too
-        return 2.0 + tau + lam * (1.0 + tau) >= 1e150 ** (1.0 / _BLOCK)
-
-
 def _advance(theta, p, lam: float, tau: float):
     """One standard-map step on scalars or arrays of torus coordinates.
 
@@ -139,14 +127,12 @@ class MapParams:
             raise ConfigurationError(f"kick strength must be >= 0, got {self.lam}")
         if self.tau <= 0:
             raise ConfigurationError(f"kick period must be > 0, got {self.tau}")
-        # the angle update adds tau * p with |p| < 2 pi, and the tangent
-        # image of a unit vector has components bounded by the Jacobian's
-        # row sums 1 + tau (1 + lam) and 1 + lam: all must stay finite
-        if not (isfinite(TWO_PI * (1.0 + self.tau))
-                and isfinite(hypot(1.0 + self.tau * (1.0 + self.lam),
-                                   1.0 + self.lam))):
+        # on Python floats, as a numpy scalar warns where it overflows
+        lam, tau = float(self.lam), float(self.tau)
+        if 2.0 + tau + lam * (1.0 + tau) >= _MAX_ROW_SUM:
             raise ConfigurationError(
-                f"lam = {self.lam}, tau = {self.tau} overflow the map")
+                f"lam = {lam}, tau = {tau} overflow the map: "
+                f"2 + tau + lam (1 + tau) must be below {_MAX_ROW_SUM:.4g}")
 
 
 @dataclass(frozen=True)
@@ -195,22 +181,19 @@ def _lyapunov_batch(theta, p, lam, tau, n_steps: int):
 
     lam and tau are scalars or per-point arrays; `lam * x` is the same
     IEEE product either way, so an orbit's exponent does not depend on
-    the batch it runs in, as long as the batch does not mix orbits on
-    the two sides of :func:`_needs_hypot`. Coordinates are kept centred
-    in [-pi, pi], so the batch commutes with the inversion
-    (theta, p) -> (-theta, -p) bit for bit: sin is odd, and the cos of
-    the tangent map, taken from that sin by :func:`_cos_from_sin`, even.
-    The tangent map is linear, so the log of a block's growth is the sum
-    of its steps' logs (Benettin et al., Meccanica 15, 9, 1980): tangent
-    vectors are renormalized, and one log taken, every _BLOCK steps, or
-    every step with hypot where _needs_hypot holds. Blocks are counted
-    back from step LYAPUNOV_TRANSIENT, whose iterations are discarded
-    before accumulating; the last block may be short. theta and p are
-    float arrays, stepped in place and left overwritten; every per-step
+    the batch it runs in. Coordinates are kept centred in [-pi, pi], so
+    the batch commutes with the inversion (theta, p) -> (-theta, -p) bit
+    for bit: sin is odd, and the cos of the tangent map, taken from that
+    sin by :func:`_cos_from_sin`, even. The tangent map is linear, so the
+    log of a block's growth is the sum of its steps' logs (Benettin et
+    al., Meccanica 15, 9, 1980): tangent vectors are renormalized, and
+    one log taken, every _BLOCK steps; the row-sum bound of MapParams
+    keeps a block's squared norm in range. Blocks are counted back from
+    step LYAPUNOV_TRANSIENT, whose iterations are discarded before
+    accumulating; the last block may be short. theta and p are float
+    arrays, stepped in place and left overwritten; every per-step
     temporary lives in a buffer allocated once per call.
     """
-    use_hypot = bool(np.any(_needs_hypot(lam, tau)))
-    block = 1 if use_hypot else _BLOCK
     v_theta = np.ones_like(theta)
     v_p = np.zeros_like(theta)
     log_sum = np.zeros_like(theta)
@@ -237,16 +220,13 @@ def _lyapunov_batch(theta, p, lam, tau, n_steps: int):
         np.multiply(tau, p, out=tmp)
         np.add(theta, tmp, out=theta)
         _centre(theta, tmp)
-        if (i - LYAPUNOV_TRANSIENT) % block and i < end:
+        if (i - LYAPUNOV_TRANSIENT) % _BLOCK and i < end:
             continue
         # c is free now and takes the norm of v
-        if use_hypot:
-            np.hypot(v_theta, v_p, out=c)
-        else:
-            np.multiply(v_theta, v_theta, out=c)
-            np.multiply(v_p, v_p, out=tmp)
-            np.add(c, tmp, out=c)
-            np.sqrt(c, out=c)
+        np.multiply(v_theta, v_theta, out=c)
+        np.multiply(v_p, v_p, out=tmp)
+        np.add(c, tmp, out=c)
+        np.sqrt(c, out=c)
         np.divide(v_theta, c, out=v_theta)
         np.divide(v_p, c, out=v_p)
         if i > LYAPUNOV_TRANSIENT:
@@ -292,27 +272,19 @@ def _centred_grid(grid_side: int):
     return theta.ravel(), p.ravel()
 
 
-def _chunks(n_lambdas: int, n_hypot: int, n_own: int, threads: int):
+def _chunks(n_lambdas: int, n_own: int, threads: int):
     """(workers, chunks) for a sweep of n_lambdas x n_own orbits.
 
-    The flat sweep holds n_own orbits per kick strength, and its last
-    n_hypot kick strengths need the hypot norm. Each norm group is cut
-    into balanced contiguous [start, stop) chunks of at most about
-    _CHUNK_ORBITS orbits, so no chunk mixes the groups; the chunk count
-    of a group is a multiple of the worker count, which is at most one
-    per kick strength.
+    The flat sweep holds n_own orbits per kick strength. It is cut into
+    balanced contiguous [start, stop) chunks of at most about
+    _CHUNK_ORBITS orbits; the chunk count is a multiple of the worker
+    count, which is at most one per kick strength.
     """
     workers = min(threads, n_lambdas)
-    chunks = []
-    split = (n_lambdas - n_hypot) * n_own
-    for lo, hi in ((0, split), (split, n_lambdas * n_own)):
-        n = hi - lo
-        if n == 0:
-            continue
-        k = min(n, workers * -(-n // (workers * _CHUNK_ORBITS)))
-        bounds = [lo + n * i // k for i in range(k + 1)]
-        chunks += zip(bounds, bounds[1:])
-    return workers, chunks
+    n = n_lambdas * n_own
+    k = min(n, workers * -(-n // (workers * _CHUNK_ORBITS)))
+    bounds = [n * i // k for i in range(k + 1)]
+    return workers, list(zip(bounds, bounds[1:]))
 
 
 def _region_estimate(lam: float, exponents, threshold: float) -> RegionEstimate:
@@ -340,8 +312,8 @@ def estimate_chaotic_measures(params_list: list[MapParams], grid_side: int,
     reversed is its mirror image. One orbit of each pair of exact
     negatives is integrated and its exponent copied to the partner; a
     point whose negative is off the grid is integrated itself. The
-    integrated orbits of every kick strength form one flat batch, cut
-    into contiguous chunks that at most `threads` workers step.
+    orbits of every kick strength, in the sweep's order, form one flat
+    batch, cut into contiguous chunks that at most `threads` workers step.
     """
     if 8 * require_count("grid_side", grid_side, 16) ** 2 > np.iinfo(np.intp).max:
         raise ConfigurationError(
@@ -357,14 +329,10 @@ def estimate_chaotic_measures(params_list: list[MapParams], grid_side: int,
     own = (theta != -theta[::-1]) | (p != -p[::-1]) | (np.arange(n) < n // 2)
     theta, p = theta[own], p[own]
     n_own = theta.size
-    # kick strengths that need the hypot norm go last, so that the
-    # contiguous chunks can keep the two norms apart
-    by_hypot = [bool(_needs_hypot(mp.lam, mp.tau)) for mp in params_list]
-    order = sorted(range(len(params_list)), key=by_hypot.__getitem__)
-    lam = np.array([params_list[j].lam for j in order])
-    tau = np.array([params_list[j].tau for j in order])
-    workers, chunks = _chunks(len(order), sum(by_hypot), n_own, threads)
-    flat = np.empty(len(order) * n_own)
+    lam = np.array([mp.lam for mp in params_list])
+    tau = np.array([mp.tau for mp in params_list])
+    workers, chunks = _chunks(len(params_list), n_own, threads)
+    flat = np.empty(len(params_list) * n_own)
 
     def step(chunk):
         start, stop = chunk
@@ -378,13 +346,12 @@ def estimate_chaotic_measures(params_list: list[MapParams], grid_side: int,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(step, chunks))
-    estimates = [None] * len(order)
+    estimates = []
     exponents = np.empty(n)
-    for row, j in enumerate(order):
+    for row, mp in enumerate(params_list):
         exponents[own] = flat[row * n_own:(row + 1) * n_own]
-        estimates[j] = _region_estimate(
-            params_list[j].lam, np.where(own, exponents, exponents[::-1]),
-            threshold)
+        estimates.append(_region_estimate(
+            mp.lam, np.where(own, exponents, exponents[::-1]), threshold))
     return estimates
 
 

@@ -224,30 +224,24 @@ _M32 = 0xFFFF_FFFF
 def _float_layout() -> np.ndarray:
     """Source columns of '%.17g' per key ((X + 10) * 2 + negative) * 17 +
     kept - 1: the first `kept` of 17 significant digits (source columns
-    3..19) at %e exponent X in [-10, 12]. X >= 0 prints ddd.ddd, -4 <= X <
-    0 prints 0.000ddd and X < -4 prints d.ddde-XX."""
-    x = np.arange(-10, 13)[:, None, None, None]
-    neg = np.arange(2)[:, None, None]
-    kept = np.arange(1, 18)[:, None]
-    q = np.arange(23) - neg  # position after the sign
-    d = 3 + q  # digit q
-    zeros = -1 - x  # 0.000ddd: zeros after the point
-    e_at = np.where(kept > 1, kept + 1, 1)  # d.ddde-XX: where e stands
-    big, small = x >= 0, x >= -4
-    src = np.select(
-        [q == -1, big & (q <= x), big & (q == x + 1), big,
-         small & (q == 1), small & (q < 2 + zeros), small,
-         q == 0, (q == 1) & (kept > 1), q < e_at,
-         q == e_at, q == e_at + 1, q == e_at + 2],
-        [_MINUS, d, _DOT, d - 1,
-         _DOT, _ZERO, d - 2 - zeros,
-         d, _DOT, d - 1,
-         _E, _MINUS, _ZERO + (-x) // 10],
-        _ZERO + (-x) % 10)
-    length = neg + np.select(
-        [big, small], [np.maximum(x + 1, kept) + (kept > x + 1), 2 + zeros + kept],
-        e_at + 4)
-    return np.where(np.arange(23) < length, src, _NUL).reshape(-1, 23)
+    3..19) at %e exponent X in [-10, 12], NUL padded to 23. A row is laid
+    out once per (X, kept) and again after a minus sign."""
+    rows, nul, minus = [], bytes([_NUL]), bytes([_MINUS])
+    for x in range(-10, 13):
+        cells = []
+        for kept in range(1, 18):
+            d = list(range(3, 3 + max(kept, x + 1)))  # digit columns
+            if x >= 0:  # ddd.ddd
+                cell = d[:x + 1] + ([_DOT] + d[x + 1:] if kept > x + 1 else [])
+            elif x >= -4:  # 0.000ddd
+                cell = [_ZERO, _DOT] + [_ZERO] * (-1 - x) + d
+            else:  # d.ddde-XX
+                cell = d[:1] + ([_DOT] + d[1:] if kept > 1 else []) + [
+                    _E, _MINUS, _ZERO + (-x) // 10, _ZERO + (-x) % 10]
+            cells.append(bytes(cell))
+        rows += [c.ljust(23, nul) for c in cells]
+        rows += [(minus + c).ljust(23, nul) for c in cells]
+    return np.frombuffer(b"".join(rows), np.uint8).reshape(-1, 23)
 
 
 _FLOAT_LAYOUT = _float_layout()
@@ -338,8 +332,8 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     src = _source(d + up)
     tz = np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)  # trailing zeros
     keys = ((26 - k) * 2 + (x < 0)) * 17 + 16 - tz  # %e exponent 16 - k
-    idx = _FLOAT_LAYOUT.take(keys, axis=0, mode="clip")
-    idx += np.arange(0, src.size, src.shape[1])[:, None]
+    idx = _FLOAT_LAYOUT.take(keys, axis=0, mode="clip") + np.arange(
+        0, src.size, src.shape[1], dtype=np.intp)[:, None]
     return src.ravel().take(idx, mode="clip")
 
 

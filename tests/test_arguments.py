@@ -90,8 +90,8 @@ OPTIONAL = {(tr.cubic_transition, "eps")}
 # is odd and small enough for numpy to index a dense N x N complex array
 # (these two are refused before anything is allocated), a state's dimension
 # is held to the same size, a series' horizon and a scan's grid to an array
-# numpy can index, hbar is positive, and projector indices are counts,
-# never strings
+# numpy can index, hbar is positive, projector indices are counts, never
+# strings, and a map's lam and tau keep its Jacobian's row sums in range
 LADDER = [q.QuantumParams, q.momentum_window_projector, q.momentum_ladder,
           q.cos_theta_observable, q.l_squared_observable,
           q.momentum_eigenstate]
@@ -100,6 +100,7 @@ MORE = {**{(entry, "dim"): [4, 2.5, 2**62 + 1, 2**31 + 1] for entry in LADDER},
            (q.maximally_mixed, q.haar_random_pure)},
         (q.correlation_series, "horizon"): [2**62],
         (cl.estimate_chaotic_measures, "grid_side"): [2**31],
+        (cl.MapParams, "lam"): [1e20], (cl.MapParams, "tau"): [1e19],
         **{(entry, "hbar"): [-1, "x"] for entry in
            (q.momentum_window_projector, q.l_squared_observable)},
         (ge.RegionProjector, "indices"): [("3",), (2.5,), (True,),

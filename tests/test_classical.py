@@ -10,6 +10,11 @@ from ehlab import classical as cl
 from ehlab.errors import ConfigurationError
 
 TWO_PI = 2.0 * np.pi
+# the largest lam at tau = 1 that the row-sum bound accepts, and the
+# smallest it refuses: 2 + tau + lam (1 + tau) = 3 + 2 lam against the
+# bound 1e150**(1/8)
+LARGEST = (cl._MAX_ROW_SUM * (1 - 1e-12) - 3.0) / 2.0
+PAST = (cl._MAX_ROW_SUM * (1 + 1e-12) - 3.0) / 2.0
 
 
 class TestStepMap:
@@ -92,21 +97,60 @@ class TestStepMap:
         assert cl.step_map(cl.PhasePoint(1.0, 1.0), ok) == cl.step_map(
             cl.PhasePoint(1.0, 1.0), cl.MapParams(2.5, 1.0))
 
-    @pytest.mark.parametrize("lam,tau", [(1.0, 1e308), (1.0, 3e307),
-                                         (1e160, 1e160), (1e308, 1e5)])
+    @pytest.mark.parametrize("lam,tau", [
+        (1.0, 1e308), (1.0, 3e307), (1e160, 1e160), (1e308, 1e5),
+        pytest.param(np.float32(1.0), np.float32(3e38), id="float32-tau"),
+        pytest.param(np.float32(3e38), np.float32(3e38), id="float32-both"),
+        pytest.param(10**308, np.float32(1.0), id="int-lam-float32-tau"),
+        pytest.param(10**300, 10**300, id="int-both"),
+        pytest.param(2**1000, 1, id="int-lam"),
+        pytest.param(np.int64(2**62), np.int64(2**62), id="int64-both")])
     def test_overflowing_params_rejected(self, lam, tau):
         # tau * p or the tangent image overflows: step_map used to return
-        # theta = nan and estimate_chaotic_measure a silent mu_A
-        with pytest.raises(ConfigurationError, match="overflow"):
-            cl.MapParams(lam, tau)
+        # theta = nan and estimate_chaotic_measure a silent mu_A. The bound
+        # on numpy scalars used to warn of an overflow first, and under
+        # -W error the warning escaped in place of the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="overflow"):
+                cl.MapParams(lam, tau)
 
     def test_largest_params_stay_finite(self):
-        # just inside both bounds every step and exponent is finite
-        for params in (cl.MapParams(1.0, 2.8e307), cl.MapParams(1e308, 1.0)):
-            x = cl.step_map(cl.PhasePoint(1.0, 1.0), params)
+        # just inside the row-sum bound every step and exponent is finite,
+        # and the blocks' exponent is the per-step one; just past it the
+        # map is refused, without a numpy warning
+        x0 = cl.PhasePoint(1.0, 1.0)
+        for lam, tau in ((LARGEST, 1.0), (1.0, LARGEST)):
+            params = cl.MapParams(lam, tau)
+            x = cl.step_map(x0, params)
             assert np.isfinite([x.theta, x.p]).all()
+            expo = cl.lyapunov_exponent(x0, params, 1000)
+            ref = per_step_batch_oracle([x0.theta], [x0.p], lam, tau, 1000)[0]
+            assert np.isfinite(expo) and expo == pytest.approx(ref, rel=1e-12)
             est = cl.estimate_chaotic_measure(params, 16, 50)
             assert 0.0 <= est.mu_A <= 1.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigurationError, match="overflow"):
+                    cl.MapParams(*(PAST if v == LARGEST else v
+                                   for v in (lam, tau)))
+        # on the lam axis the [0, 2pi) oracle agrees too; on the tau axis
+        # tau * p is a multiple of the spacing of doubles near 1e18, which
+        # the centring cancels to theta = 0 exactly, while np.mod leaves a
+        # remainder: there the two orbits differ, and their exponents by
+        # about ln 2, the mean of -ln|cos theta|
+        expo = cl.lyapunov_exponent(x0, cl.MapParams(LARGEST), 1000)
+        ref = lyapunov_batch_oracle([x0.theta], [x0.p], cl.MapParams(LARGEST),
+                                    1000)[0]
+        assert expo == pytest.approx(ref, rel=0.01)
+
+    def test_row_sum_boundary(self):
+        # bound = 2 + tau + lam (1 + tau) with bound**8 just below and
+        # just above 1e150: the largest kick strength the scan's blocks
+        # can norm is accepted, the next refused
+        cl.MapParams(LARGEST, 1.0)
+        with pytest.raises(ConfigurationError, match=r"\blam\b.*\btau\b"):
+            cl.MapParams(PAST, 1.0)
 
 
 def two_orbit_divergence(x0, params, n_steps, d0=1e-9):
@@ -251,13 +295,21 @@ class TestLyapunov:
     @pytest.mark.parametrize("lam,tau", [(1e200, 1.0), (1.0, 1e160),
                                          (1e308, 1.0)])
     def test_huge_kick_stays_finite(self, lam, tau):
-        # the squares of the tangent vector's image overflow here; these
-        # used to read NaN, hence Regular, on every orbit
-        params = cl.MapParams(lam, tau)
+        # the squares of the tangent vector's image overflow here, and
+        # these used to read NaN, hence Regular, on every orbit; then the
+        # exponent of the tangent map alone, on orbits collapsed to p = 0.
+        # They are refused, and just inside the bound, with the large
+        # parameter cut back, the exponent is finite and the per-step one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="overflow"):
+                cl.MapParams(lam, tau)
+        params = cl.MapParams(*(LARGEST if v > 1.0 else v for v in (lam, tau)))
         x0 = cl.PhasePoint(1.0, 1.0)
         expo = cl.lyapunov_exponent(x0, params, 1000)
-        ref = lyapunov_batch_oracle([x0.theta], [x0.p], params, 1000)[0]
-        assert expo == pytest.approx(ref, rel=0.01)
+        ref = per_step_batch_oracle([x0.theta], [x0.p], params.lam,
+                                    params.tau, 1000)[0]
+        assert np.isfinite(expo) and expo == pytest.approx(ref, rel=1e-12)
         assert cl.estimate_chaotic_measure(params, 16, 50).mu_A == 1.0
 
 
@@ -294,16 +346,14 @@ class TestCosFromSin:
         assert np.array_equal(np.signbit(got[1.0][-7:]), np.signbit(want[-7:]))
 
 
-# 1e17 is the largest point of the block group here, 1e30 the smallest of
-# the hypot group
+# LARGEST is the largest kick strength the row-sum bound accepts at tau = 1
 BLOCK_PARAMS = [(0.0, 1.0), (2.5, 0.37), (0.8, 1.7), (10.0, 1.0), (1e17, 1.0),
-                (1e30, 1.0), (1e200, 1.0)]
+                (LARGEST, 1.0)]
 
 
 class TestBlockKernel:
     @pytest.mark.parametrize("lam,tau", BLOCK_PARAMS)
     def test_matches_per_step_oracle(self, lam, tau):
-        assert cl._needs_hypot(lam, tau) == (lam >= 1e30)
         theta, p = cl._centred_grid(16)
         # every residue mod the block length: the run's last block is
         # short on all but one
@@ -329,13 +379,6 @@ class TestBlockKernel:
             theta, p, lam, tau, cl.LYAPUNOV_TRANSIENT + n_steps)
         assert np.array_equal(got_theta, want_theta)
         assert np.array_equal(got_p, want_p)
-
-    def test_block_group_boundary(self):
-        # bound = 2 + tau + lam (1 + tau) with bound**8 just below and
-        # just above 1e150
-        edge = 1e150 ** (1.0 / cl._BLOCK)
-        assert not cl._needs_hypot((edge * (1 - 1e-12) - 3.0) / 2.0, 1.0)
-        assert cl._needs_hypot((edge * (1 + 1e-12) - 3.0) / 2.0, 1.0)
 
 
 class TestClassifyOrbit:
@@ -494,10 +537,7 @@ def no_pool(*args, **kwargs):
 
 
 class TestSweep:
-    # lam = 1e30, 1e200 and 3e200 need the hypot norm, the others the
-    # plain one in blocks
-    SWEEP = [cl.MapParams(lam)
-             for lam in (0.0, 0.7, 1e200, 2.5, 1e30, 3e200, 6.0)]
+    SWEEP = [cl.MapParams(lam) for lam in (0.0, 0.7, 2.5, 6.0)]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_sweep_matches_per_lambda_bitwise(self, monkeypatch, threads):
@@ -514,12 +554,16 @@ class TestSweep:
                                               cl.DEFAULT_THRESHOLD)
 
     def test_huge_kick_sweep_warns_nothing(self):
-        # the grouping bound overflows at lam = 1e308
-        sweep = [cl.MapParams(1e308), cl.MapParams(1.0)]
+        # the grouping bound used to overflow at lam = 1e308; the kick
+        # strength is refused now, and a sweep just inside the bound warns
+        # nothing and reads the oracle's measure
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="overflow"):
+                cl.MapParams(1e308)
+            sweep = [cl.MapParams(LARGEST), cl.MapParams(1.0)]
             estimates = cl.estimate_chaotic_measures(sweep, 16, 50, threads=2)
-        assert estimates[0].mu_A == 1.0
+        assert estimates[0].mu_A == 1.0 == measure_oracle(sweep[0], 16, 50)
 
     def test_measure_sweep_memory(self):
         # the measure workload's sweep on two threads: two chunks of
@@ -534,31 +578,27 @@ class TestSweep:
         assert peak < 3 * 2**20
 
     def test_chunk_bounds(self):
-        def check(n_lambdas, n_hypot, n_own, threads):
-            workers, chunks = cl._chunks(n_lambdas, n_hypot, n_own, threads)
+        def check(n_lambdas, n_own, threads):
+            workers, chunks = cl._chunks(n_lambdas, n_own, threads)
             assert workers == min(threads, n_lambdas)
             starts, stops = zip(*chunks)
             assert starts[0] == 0 and stops[-1] == n_lambdas * n_own
             assert list(starts[1:]) == list(stops[:-1])
             assert all(start < stop for start, stop in chunks)
-            split = (n_lambdas - n_hypot) * n_own
-            assert not any(start < split < stop for start, stop in chunks)
             return workers, chunks
 
         # never more workers than kick strengths, and a chunk per worker
-        workers, chunks = check(21, 0, 2048, 10**6)
+        workers, chunks = check(21, 2048, 10**6)
         assert workers == 21 and len(chunks) == 21
         # the measure sweep on two threads: balanced chunks, a multiple of
         # the worker count, none above the chunk size
-        workers, chunks = check(21, 0, 2048, 2)
+        workers, chunks = check(21, 2048, 2)
         sizes = {stop - start for start, stop in chunks}
         assert len(chunks) % 2 == 0 and max(sizes) - min(sizes) <= 1
         assert max(sizes) <= cl._CHUNK_ORBITS
-        check(21, 3, 2048, 2)
-        check(3, 3, 128, 4)
-        assert check(1, 0, 128, 8) == (1, [(0, 128)])
-        assert check(2, 1, 161, 10**6) == (2, [(0, 80), (80, 161),
-                                               (161, 241), (241, 322)])
+        check(3, 128, 4)
+        assert check(1, 128, 8) == (1, [(0, 128)])
+        assert check(2, 161, 10**6) == (2, [(0, 161), (161, 322)])
 
     def test_pool_only_when_it_can_help(self, monkeypatch):
         monkeypatch.setattr(cl, "ThreadPoolExecutor", no_pool)

@@ -150,9 +150,9 @@ def np_calls(node, name: str) -> int:
 
 
 def check_one_libm_call(sources: dict[str, str]):
-    """The scan's kernel takes its cos from its sin: `_lyapunov_batch`, with
-    the functions of classical.py it calls, calls np.sin once and np.cos
-    never."""
+    """The scan's kernel takes its cos from its sin and has one norm:
+    `_lyapunov_batch`, with the functions of classical.py it calls, calls
+    np.sin once and np.cos and np.hypot never."""
     functions = {f.name: f for f in ast.parse(sources["classical.py"]).body
                  if isinstance(f, ast.FunctionDef)}
     kernel, todo = set(), ["_lyapunov_batch"]
@@ -163,6 +163,7 @@ def check_one_libm_call(sources: dict[str, str]):
             todo += called_names(functions[name]) & functions.keys()
     assert sum(np_calls(functions[name], "sin") for name in kernel) == 1
     assert sum(np_calls(functions[name], "cos") for name in kernel) == 0
+    assert sum(np_calls(functions[name], "hypot") for name in kernel) == 0
 
 
 def test_one_libm_call_per_step():
@@ -178,6 +179,11 @@ def test_one_libm_call_per_step():
     pytest.param("        np.multiply(lam, c, out=tmp)\n",
                  "        np.sin(theta, out=tmp)\n"
                  "        np.multiply(lam, tmp, out=tmp)\n", id="second-sin"),
+    pytest.param("        np.multiply(v_theta, v_theta, out=c)\n",
+                 "        if np.any(tau > 1e18):\n"
+                 "            np.hypot(v_theta, v_p, out=c)\n"
+                 "        np.multiply(v_theta, v_theta, out=c)\n",
+                 id="hypot-branch"),
 ])
 def test_libm_call_check_fails_on_a_mutant(old, new):
     sources = package_sources()
