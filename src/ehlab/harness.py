@@ -170,9 +170,9 @@ class _Artifacts:
     def add_csv(self, name: str, header: str, columns):
         """One line per row of the equal-length `columns`, each a 1-D
         float or integer numpy array of at most 64 bits: '%.17g' % v
-        (round-trip safe) for a float and str(v) for an integer. Any other
-        column is a TypeError. Rows are formatted _CSV_ROWS at a time by
-        `_csv_rows`."""
+        (round-trip safe) for a float and str(v) for an integer, both by
+        one '%.17g' kernel (`_cells`). Any other column is a TypeError.
+        Rows are formatted _CSV_ROWS at a time by `_csv_rows`."""
         columns = list(columns)
         for i, col in enumerate(columns):
             if not (isinstance(col, np.ndarray) and col.ndim == 1
@@ -208,7 +208,7 @@ def _json_bytes(payload) -> bytes:
 # ------------------------------------------------------------ CSV cells
 #
 # The cells of a column chunk are the rows of a uint8 matrix, each cell's
-# ASCII bytes padded with NULs, which no cell holds. A float is laid out
+# ASCII bytes padded with NULs, which no cell holds. A number is laid out
 # from its source row of 34 bytes, its 20 decimal digits (zero padded) and
 # then _ASCII, by a table of source columns per layout key.
 
@@ -261,18 +261,32 @@ def _csv_rows(columns) -> np.ndarray:
 
 
 def _cells(col: np.ndarray) -> np.ndarray:
-    """The cells of one column chunk: a float array is read as float64."""
-    if col.dtype.kind == "f":
-        return _float_cells(col.astype(np.float64, copy=False))
-    return _int_cells(col)
+    """The cells of one column chunk, read once as float64. Cells with
+    1e-10 <= |v| < 1e13 go through `_float_cells`; an integer there is
+    exact as a double, and its '%.17g' is its str(). Every other cell is
+    formatted alone: '%.17g' % v in a float column, str(v) of the original
+    value in an integer one, so int64 and uint64 past 2**53 stay exact."""
+    x = col.astype(np.float64, copy=False)
+    a = np.abs(x)
+    ok = (a >= 1e-10) & (a < 1e13)
+    if ok.all():
+        return _float_cells(x)
+    kernel = _float_cells(x[ok])
+    rest = col[~ok].tolist()
+    text = np.array(["%.17g" % v for v in rest] if col.dtype.kind == "f"
+                    else [str(v) for v in rest], "S")
+    cells = np.zeros((len(x), max(kernel.shape[1], text.itemsize)), np.uint8)
+    cells[ok, :kernel.shape[1]] = kernel
+    cells[~ok, :text.itemsize] = text.view(np.uint8).reshape(len(text), -1)
+    return cells
 
 
 def _source(u: np.ndarray) -> np.ndarray:
-    """The source rows of the uint64 `u`: 20 ASCII digits each, zero
-    padded, then _ASCII."""
+    """The source rows of the uint64 `u` < 10**17: 20 ASCII digits each,
+    zero padded, then _ASCII."""
     quads, rest = np.empty((len(u), 5), np.uint64), u.copy()
     for j, p in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)):
-        quads[:, j] = rest // p  # the first below 1845
+        quads[:, j] = rest // p  # the first below 10
         rest -= quads[:, j] * p
     quads[:, 4] = rest
     src = np.empty((len(u), 34), np.uint8)
@@ -282,45 +296,18 @@ def _source(u: np.ndarray) -> np.ndarray:
     return src
 
 
-def _int_cells(v: np.ndarray) -> np.ndarray:
-    """str() of each entry of a signed or unsigned integer array: a sign
-    column, then the 20 zero-padded digits of |v| with its leading zeros
-    (all but the last digit's) set to NUL."""
-    neg = v < 0
-    mag = v.astype(np.uint64)
-    np.negative(mag, where=neg, out=mag)  # |v|, also of -2**63
-    cells = np.empty((len(v), 21), np.uint8)
-    cells[:, 0] = neg * np.uint8(ord("-"))
-    cells[:, 1:] = _source(mag)[:, :20]
-    lead = cells[:, 1:20]
-    np.copyto(lead, 0, where=np.logical_and.accumulate(lead == ord("0"), axis=1))
-    return cells
-
-
 def _float_cells(x: np.ndarray) -> np.ndarray:
-    """'%.17g' % v of each entry of a float64 array.
-
-    Exact for 1e-10 <= |v| < 1e13, where v * 10**k, k = 16 - floor(log10
-    |v|) in [4, 26], has a 17-digit integer part: with v = m * 2**e for
-    the 53-bit m, that part is m * 5**k >> -(e + k), and 5**27 < 2**63
-    keeps the product in two uint64 words. It is rounded half to even. No
-    double of the domain lies within half a unit of the 17th digit below
-    a power of ten, so none rounds up to 18 digits. Every other entry (0,
-    a subnormal, nan, inf, or too small or large) is formatted by '%.17g'.
-    """
-    a = np.abs(x)
-    ok = (a >= 1e-10) & (a < 1e13)
-    if not ok.all():
-        kernel = _float_cells(x[ok])
-        text = np.array(["%.17g" % v for v in x[~ok].tolist()], "S")
-        cells = np.zeros((len(x), max(kernel.shape[1], text.itemsize)), np.uint8)
-        cells[ok, :kernel.shape[1]] = kernel
-        cells[~ok, :text.itemsize] = text.view(np.uint8).reshape(len(text), -1)
-        return cells
+    """'%.17g' % v of each entry of a float64 array, all in 1e-10 <= |v| <
+    1e13 (`_cells` formats the rest). There v * 10**k, k = 16 - floor(log10
+    |v|) in [4, 26], has a 17-digit integer part: with v = m * 2**e for the
+    53-bit m, that part is m * 5**k >> -(e + k), and 5**27 < 2**63 keeps
+    the product in two uint64 words. It is rounded half to even. No double
+    of the domain lies within half a unit of the 17th digit below a power
+    of ten, so none rounds up to 18 digits."""
     bits = x.view(np.uint64)
     m = (bits & (2 ** 52 - 1)) | 2 ** 52  # with the implicit leading bit
     e = (bits >> 52 & 0x7FF).astype(np.int64) - 1075
-    k = 16 - np.floor(np.log10(a)).astype(np.int64)
+    k = 16 - np.floor(np.log10(np.abs(x))).astype(np.int64)
     # k from the truncated digits, in [3, 27] at first: log10 may put it one
     # off next to a power of 10
     d, up = _scaled(m, e, k)

@@ -157,9 +157,16 @@ class ObservableMatrix:
 
 
 def pure_state(vector) -> DensityState:
-    """|psi><psi| from a (not necessarily normalized) vector."""
+    """|psi><psi| from a (not necessarily normalized) vector, whose norm
+    must be finite (it overflows for entries near 1e154 and up) and above
+    zero."""
     v = np.asarray(vector, dtype=complex)
-    v = v / np.linalg.norm(v)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not (isfinite(norm) and norm > 0):
+        raise ConfigurationError(
+            f"vector must have a finite non-zero norm, got norm {norm}")
+    v = v / norm
     return DensityState(np.outer(v, v.conj()))
 
 
@@ -177,8 +184,14 @@ def maximally_mixed(dim: int) -> DensityState:
 
 def haar_random_pure(dim: int, rng: np.random.Generator) -> DensityState:
     """Haar-random pure state from a normalized complex Gaussian vector."""
-    v = rng.normal(size=_dense_dim(dim)) + 1j * rng.normal(size=dim)
-    return pure_state(v)
+    v = _haar_vector(_dense_dim(dim), rng)
+    return DensityState(np.outer(v, v.conj()))
+
+
+def _haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar-random unit vector: a complex Gaussian one over its norm."""
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
 
 
 def momentum_window_projector(dim: int, k_lo: float, k_hi: float,
@@ -189,7 +202,11 @@ def momentum_window_projector(dim: int, k_lo: float, k_hi: float,
             f"k_lo and k_hi must be finite numbers, got {k_lo!r}, {k_hi!r}")
     require_positive("hbar", hbar)
     ladder = momentum_ladder(dim)
-    sel = (hbar * ladder >= k_lo) & (hbar * ladder < k_hi)
+    # an hbar*k that overflows to +-inf compares as the exact product would,
+    # since k_lo and k_hi are finite
+    with np.errstate(over="ignore"):
+        hk = hbar * ladder
+    sel = (hk >= k_lo) & (hk < k_hi)
     if not sel.any():
         raise ConfigurationError(f"window [{k_lo}, {k_hi}) selects no ladder site")
     return ObservableMatrix(np.diag(sel.astype(complex)),
@@ -225,9 +242,13 @@ def cos_theta_observable(dim: int) -> ObservableMatrix:
 
 
 def l_squared_observable(dim: int, hbar: float = 1.0) -> ObservableMatrix:
-    """(hbar k)^2, diagonal in the momentum basis."""
+    """(hbar k)^2, diagonal in the momentum basis; it must be finite."""
     require_positive("hbar", hbar)
     ladder = momentum_ladder(dim)
+    top = float(hbar) * float(ladder[-1])
+    if not isfinite(top * top):
+        raise ConfigurationError(
+            f"hbar = {hbar!r} makes (hbar k)^2 overflow at k = {ladder[-1]}")
     return ObservableMatrix(np.diag((hbar * ladder).astype(complex) ** 2),
                             label="L_squared")
 
@@ -518,8 +539,6 @@ class CorrelationSeries:
     times: np.ndarray
     c_q: np.ndarray
     cesaro: np.ndarray
-    observable_label: str
-    state_label: str
 
     def decay_constant(self) -> float:
         """Smallest C with |cesaro[n]| <= C/n over the recorded series."""
@@ -661,8 +680,7 @@ def correlation_series(rho0: DensityState, system: FloquetSystem,
     for lo, hi, sums in plan.sweep(times, np.ones((system.dim, 1)), w):
         c_q[lo:hi] = sums[:, 0]
     cesaro = np.cumsum(c_q) / (times + 1)
-    return CorrelationSeries(times=times, c_q=c_q, cesaro=cesaro,
-                             observable_label=obs.label, state_label="rho0")
+    return CorrelationSeries(times=times, c_q=c_q, cesaro=cesaro)
 
 
 def mixing_volume_fraction(system: FloquetSystem,
@@ -702,8 +720,7 @@ def mixing_volume_fraction(system: FloquetSystem,
         v = np.empty((system.dim, min(per, n_states - first)), dtype=complex)
         for j in range(v.shape[1]):
             rng = np.random.default_rng([seed, first + j])
-            u = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
-            v[:, j] = u / np.linalg.norm(u)
+            v[:, j] = _haar_vector(system.dim, rng)
         worst = np.zeros(v.shape[1])
         for _, _, sums in plan.sweep(times, system._z_dag(v), o_pairs):
             worst = np.maximum(worst, np.abs(sums).max(axis=0)

@@ -90,8 +90,9 @@ OPTIONAL = {(tr.cubic_transition, "eps")}
 # is odd and small enough for numpy to index a dense N x N complex array
 # (these two are refused before anything is allocated), a state's dimension
 # is held to the same size, a series' horizon and a scan's grid to an array
-# numpy can index, hbar is positive, projector indices are counts, never
-# strings, and a map's lam and tau keep its Jacobian's row sums in range
+# numpy can index, hbar is positive and keeps L^2's (hbar k)^2 finite,
+# projector indices are counts, never strings, and a map's lam and tau
+# keep its Jacobian's row sums in range
 LADDER = [q.QuantumParams, q.momentum_window_projector, q.momentum_ladder,
           q.cos_theta_observable, q.l_squared_observable,
           q.momentum_eigenstate]
@@ -101,8 +102,8 @@ MORE = {**{(entry, "dim"): [4, 2.5, 2**62 + 1, 2**31 + 1] for entry in LADDER},
         (q.correlation_series, "horizon"): [2**62],
         (cl.estimate_chaotic_measures, "grid_side"): [2**31],
         (cl.MapParams, "lam"): [1e20], (cl.MapParams, "tau"): [1e19],
-        **{(entry, "hbar"): [-1, "x"] for entry in
-           (q.momentum_window_projector, q.l_squared_observable)},
+        (q.momentum_window_projector, "hbar"): [-1, "x"],
+        (q.l_squared_observable, "hbar"): [-1, "x", 1e200],
         (ge.RegionProjector, "indices"): [("3",), (2.5,), (True,),
                                           (2.5, True)]}
 
@@ -110,6 +111,7 @@ MORE = {**{(entry, "dim"): [4, 2.5, 2**62 + 1, 2**31 + 1] for entry in LADDER},
 @pytest.mark.parametrize("entry,valid,name", [
     pytest.param(entry, valid, name, id=f"{entry.__name__}-{name}")
     for entry, valid, names in TABLE for name in names])
+@pytest.mark.filterwarnings("error")
 def test_malformed_scalar_is_a_configuration_error(entry, valid, name):
     entry(**valid())  # the table's own arguments are accepted
     for bad in BAD + MORE.get((entry, name), []):

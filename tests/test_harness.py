@@ -186,6 +186,19 @@ class TestQuantumKinds:
         out = json.loads((tmp_path / "volume_fraction.json").read_text())
         assert 0.0 <= out["fraction"] <= 1.0
 
+    def test_volume_fraction_at_huge_hbar_warns_nothing(self, tmp_path):
+        # the window's hbar*k overflows to +-inf past k = 1, with no warning
+        config = harness.ExperimentConfig.from_dict({
+            "kind": "volume-fraction", "output_dir": str(tmp_path),
+            "parameters": {**FRACTION, "dim": 17, "hbar": 1e308, "tau": 1e-300,
+                           "observables": [{"type": "momentum_window",
+                                            "k_lo": 0, "k_hi": 1}]}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            harness.run(config)
+        out = json.loads((tmp_path / "volume_fraction.json").read_text())
+        assert out["observables"] == ["P[0.0,1.0)"] and out["fraction"] == 1.0
+
     def test_geometry_check_artifact(self, tmp_path):
         config = harness.ExperimentConfig.from_dict({
             "kind": "geometry-check", "output_dir": str(tmp_path),
@@ -847,6 +860,26 @@ def test_int_kernel_matches_str():
     assert csv_bytes([v]) == want.encode()
     u = np.array([0, 2 ** 63, 2 ** 64 - 1, 10 ** 19, 10 ** 19 - 1], np.uint64)
     assert csv_bytes([u]) == ("c\n" + "".join(f"{i}\n" for i in u.tolist())).encode()
+    def check(values, dtype):
+        want = "c\n" + "".join(f"{i}\n" for i in values)
+        assert csv_bytes([np.array(values, dtype)]) == want.encode()
+
+    # the float kernel's seams: every integer dtype's range, the last
+    # integers a double holds exactly, the kernel's upper edge 10**13, and
+    # a column over a chunk edge that mixes them with zeros
+    for dtype in (np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64):
+        info = np.iinfo(dtype)
+        check([info.min, info.max, 0, 1, info.max - 1], dtype)
+    seams = [2 ** 53 + d for d in (-1, 0, 1)] + [10 ** 13 + d for d in (-1, 0, 1)]
+    check(seams, np.uint64)
+    check(seams + [-i for i in seams], np.int64)
+    rng = np.random.default_rng(4097)
+    mixed = (rng.integers(10 ** 13 - 50, 10 ** 13 + 50, 4097)
+             * rng.choice([-1, 0, 1], 4097)).tolist()
+    assert len(mixed) > harness._CSV_ROWS and 0 in mixed
+    assert {abs(i) >= 10 ** 13 for i in mixed if i} == {False, True}
+    check(mixed, np.int64)
 
 
 def test_relax_series_csv_memory():

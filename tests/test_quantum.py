@@ -1,6 +1,7 @@
 import ast
 import json
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -295,6 +296,17 @@ class TestParamsAndStates:
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-14)
         assert rho.matrix[0, 0].real == pytest.approx(0.36, abs=1e-14)
 
+    @pytest.mark.parametrize("vector", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0],
+                                        [1e200, 1e200]],
+                             ids=["zero", "nan", "inf", "norm-overflows"])
+    def test_pure_state_refuses_a_vector_without_a_norm(self, vector):
+        # the vector itself is refused, before a 0/0 or x/inf normalization
+        # can warn and make a matrix that fails a later check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="finite non-zero norm"):
+                q.pure_state(vector)
+
     def test_momentum_eigenstate_position(self):
         rho = q.momentum_eigenstate(7, -3)
         assert rho.matrix[0, 0] == 1.0
@@ -318,6 +330,15 @@ class TestObservables:
     def test_window_respects_hbar(self):
         obs = q.momentum_window_projector(65, 0.0, 10.0, hbar=2.0)
         assert np.trace(obs.matrix).real == pytest.approx(5.0)  # k=0..4
+
+    def test_window_at_huge_hbar_warns_nothing(self):
+        # hbar*k overflows to +-inf past k = 1 and still compares right
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obs = q.momentum_window_projector(17, 0.0, 1.0, hbar=1e308)
+            low = q.momentum_window_projector(17, -1e308, -1e300, hbar=1e308)
+        assert np.flatnonzero(obs.matrix.diagonal()).tolist() == [8]  # k = 0
+        assert np.flatnonzero(low.matrix.diagonal()).tolist() == [7]  # k = -1
 
     def test_cos_theta_spectrum(self):
         obs = q.cos_theta_observable(33)

@@ -191,3 +191,54 @@ def test_libm_call_check_fails_on_a_mutant(old, new):
     sources["classical.py"] = sources["classical.py"].replace(old, new)
     with pytest.raises(AssertionError):
         check_one_libm_call(sources)
+
+
+def callers(tree, name: str) -> set[str]:
+    """The top-level functions and methods of `tree` that call `name`
+    (a nested function counts as part of the function that holds it), and
+    "<module>" for a call outside them."""
+    found = set()
+    for node in tree.body:
+        units = node.body if isinstance(node, ast.ClassDef) else [node]
+        for unit in units:
+            if name in called_names(unit):
+                found.add(unit.name if isinstance(unit, ast.FunctionDef)
+                          else "<module>")
+    return found
+
+
+def check_one_number_kernel(sources: dict[str, str]):
+    """Every CSV number goes through one digit kernel: in harness.py only
+    `_float_cells` calls `_source`, and only `_cells` calls `_float_cells`,
+    which does not call itself."""
+    tree = ast.parse(sources["harness.py"])
+    assert callers(tree, "_source") == {"_float_cells"}
+    assert callers(tree, "_float_cells") == {"_cells"}
+
+
+def test_one_number_kernel():
+    check_one_number_kernel(package_sources())
+
+
+@pytest.mark.parametrize("old,new", [
+    pytest.param("def _float_cells(", "def _int_cells(v):\n"
+                 "    return _source(v.astype(np.uint64))[:, :20]\n\n\n"
+                 "def _float_cells(", id="int-cells"),
+    pytest.param("    cells = [_cells(col) for col in columns]\n",
+                 "    cells = [_float_cells(col) if col.dtype == np.float64\n"
+                 "             else _cells(col) for col in columns]\n",
+                 id="second-caller"),
+    pytest.param("    bits = x.view(np.uint64)\n",
+                 "    if not np.isfinite(x).all():\n"
+                 "        return _float_cells(np.nan_to_num(x))\n"
+                 "    bits = x.view(np.uint64)\n", id="recursion"),
+    pytest.param("_FLOAT_LAYOUT = _float_layout()\n",
+                 "_FLOAT_LAYOUT = _float_layout()\n"
+                 "_ONE = _float_cells(np.ones(1))\n", id="module-level-call"),
+])
+def test_number_kernel_check_fails_on_a_mutant(old, new):
+    sources = package_sources()
+    assert sources["harness.py"].count(old) == 1
+    sources["harness.py"] = sources["harness.py"].replace(old, new)
+    with pytest.raises(AssertionError):
+        check_one_number_kernel(sources)
