@@ -44,8 +44,11 @@ _TAU = np.pi * _SPREAD / (3.0 * _WINDOW ** 2)
 _KERNEL = (2.0 * np.pi / _GRID) ** 2 / (4.0 * _TAU)  # per grid step squared
 # Grid bins per tile of the spreading: one dense kernel block and GEMM each.
 _TILE = 8
+# grid points b - _SPREAD + 1 .. b + _SPREAD around a source in bin b, for
+# the bins 0 .. _TILE - 1 of a tile
+_REACH = np.arange(_TILE - 1 + 2 * _SPREAD) - (_SPREAD - 1)
 # Columns summed together: at most _COLUMNS, fewer where the bytes that scale
-# with them (see _SpreadPlan) would pass _CHUNK_BYTES. With the tiles this
+# with them (see _SpreadPlan) would pass _CHUNK_BYTES. With the plan this
 # bounds a phase sum's memory independently of n_states and horizon.
 _COLUMNS = 64
 _CHUNK_BYTES = 4 << 20
@@ -116,7 +119,11 @@ def _hermitian(matrix, what: str) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise ConfigurationError(
             f"{what} must be a non-empty square matrix, got shape {m.shape}")
-    if not np.max(np.abs(m - m.conj().T)) <= _HERM_TOL:
+    # entries of opposite sign near the largest double overflow to inf,
+    # which fails the test like NaN does
+    with np.errstate(over="ignore", invalid="ignore"):
+        hermitian = np.max(np.abs(m - m.conj().T)) <= _HERM_TOL
+    if not hermitian:
         raise ConfigurationError(f"{what} is not Hermitian to 1e-10")
     return m
 
@@ -559,36 +566,35 @@ class _SpreadPlan:
     Lee, SIAM Rev. 46, 443, 2004).
 
     The sources are sorted by grid bin and cut into tiles of _TILE bins.
-    Each tile keeps its dense kernel block over the grid points its
-    sources reach, so spreading is one real GEMM per tile over the columns
-    it forms from amplitudes and weights. `sweep` is the one loop over
-    windows of times. The plan keeps the quasi-energies `phi` whose pairs
-    it spreads, so a sweep cannot be handed phases of another spectrum.
+    A tile forms its dense kernel block over the grid points its sources
+    reach when it is summed (`block`), so spreading is one real GEMM per
+    tile over the columns it forms from amplitudes and weights, and the
+    plan keeps 12 bytes a source (its grid position and two pair indices)
+    where the blocks would take 248. `sweep` is the one loop over windows
+    of times. The plan keeps the quasi-energies `phi` whose pairs it
+    spreads, so a sweep cannot be handed phases of another spectrum.
     """
 
     def __init__(self, phi: np.ndarray):
         self.phi = phi
         k, kp = np.triu_indices(len(phi), 1)
-        u = np.mod(phi[k] - phi[kp], 2.0 * np.pi) * (_GRID / (2.0 * np.pi))
+        u = phi[k]  # in place from here: np.mod(phi_k - phi_k', 2 pi) in grid steps
+        u -= phi[kp]
+        np.mod(u, 2.0 * np.pi, out=u)
+        u *= _GRID / (2.0 * np.pi)
         u[u >= _GRID] = 0.0  # np.mod(-tiny, 2 pi) rounds up to 2 pi
-        bins = u.astype(np.intp)
+        # pair indices in the smallest unsigned type that holds N - 1
+        index = np.min_scalar_type(max(len(phi) - 1, 0))
+        k, kp = k.astype(index), kp.astype(index)
+        bins = u.astype(np.min_scalar_type(_GRID - 1))
         order = np.argsort(bins, kind="stable")
-        self.k, self.kp = k[order], kp[order]
-        u, bins = u[order], bins[order]
-        del k, kp, order
+        self.k, self.kp, self.u, bins = k[order], kp[order], u[order], bins[order]
+        del k, kp, u, order
         starts = range(0, _GRID, _TILE)
         edges = np.searchsorted(bins, [*starts, _GRID])
-        # grid points b - _SPREAD + 1 .. b + _SPREAD around a source in bin b
-        reach = np.arange(_TILE - 1 + 2 * _SPREAD) - (_SPREAD - 1)
-        # all blocks in one buffer, the tile of sources lo:hi at rows * lo
-        kernel = np.empty(len(reach) * len(u))
-        self.tiles = []
-        for a, lo, hi in zip(starts, edges[:-1], edges[1:]):
-            if hi > lo:
-                d = (a + reach)[:, None] - u[lo:hi]
-                block = kernel[len(reach) * lo:len(reach) * hi].reshape(d.shape)
-                np.exp(-_KERNEL * d * d, out=block)
-                self.tiles.append((a, lo, hi, block))
+        del bins
+        self.tiles = [(a, lo, hi) for a, lo, hi in zip(starts, edges[:-1], edges[1:])
+                      if hi > lo]
         s = np.arange(-_WINDOW // 2, _WINDOW // 2)
         self.modes = s % _GRID
         # 2 / (grid size x the kernel's Fourier coefficient sqrt(tau/pi)
@@ -630,14 +636,23 @@ class _SpreadPlan:
                 yield lo, hi, vals[rows, :, g].reshape(len(rows), q * p)
             del vals, rows  # before the next group makes its own
 
+    def block(self, a: int, lo: int, hi: int) -> np.ndarray:
+        """exp(-_KERNEL (x - u)^2) for the sources lo:hi of the tile at bin
+        a (columns) at the grid points x = a + _REACH (rows)."""
+        d = np.subtract.outer(a + _REACH, self.u[lo:hi])
+        block = np.multiply(d, -_KERNEL)
+        block *= d
+        return np.exp(block, out=block)
+
     def sums(self, amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """2 Re sum_{k<k'} w_kk' a_k conj(a_k') exp(-i s omega_kk') for each
         s in [-_WINDOW/2, _WINDOW/2) (rows), in column j * m + c for column
         j of the plan-order (sources, q) `weights` and column c of the
-        complex (N, m) `amps`. Each tile forms its own columns."""
+        complex (N, m) `amps`. Each tile forms its own block and columns."""
         conj = amps.conj()
         ext = np.zeros((_GRID + 2 * _SPREAD - 1, 2 * weights.shape[1] * amps.shape[1]))
-        for a, lo, hi, block in self.tiles:
+        for a, lo, hi in self.tiles:
+            block = self.block(a, lo, hi)
             pair = amps[self.k[lo:hi]]
             pair *= conj[self.kp[lo:hi]]
             cols = weights[lo:hi, :, None] * pair[:, None]
@@ -661,6 +676,13 @@ def correlation_series(rho0: DensityState, system: FloquetSystem,
     C_Q(t) = sum_{k != k'} m_kk' exp(-i t (phi_k - phi_k')) with m_kk' =
     rho_kk' O_k'k in the eigenbasis: one plan sweep with unit amplitudes
     and m's pairs as its one weight column.
+
+    Only pairs inside the support S of r = Z^dagger rho Z can weigh: the
+    indices whose row or column of r is not exactly zero (a zero rho_kk
+    proves nothing, since rho need not be positive). The plan covers the
+    phases of S alone, so a state of one parity, whose other parity's
+    rows are exact zeros, spreads about a quarter of the pairs. A state
+    whose support is the whole spectrum takes the full plan.
     """
     if 8 * require_count("horizon", horizon, 2) > np.iinfo(np.intp).max:
         raise ConfigurationError(
@@ -671,13 +693,17 @@ def correlation_series(rho0: DensityState, system: FloquetSystem,
         raise DegenerateSpectrumError(system.degeneracy_flags)
     # Z^dagger rho Z and Z^dagger O Z before the plan, so that their
     # transients never meet it; m is dropped once its pairs are gathered
-    m = system.to_eigenbasis(rho0.matrix) * system.to_eigenbasis(obs.matrix).T
-    plan = _SpreadPlan(system.quasi_energies)
+    r = system.to_eigenbasis(rho0.matrix)
+    support = np.flatnonzero(r.any(axis=1) | r.any(axis=0))
+    on_s = np.ix_(support, support) if len(support) < system.dim else np.s_[:, :]
+    m = r[on_s] * system.to_eigenbasis(obs.matrix)[on_s].T
+    del r
+    plan = _SpreadPlan(system.quasi_energies[support])
     w = m[plan.k, plan.kp][:, None]
     del m
     times = np.arange(horizon)
     c_q = np.empty(horizon)
-    for lo, hi, sums in plan.sweep(times, np.ones((system.dim, 1)), w):
+    for lo, hi, sums in plan.sweep(times, np.ones((len(support), 1)), w):
         c_q[lo:hi] = sums[:, 0]
     cesaro = np.cumsum(c_q) / (times + 1)
     return CorrelationSeries(times=times, c_q=c_q, cesaro=cesaro)

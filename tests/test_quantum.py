@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 import scipy.special
 
-from ehlab import cli
+from ehlab import cli, harness
 from ehlab import quantum as q
 from ehlab.errors import (ConfigurationError, DegenerateSpectrumError,
                           HermiticityError, NumericError)
@@ -190,6 +190,38 @@ def plan_series(m, phi, times):
     return out
 
 
+def parity_states(dim, k=3, eps=0.3):
+    """name -> (state, size of the support of Z^dagger rho Z) for states
+    built from |0> and psi+- = (|k> +- |-k>)/sqrt(2)."""
+    ladder = q.momentum_ladder(dim)
+    zero = (ladder == 0).astype(complex)
+    plus, minus = (((ladder == k) + sign * (ladder == -k)) / np.sqrt(2.0)
+                   for sign in (1, -1))
+    return {
+        "even pure": (q.momentum_eigenstate(dim, 0), dim // 2 + 1),
+        "even mixed": (q.DensityState(0.5 * np.outer(zero, zero)
+                                      + 0.5 * np.outer(plus, plus)), dim // 2 + 1),
+        "odd pure": (q.pure_state(minus), dim // 2),
+        # Hermitian with trace 1 but not positive: its odd diagonal is 0 and
+        # its odd rows are not
+        "not positive": (q.DensityState(np.outer(zero, zero) + eps * (
+            np.outer(zero, minus) + np.outer(minus, zero))), dim),
+    }
+
+
+def recording_plan(monkeypatch):
+    """Make every _SpreadPlan record (phases, sources) in the list returned."""
+    built = []
+
+    class Plan(q._SpreadPlan):
+        def __init__(self, phi):
+            super().__init__(phi)
+            built.append((len(phi), len(self.k)))
+
+    monkeypatch.setattr(q, "_SpreadPlan", Plan)
+    return built
+
+
 def pair_column_sweep_oracle(plan, times, amps, weights):
     """What `plan.sweep` yields, by the spreading that per-tile amplitude
     columns replaced: per window, all (sources, q, p) columns w_kk' a_k
@@ -210,7 +242,8 @@ def pair_column_sweep_oracle(plan, times, amps, weights):
         cols = weights[:, :, None] * pair[:, None]
         flat = cols.reshape(n, -1).view(float)
         ext = np.zeros((grid + 2 * spread - 1, flat.shape[1]))
-        for start, first, last, block in plan.tiles:
+        for start, first, last in plan.tiles:
+            block = plan.block(start, first, last)
             ext[start:start + len(block)] += block @ flat[first:last]
         g = ext[spread - 1:spread - 1 + grid]
         g[:spread] += ext[spread - 1 + grid:]
@@ -266,6 +299,21 @@ class TestParamsAndStates:
         object.__setattr__(obs, "label", "nan")
         with pytest.raises(HermiticityError):
             q.expectation(q.maximally_mixed(3), obs)
+
+    def test_overflowing_asymmetry_is_not_hermitian(self):
+        # m - m^dagger overflows to inf (or inf - inf gives NaN) for entries
+        # of opposite sign near the largest double: the refusal, not a
+        # RuntimeWarning, must end the check
+        cases = [(q.DensityState, [[0.5, 1e308], [-1e308, 0.5]]),
+                 (q.ObservableMatrix, [[1e308, 1e308], [-1e308, 1.0]]),
+                 (q.DensityState, [[0.5, 1e308j], [1e308j, 0.5]]),
+                 (q.ObservableMatrix, np.full((3, 3), np.inf))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build, m in cases:
+                args = (np.array(m),) if build is q.DensityState else (np.array(m), "x")
+                with pytest.raises(ConfigurationError, match="not Hermitian"):
+                    build(*args)
 
     def test_matrix_shapes_rejected(self):
         # a 1-D observable used to be accepted and give a meaningless series;
@@ -825,6 +873,69 @@ class TestCorrelationSeries:
         series = q.correlation_series(rho, system, obs, 10,
                                       allow_degenerate=True)
         assert len(series.c_q) == 10
+        # the refusal reads the whole spectrum: no flagged pair lies inside
+        # the support of the parity-even |0>, whose plan covers the even half
+        even = set(system.col[:33].tolist())
+        assert not any(i in even and j in even for i, j in system.degeneracy_flags)
+
+    @pytest.mark.parametrize("name", ["even pure", "even mixed", "odd pure",
+                                      "not positive"])
+    def test_plan_over_the_support(self, name, monkeypatch):
+        # the series spreads only the pairs inside the support of Z^dagger
+        # rho Z: half the phases for a state of one parity, all of them for
+        # the state whose odd rows are not zero although its odd diagonal is
+        dim = 65
+        system = q.build_floquet(q.QuantumParams(dim=dim, lam=10.0))
+        rho, support = parity_states(dim)[name]
+        obs = random_observable(dim, np.random.default_rng(41))
+        built = recording_plan(monkeypatch)
+        times = np.arange(2 * q._WINDOW + 9)
+        got = q.correlation_series(rho, system, obs, len(times)).c_q
+        assert built == [(support, support * (support - 1) // 2)]
+        rho_e = system.to_eigenbasis(rho.matrix)
+        obs_e = system.to_eigenbasis(obs.matrix)
+        if name == "not positive":
+            assert not np.diag(rho_e)[system.col[dim // 2 + 1:]].any()
+        full = plan_series(rho_e * obs_e.T, system.quasi_energies, times)
+        assert np.max(np.abs(got - full)) <= 1e-12
+        ref = offdiag_series_oracle(rho_e, obs_e, system.quasi_energies, times)
+        assert np.max(np.abs(got - ref)) <= 1e-10
+
+    def test_support_of_one_level_has_no_pairs(self, monkeypatch):
+        # at N = 3 the odd block holds one level: no pair, an empty plan
+        # and a series that is identically 0
+        system = q.build_floquet(q.QuantumParams(dim=3, lam=1.0))
+        rho, support = parity_states(3, k=1)["odd pure"]
+        built = recording_plan(monkeypatch)
+        series = q.correlation_series(rho, system, q.cos_theta_observable(3), 3000)
+        assert support == 1 and built == [(1, 0)]
+        assert not series.c_q.any() and not series.cesaro.any()
+
+    def test_haar_series_csv_is_the_full_plans(self, tmp_path, monkeypatch):
+        # a Haar state's support is the whole spectrum, so its series is the
+        # full plan's, and so is its CSV, byte for byte
+        dim, horizon, seed = 257, 20_000, 5
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kind": "correlation-series", "output_dir": str(tmp_path / "out"),
+            "seed": seed, "parameters": {
+                "dim": dim, "lambda": 10.0, "horizon": horizon,
+                "observable": {"type": "momentum_window", "k_lo": 10, "k_hi": 60},
+                "state": {"type": "haar"}}}))
+        built = recording_plan(monkeypatch)
+        assert cli.main(["run", "--config", str(config)]) == 0
+        assert built == [(dim, dim * (dim - 1) // 2)]
+        system = q.build_floquet(q.QuantumParams(dim=dim, lam=10.0))
+        rho = q.haar_random_pure(dim, np.random.default_rng(seed))
+        obs = q.momentum_window_projector(dim, 10.0, 60.0)
+        m = system.to_eigenbasis(rho.matrix) * system.to_eigenbasis(obs.matrix).T
+        times = np.arange(horizon)
+        c_q = plan_series(m, system.quasi_energies, times)
+        art = harness._Artifacts()
+        art.add_csv("series.csv", "t,c_q,cesaro",
+                    (times, c_q, np.cumsum(c_q) / (times + 1)))
+        assert ((tmp_path / "out" / "correlation_series.csv").read_bytes()
+                == art.files["series.csv"])
 
     def test_variance_identity_on_sparse_window(self):
         # Var_t C_Q = sum_{k!=k'} |rho_kk'|^2 |O_kk'|^2 for nondegenerate gaps
@@ -980,6 +1091,25 @@ class TestCorrelationSeries:
             tracemalloc.stop()
         assert (lo, hi, sums.shape) == (0, q._WINDOW, (q._WINDOW, 1))
         assert peak < 1 << 20
+
+    def test_plan_memory_is_a_few_bytes_a_source(self):
+        # one plan at N = 1025 holds each source's grid position and two
+        # uint16 pair indices, 12 B, and builds with at most 36 B a source
+        # alive; the dense kernel tiles it forms per sum would take 248
+        phi = np.sort(np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, 1025))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            plan = q._SpreadPlan(phi)
+            held, peak = (b - base for b in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        sources = len(plan.k)
+        tiles = sum(plan.block(*tile).nbytes for tile in plan.tiles)
+        assert sources == 1025 * 1024 // 2 and tiles == 31 * 8 * sources
+        assert plan.k.dtype == plan.kp.dtype == np.uint16
+        assert held <= 13 * sources < tiles / 19
+        assert peak <= 37 * sources
 
     def test_phase_sum_without_sources_is_zero(self):
         # N = 1 has no pair k < k'
