@@ -161,18 +161,21 @@ def _quantum_params(p: dict) -> quantum.QuantumParams:
 
 
 class _Artifacts:
-    """Collects finished artifact payloads; nothing touches disk until
-    the whole experiment has computed successfully."""
+    """Collects finished artifacts: JSON payloads as their bytes, CSVs as
+    their validated columns, formatted only as `write` writes them.
+    Nothing touches disk until the whole experiment has computed
+    successfully."""
 
     def __init__(self):
-        self.files: dict[str, bytes | bytearray] = {}
+        # name -> the bytes of a JSON artifact, or a CSV's (header, columns)
+        self.files: dict[str, bytes | tuple[str, list]] = {}
 
     def add_csv(self, name: str, header: str, columns):
-        """One line per row of the equal-length `columns`, each a 1-D
-        float or integer numpy array of at most 64 bits: '%.17g' % v
+        """A CSV of one line per row of the equal-length `columns`, each a
+        1-D float or integer numpy array of at most 64 bits: '%.17g' % v
         (round-trip safe) for a float and str(v) for an integer, both by
         one '%.17g' kernel (`_cells`). Any other column is a TypeError.
-        Rows are formatted _CSV_ROWS at a time by `_csv_rows`."""
+        The columns are kept, not copied, until `write` formats them."""
         columns = list(columns)
         for i, col in enumerate(columns):
             if not (isinstance(col, np.ndarray) and col.ndim == 1
@@ -183,21 +186,27 @@ class _Artifacts:
         lengths = [len(col) for col in columns]
         if len(set(lengths)) > 1:
             raise ValueError(f"{name}: columns differ in length: {lengths}")
-        # one buffer grown chunk by chunk, not the chunks and then their join
-        blob = bytearray((header + "\n").encode())
-        for lo in range(0, lengths[0] if columns else 0, _CSV_ROWS):
-            blob += memoryview(_csv_rows([col[lo:lo + _CSV_ROWS] for col in columns]))
-        self.files[name] = blob
+        self.files[name] = (header, columns)
 
     def add_json(self, name: str, payload):
         self.files[name] = _json_bytes(payload)
 
+    def chunks(self, name: str):
+        """The bytes of artifact `name` in order: a CSV's header line, then
+        its lines _CSV_ROWS rows at a time (`_csv_rows`)."""
+        item = self.files[name]
+        if isinstance(item, bytes):
+            yield item
+            return
+        header, columns = item
+        yield (header + "\n").encode()
+        for lo in range(0, len(columns[0]) if columns else 0, _CSV_ROWS):
+            yield _csv_rows([col[lo:lo + _CSV_ROWS] for col in columns])
+
     def write(self, out_dir: Path) -> dict[str, str]:
-        checksums = {}
-        for name, blob in self.files.items():
-            _write_atomic(out_dir / name, blob)
-            checksums[name] = hashlib.sha256(blob).hexdigest()
-        return checksums
+        """Write every artifact chunk by chunk; their sha256 by name."""
+        return {name: _write_atomic(out_dir / name, self.chunks(name))
+                for name in self.files}
 
 
 def _json_bytes(payload) -> bytes:
@@ -349,20 +358,27 @@ def _load(path, parse):
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_atomic(path: Path, blob: bytes):
-    """Write `blob` to a temp file beside `path`, then rename it into place.
+def _write_atomic(path: Path, chunks) -> str:
+    """Write the bytes-like `chunks` to a temp file beside `path`, then
+    rename it into place; the sha256 of the bytes written.
 
-    An OSError becomes a ConfigurationError naming `path`; the temp file
-    is removed.
+    An OSError, or a MemoryError while a chunk is made, becomes a
+    ConfigurationError naming `path`; the temp file is removed.
     """
     tmp = path.with_name(f".{path.name}.tmp")
+    digest = hashlib.sha256()
     try:
-        tmp.write_bytes(blob)
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                digest.update(chunk)
+                f.write(chunk)
         os.replace(tmp, path)
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         if tmp.is_file():
             tmp.unlink()
-        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot write {path}: "
+                                 f"{str(exc) or type(exc).__name__}") from exc
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------- kinds
@@ -499,11 +515,12 @@ KINDS = tuple(_KINDS)
 def run(config: ExperimentConfig) -> dict:
     """Execute one experiment and write its artifacts plus a manifest.
 
-    All artifacts are computed in memory first, so an invalid config, a
-    numeric failure or running out of memory (a ConfigurationError) never
-    leaves partial output files behind. Any old manifest is removed before
-    the first write and each file is replaced whole, so `manifest.json` is
-    present only after a complete write.
+    All artifacts are computed first, a CSV being formatted only as it is
+    written, so an invalid config, a numeric failure or running out of
+    memory (a ConfigurationError) while computing never leaves partial
+    output files behind. Any old manifest is removed before the first
+    write and each file is replaced whole, so `manifest.json` is present
+    only after a complete write.
     """
     runner, table = _KINDS[config.kind]
     art = _Artifacts()
@@ -529,12 +546,14 @@ def run(config: ExperimentConfig) -> dict:
         "artifacts": checksums,
         "wall_time_s": wall,
     }
-    _write_atomic(manifest_path, _json_bytes(manifest))
+    _write_atomic(manifest_path, [_json_bytes(manifest)])
     manifest["manifest_path"] = str(manifest_path)
     # glibc keeps the pages of arrays freed in the middle of its heap, so the
     # next experiment in this process would start from this one's holes: the
     # N = 2049 Floquet build after an N = 1025 one peaked 6 MiB higher or not
-    # with the heap layout. Hand them back once the experiment is done.
+    # with the heap layout. Hand them back once the experiment is done, its
+    # artifacts included.
+    del art
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(ctypes.c_size_t(0))
     return manifest
@@ -624,5 +643,5 @@ def emit_plot_scripts(manifest_path) -> list[str]:
         text += cubic
         plot = plot.format(csv=csv)
     script = base / name
-    _write_atomic(script, (text + plot + "\n").encode())
+    _write_atomic(script, [(text + plot + "\n").encode()])
     return [str(script)]

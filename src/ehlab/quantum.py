@@ -24,6 +24,7 @@ from math import inf, isfinite
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigurationError, DegenerateSpectrumError,
                      HermiticityError, NumericError, is_count, is_real,
@@ -55,6 +56,8 @@ _CHUNK_BYTES = 4 << 20
 # Fixed irrational weight in eigh(A + _MIX B): the commuting real and
 # imaginary parts of a parity block share one real orthonormal eigenbasis.
 _MIX = np.sqrt(2.0) - 1.0
+# Rows of a parity block formed at a time.
+_PANEL = 128
 # eigh's eigenvectors for values g apart are accurate to about 1e-16/g, so
 # eigenvalues of A + _MIX B closer than this are refined together.
 _CLUSTER_GAP = 1e-4
@@ -363,49 +366,62 @@ def free_propagator_diagonal(params: QuantumParams) -> np.ndarray:
     return np.exp(-0.5j * params.tau * params.hbar * k.astype(float) ** 2)
 
 
-def _parity_block(coeffs: np.ndarray, half_free: np.ndarray,
-                  sign: int) -> np.ndarray:
-    """The even (sign +1) or odd (sign -1) block of F_s = D K D in the
-    parity basis P, from the kick's circulant coefficients.
+def _parity_panels(coeffs: np.ndarray, half_free: np.ndarray, sign: int):
+    """Row panels (rows, block[rows]) of the even (sign +1) or odd (sign
+    -1) block of F_s = D K D in the parity basis P, _PANEL rows at a time,
+    from the kick's circulant coefficients. The block is (N + sign) // 2
+    square.
 
     K and D are parity invariant, so each block entry is K[k, k'] +-
     K[k, -k'] = c[(k - k') mod N] +- c[k + k'] scaled by the half-ladder
     phases, with 1/sqrt(2) on the even block's k = 0 row and column; the
-    odd block has no k = 0 row.
+    odd block has no k = 0 row. Both parts are read as strided views:
+    the Toeplitz rows from windows of c rolled by h and reversed, the
+    Hankel rows from windows of c.
     """
     n = len(coeffs)
     h = (n - 1) // 2
-    k = np.arange(0 if sign > 0 else 1, h + 1)
-    block = coeffs[np.subtract.outer(k, k) % n]
-    plus = coeffs[np.add.outer(k, k)]  # k + k' <= N - 1
-    if sign > 0:
-        block += plus
-    else:
-        block -= plus
-    del plus
+    k0 = 0 if sign > 0 else 1
+    size = h + 1 - k0
     s = half_free[h:].copy()
     s[0] /= np.sqrt(2.0)
-    s = s[k]
-    block *= s[:, None]
-    block *= s[None, :]
-    return block
+    s = s[k0:]
+    # row r, k = k0 + r: c[(k - k') mod N] for k' = k0 .. h is window
+    # h - r of the reversed roll, and c[k + k'] window r + 2 k0 of c
+    toeplitz = sliding_window_view(np.roll(coeffs, h)[::-1], size)[k0:h + 1][::-1]
+    hankel = sliding_window_view(coeffs, size)[2 * k0:]
+    combine = np.add if sign > 0 else np.subtract
+    for lo in range(0, size, _PANEL):
+        rows = slice(lo, min(lo + _PANEL, size))
+        panel = combine(toeplitz[rows], hankel[rows])
+        panel *= s[rows, None]
+        panel *= s[None, :]
+        yield rows, panel
 
 
-def _block_eigensystem(block: np.ndarray):
+def _block_eigensystem(coeffs: np.ndarray, half_free: np.ndarray, sign: int):
     """Eigenvalues, real orthonormal eigenvectors and eigen-residual of one
-    complex symmetric unitary block A + iB.
+    complex symmetric unitary parity block A + iB (see `_parity_panels`).
 
     A + _MIX B takes each value twice on the unit circle, so eigh can mix
     the eigenvectors of two distinct eigenvalues whose values nearly
     coincide. A Rayleigh-Ritz step with the orthogonal weighting
-    B - _MIX A separates each such cluster again. The block is released
-    as soon as its parts are copied out, so a caller that passes its only
-    reference keeps no complex block alive during the eigensolve.
+    B - _MIX A separates each such cluster again. The block is formed
+    twice from the coefficients: first as the one real matrix A + _MIX B,
+    so the eigensolve holds no other block, then over it as A, with B
+    beside it, for the products with the eigenvectors.
     """
-    a = np.ascontiguousarray(block.real)
-    b = np.ascontiguousarray(block.imag)
-    del block
-    w, v = np.linalg.eigh(a + _MIX * b)
+    size = (len(coeffs) + sign) // 2
+    a = np.empty((size, size))  # A + _MIX B until its eigh, then A
+    for rows, panel in _parity_panels(coeffs, half_free, sign):
+        np.multiply(panel.imag, _MIX, out=a[rows])
+        a[rows] += panel.real
+        del panel  # so that the eigensolve holds no panel
+    w, v = np.linalg.eigh(a)
+    b = np.empty_like(a)
+    for rows, panel in _parity_panels(coeffs, half_free, sign):
+        a[rows], b[rows] = panel.real, panel.imag
+        del panel
     av, bv = a @ v, b @ v
     del a, b
     for c in _clusters(w):
@@ -458,8 +474,8 @@ def build_floquet(params: QuantumParams) -> FloquetSystem:
     half_free = np.exp(-0.25j * params.tau * params.hbar * k ** 2)
     # one block at a time: the even block is solved and freed before the
     # odd one is formed
-    eig_e, v_e, res_e = _block_eigensystem(_parity_block(coeffs, half_free, 1))
-    eig_o, v_o, res_o = _block_eigensystem(_parity_block(coeffs, half_free, -1))
+    eig_e, v_e, res_e = _block_eigensystem(coeffs, half_free, 1)
+    eig_o, v_o, res_o = _block_eigensystem(coeffs, half_free, -1)
     residual = max(res_e, res_o)
     if not residual <= 1e-8:
         raise NumericError(f"eigensolve failed: block eigen-residual {residual}")

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import re
@@ -563,6 +564,21 @@ class TestCli:
             "localization.json", "momentum_distribution.csv", "params.json",
             "spectrum.csv"]
 
+    def test_out_of_memory_while_a_csv_is_written(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # a CSV is formatted only as it is written, so running out of memory
+        # there ends in a configuration error too, with no temp file left
+        def no_memory(columns):
+            raise MemoryError
+        monkeypatch.setattr(harness, "_csv_rows", no_memory)
+        out = tmp_path / "out"
+        payload = {"kind": "quantum-evolve", "output_dir": str(out),
+                   "parameters": EVOLVE}
+        assert cli.main(["run", "--config",
+                         str(write_config(tmp_path, payload))]) == 2
+        assert "momentum_distribution.csv: MemoryError" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_haar_state_is_the_default(self, tmp_path, monkeypatch):
         # a correlation series without a state starts from the documented
         # Haar-random state of the config's seed
@@ -622,17 +638,31 @@ class TestCli:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
 
-    def test_cli_import_loads_no_scipy(self):
+    def test_cli_import_loads_no_scipy(self, tmp_path):
         # scipy is a test-only dependency, and `import ehlab.cli` is all a
-        # run's start-up pays for
+        # run's start-up pays for; no run imports it later either, as a
+        # lazily imported eigensolver would, adding its RSS to every run
+        configs = [write_config(tmp_path, {
+            "kind": kind, "output_dir": str(tmp_path / kind),
+            "parameters": params}, f"{kind}.json")
+            for kind, params in (("quantum-evolve", EVOLVE),
+                                 ("volume-fraction", FRACTION))]
+        child = ("import sys\n"
+                 "import ehlab.cli\n"
+                 "loaded = ['scipy' in sys.modules]\n"
+                 "for config in sys.argv[1:]:\n"
+                 "    assert ehlab.cli.main(['run', '--config', config]) == 0\n"
+                 "    loaded.append('scipy' in sys.modules)\n"
+                 "print(loaded)\n")
         src = str(Path(ehlab.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import ehlab.cli, sys; print('scipy' in sys.modules)"],
+            [sys.executable, "-c", child, *map(str, configs)],
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": path})
-        assert proc.stdout == "False\n"
+        assert proc.stdout.splitlines()[-1] == "[False, False, False]"
+        assert all((tmp_path / kind / "manifest.json").is_file()
+                   for kind in ("quantum-evolve", "volume-fraction"))
 
     @pytest.mark.skipif(harness._MALLOC_TRIM is None
                         or not os.path.exists("/proc/self/smaps"),
@@ -697,10 +727,15 @@ def per_value_csv(header: str, columns) -> bytes:
     return b"".join(chunks)
 
 
+def artifact_bytes(art: harness._Artifacts, name: str) -> bytes:
+    """The bytes `art.write` writes for artifact `name`."""
+    return b"".join(art.chunks(name))
+
+
 def csv_bytes(columns, header="c") -> bytes:
     art = harness._Artifacts()
     art.add_csv("a.csv", header, columns)
-    return art.files["a.csv"]
+    return artifact_bytes(art, "a.csv")
 
 
 def test_csv_bytes_match_per_value_formatting():
@@ -769,7 +804,7 @@ def test_every_kind_writes_its_csvs_as_the_per_value_oracle(tmp_path, monkeypatc
     def checked(self, name, header, columns):
         columns = list(columns)
         add_csv(self, name, header, columns)
-        assert self.files[name] == per_value_csv(header, columns), name
+        assert artifact_bytes(self, name) == per_value_csv(header, columns), name
         written.append(name)
     monkeypatch.setattr(harness._Artifacts, "add_csv", checked)
     scan = scan_config(tmp_path / "scan", lambdas=(0.0, 0.5, 1.0, 10.0),
@@ -882,9 +917,10 @@ def test_int_kernel_matches_str():
     check(mixed, np.int64)
 
 
-def test_relax_series_csv_memory():
-    # formatting in chunks keeps the 10**5-row series' peak near the
-    # bytes it writes
+def test_relax_series_csv_memory(tmp_path):
+    # formatting chunk by chunk as the file is written keeps the 10**5-row
+    # series' peak a fraction of the bytes it writes; a whole formatted
+    # copy would be one file size
     params = quantum.QuantumParams(dim=257, lam=10.0)
     system = quantum.build_floquet(params)
     series = quantum.correlation_series(
@@ -893,15 +929,18 @@ def test_relax_series_csv_memory():
         allow_degenerate=True)
     columns = (series.times, series.c_q, series.cesaro)
     art = harness._Artifacts()
+    art.add_csv("c.csv", "t,c_q,cesaro", columns)
     tracemalloc.start()
     try:
-        art.add_csv("c.csv", "t,c_q,cesaro", columns)
+        checksums = art.write(tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = len(art.files["c.csv"])
-    assert peak <= 2.5 * size
-    assert art.files["c.csv"] == per_value_csv("t,c_q,cesaro", columns)
+    blob = (tmp_path / "c.csv").read_bytes()
+    assert peak <= 0.5 * len(blob)
+    assert blob == per_value_csv("t,c_q,cesaro", columns)
+    assert blob == artifact_bytes(art, "c.csv")
+    assert checksums == {"c.csv": hashlib.sha256(blob).hexdigest()}
 
 
 # ---------------------------------------------------------------- fuzzing

@@ -14,6 +14,7 @@ from ehlab import cli, harness
 from ehlab import quantum as q
 from ehlab.errors import (ConfigurationError, DegenerateSpectrumError,
                           HermiticityError, NumericError)
+from test_harness import artifact_bytes
 
 
 def random_density(dim, rng):
@@ -112,6 +113,39 @@ def dense_parity_basis(system):
     z = np.empty((n, n), dtype=complex)
     z[:, system.col] = system.half_free.conj()[:, None] * (p @ b)
     return z
+
+
+def dense_parity_block(coeffs, half_free, sign):
+    """The even (sign +1) or odd (sign -1) parity block of F_s = D K D by
+    index matrices: c[(k - k') mod N] +- c[k + k'] times the half-ladder
+    phases of k and k', with 1/sqrt(2) on the even block's k = 0 row and
+    column (exact oracle)."""
+    n = len(coeffs)
+    h = (n - 1) // 2
+    k = np.arange(0 if sign > 0 else 1, h + 1)
+    block = coeffs[np.subtract.outer(k, k) % n]
+    plus = coeffs[np.add.outer(k, k)]  # k + k' <= N - 1
+    if sign > 0:
+        block += plus
+    else:
+        block -= plus
+    s = half_free[h:].copy()
+    s[0] /= np.sqrt(2.0)
+    s = s[k]
+    block *= s[:, None]
+    block *= s[None, :]
+    return block
+
+
+def panel_block(coeffs, half_free, sign):
+    """The parity block stacked from the row panels of `_parity_panels`,
+    which must come in row order."""
+    size = (len(coeffs) + sign) // 2
+    block = np.empty((0, size), dtype=complex)
+    for rows, panel in q._parity_panels(coeffs, half_free, sign):
+        assert rows.start == len(block) and len(panel) == rows.stop - rows.start
+        block = np.vstack([block, panel])
+    return block
 
 
 def assert_same_spectrum(system, oracle):
@@ -441,8 +475,8 @@ class TestFloquet:
     def test_spectrum_matches_schur_oracle(self, dim):
         # parity blocks of sizes (N+1)/2 and (N-1)/2: at dim 1 the odd one
         # is empty
-        even, odd = (q._parity_block(np.eye(1, dim, dtype=complex)[0],
-                                     np.ones(dim, dtype=complex), sign)
+        even, odd = (panel_block(np.eye(1, dim, dtype=complex)[0],
+                                 np.ones(dim, dtype=complex), sign)
                      for sign in (1, -1))
         assert even.shape == ((dim + 1) // 2,) * 2
         assert odd.shape == ((dim - 1) // 2,) * 2
@@ -542,6 +576,57 @@ class TestFloquet:
             "parameters": {"dim": 33, "lambda": 5.0, "n_kicks": 10}}))
         assert cli.main(["run", "--config", str(config)]) == 3
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dim", [1, 3, 5, 65, 257, 1025])
+    def test_parity_panels_match_index_formula(self, dim, monkeypatch):
+        # the row panels read off strided views of c are, bit for bit, the
+        # block the index formula gathers, and a build from that block as
+        # one panel is the panel build, bit for bit
+        def one_panel(coeffs, half_free, sign):
+            block = dense_parity_block(coeffs, half_free, sign)
+            yield slice(0, len(block)), block
+        for lam in (0.0, 10.0):
+            for hbar in (1.0, 0.7):
+                params = q.QuantumParams(dim=dim, lam=lam, hbar=hbar)
+                system = q.build_floquet(params)
+                coeffs = q._kick_coefficients(params)
+                for sign in (1, -1):
+                    got = panel_block(coeffs, system.half_free, sign)
+                    want = dense_parity_block(coeffs, system.half_free, sign)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                with monkeypatch.context() as m:
+                    m.setattr(q, "_parity_panels", one_panel)
+                    oracle = q.build_floquet(params)
+                for name in ("quasi_energies", "v_even", "v_odd", "col"):
+                    assert (getattr(system, name).tobytes()
+                            == getattr(oracle, name).tobytes()), name
+                assert system.degeneracy_flags == oracle.degeneracy_flags
+
+    def test_eigensolve_holds_one_real_block(self, monkeypatch):
+        # when a block's eigh starts, the build holds the one real matrix
+        # A + _MIX B, an eighth of one N x N complex array, and for the odd
+        # block the even block's basis, another eighth; A or B beside it,
+        # a complex block or its index matrices break the bound
+        n = 1025
+        unit = 16 * n * n
+        sizes = {(n + 1) // 2, (n - 1) // 2}
+        eigh = np.linalg.eigh
+        held = []
+
+        def traced(m):
+            if len(m) in sizes:
+                held.append(tracemalloc.get_traced_memory()[0] - base)
+            return eigh(m)
+        monkeypatch.setattr(np.linalg, "eigh", traced)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            q.build_floquet(q.QuantumParams(dim=n, lam=10.0))
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 2
+        assert max(held) <= 0.3 * unit
 
     def test_build_holds_one_dense_array(self):
         # a built system holds its two real half-size block bases, a
@@ -935,7 +1020,7 @@ class TestCorrelationSeries:
         art.add_csv("series.csv", "t,c_q,cesaro",
                     (times, c_q, np.cumsum(c_q) / (times + 1)))
         assert ((tmp_path / "out" / "correlation_series.csv").read_bytes()
-                == art.files["series.csv"])
+                == artifact_bytes(art, "series.csv"))
 
     def test_variance_identity_on_sparse_window(self):
         # Var_t C_Q = sum_{k!=k'} |rho_kk'|^2 |O_kk'|^2 for nondegenerate gaps
