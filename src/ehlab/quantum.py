@@ -586,7 +586,8 @@ class _SpreadPlan:
     reach when it is summed (`block`), so spreading is one real GEMM per
     tile over the columns it forms from amplitudes and weights, and the
     plan keeps 12 bytes a source (its grid position and two pair indices)
-    where the blocks would take 248. `sweep` is the one loop over windows
+    where the blocks would take 248, plus one extended grid that every
+    `sums` reuses. `sweep` is the one loop over windows
     of times. The plan keeps the quasi-energies `phi` whose pairs it
     spreads, so a sweep cannot be handed phases of another spectrum.
     """
@@ -620,6 +621,10 @@ class _SpreadPlan:
         # amplitudes (32 each) and the largest tile's columns (48 a source)
         column_bytes = 20 * _GRID + 32 * len(phi) + 48 * int(np.diff(edges).max())
         self.columns = max(1, min(_COLUMNS, _CHUNK_BYTES // column_bytes))
+        # the extended grid of `sums`, kept and grown across its calls, so
+        # its pages are faulted in once per plan, not once per call when
+        # glibc's malloc serves a 2 MB array by mmap
+        self.ext = np.empty(0)
 
     def sweep(self, times, amps: np.ndarray, weights: np.ndarray):
         """(lo, hi, sums) for each window times[lo:hi] of the ascending
@@ -666,7 +671,11 @@ class _SpreadPlan:
         j of the plan-order (sources, q) `weights` and column c of the
         complex (N, m) `amps`. Each tile forms its own block and columns."""
         conj = amps.conj()
-        ext = np.zeros((_GRID + 2 * _SPREAD - 1, 2 * weights.shape[1] * amps.shape[1]))
+        shape = (_GRID + 2 * _SPREAD - 1, 2 * weights.shape[1] * amps.shape[1])
+        if self.ext.size < shape[0] * shape[1]:
+            self.ext = np.empty(shape[0] * shape[1])
+        ext = self.ext[:shape[0] * shape[1]].reshape(shape)
+        ext.fill(0.0)
         for a, lo, hi in self.tiles:
             block = self.block(a, lo, hi)
             pair = amps[self.k[lo:hi]]

@@ -1177,6 +1177,25 @@ class TestCorrelationSeries:
         assert (lo, hi, sums.shape) == (0, q._WINDOW, (q._WINDOW, 1))
         assert peak < 1 << 20
 
+    def test_sums_reuse_one_extended_grid(self):
+        # the plan's extended grid is allocated once, at the widest sum,
+        # and cleared before each: every sum after a wider one is bitwise
+        # that of a fresh plan
+        rng = np.random.default_rng(31)
+        phi = np.sort(rng.uniform(0.0, 2.0 * np.pi, 37))
+        plan = q._SpreadPlan(phi)
+        weights = (rng.normal(size=(len(plan.k), 2))
+                   + 1j * rng.normal(size=(len(plan.k), 2)))
+        amps = [rng.normal(size=(37, p)) + 1j * rng.normal(size=(37, p))
+                for p in (3, 1, 3, 2)]
+        got = [plan.sums(a, weights) for a in amps[:1]]
+        grid = plan.ext.ctypes.data
+        got += [plan.sums(a, weights) for a in amps[1:]]
+        assert plan.ext.ctypes.data == grid
+        assert plan.ext.size == (q._GRID + 2 * q._SPREAD - 1) * 2 * 2 * 3
+        for a, sums in zip(amps, got):
+            assert np.array_equal(sums, q._SpreadPlan(phi).sums(a, weights))
+
     def test_plan_memory_is_a_few_bytes_a_source(self):
         # one plan at N = 1025 holds each source's grid position and two
         # uint16 pair indices, 12 B, and builds with at most 36 B a source
