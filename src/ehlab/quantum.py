@@ -131,8 +131,31 @@ def _hermitian(matrix, what: str) -> np.ndarray:
     return m
 
 
-class DensityState:
-    """An N x N density matrix: Hermitian, unit trace, positive."""
+class _Operator:
+    """What states and observables share: a dense momentum-basis `matrix`,
+    given to the constructor or, for one held in a structured form, built
+    by `_dense` the first time it is read, and the dimension N."""
+
+    _dim = None  # N of a structured form; a dense one reads its matrix
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _dense(self)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0] if self._dim is None else self._dim
+
+
+class DensityState(_Operator):
+    """An N x N density matrix: Hermitian, unit trace, positive.
+
+    `pure_state`, `momentum_eigenstate` and `haar_random_pure` hold the
+    state as its unit vector `vector`, psi with rho = |psi><psi|; the
+    vector of any other state is None.
+    """
+
+    vector = None
 
     def __init__(self, matrix, check_psd: bool = False):
         m = _hermitian(matrix, "density matrix")
@@ -145,39 +168,65 @@ class DensityState:
                 raise ConfigurationError(f"negative eigenvalue {w[0]}")
         self.matrix = m
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    @classmethod
+    def _pure(cls, vector: np.ndarray) -> DensityState:
+        """|psi><psi| held as the complex unit vector psi."""
+        state = cls.__new__(cls)
+        state.vector, state._dim = vector, len(vector)
+        return state
 
 
-@dataclass(frozen=True)
-class ObservableMatrix:
-    """A labeled Hermitian observable."""
+class ObservableMatrix(_Operator):
+    """A labeled Hermitian observable.
 
-    matrix: np.ndarray
-    label: str
+    The constructors below hold it in one of two structured forms: as
+    `diagonal`, the real momentum-basis diagonal of a window or of L^2,
+    or as `shift`, the real s of the two-term circulant s (U + U^dagger)
+    with U the cyclic momentum shift U|k> = |k+1>, which is cos(theta)
+    at s = 1/2. Both are None for an observable given as a matrix.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix",
-                           _hermitian(self.matrix, f"observable '{self.label}'"))
+    diagonal = None
+    shift = None
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def __init__(self, matrix, label: str):
+        self.matrix = _hermitian(matrix, f"observable '{label}'")
+        self.label = label
+
+    @classmethod
+    def _structured(cls, dim: int, label: str, diagonal=None,
+                    shift=None) -> ObservableMatrix:
+        obs = cls.__new__(cls)
+        obs.label, obs._dim, obs.diagonal, obs.shift = label, dim, diagonal, shift
+        return obs
+
+
+def _dense(form: _Operator) -> np.ndarray:
+    """The momentum-basis matrix of a state or observable held in a
+    structured form: |psi><psi|, a diagonal, or s (U + U^dagger)."""
+    if isinstance(form, DensityState):
+        return np.outer(form.vector, form.vector.conj())
+    if form.diagonal is not None:
+        return np.diag(form.diagonal.astype(complex))
+    coeffs = np.zeros(form.dim, dtype=complex)
+    coeffs[1 % form.dim] += form.shift
+    coeffs[-1 % form.dim] += form.shift
+    return _circulant(coeffs)
 
 
 def pure_state(vector) -> DensityState:
-    """|psi><psi| from a (not necessarily normalized) vector, whose norm
-    must be finite (it overflows for entries near 1e154 and up) and above
-    zero."""
+    """|psi><psi| from a (not necessarily normalized) 1-D vector, whose
+    norm must be finite (it overflows for entries near 1e154 and up) and
+    above zero."""
     v = np.asarray(vector, dtype=complex)
+    if v.ndim != 1:
+        raise ConfigurationError(f"vector must be 1-D, got shape {v.shape}")
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(v)
     if not (isfinite(norm) and norm > 0):
         raise ConfigurationError(
             f"vector must have a finite non-zero norm, got norm {norm}")
-    v = v / norm
-    return DensityState(np.outer(v, v.conj()))
+    return DensityState._pure(v / norm)
 
 
 def momentum_eigenstate(dim: int, k: int) -> DensityState:
@@ -185,7 +234,7 @@ def momentum_eigenstate(dim: int, k: int) -> DensityState:
     sel = momentum_ladder(dim) == k if is_count(k) else False
     if not np.any(sel):
         raise ConfigurationError(f"k={k!r} not on the ladder of dim {dim}")
-    return DensityState(np.diag(sel.astype(complex)))
+    return DensityState._pure(sel.astype(complex))
 
 
 def maximally_mixed(dim: int) -> DensityState:
@@ -194,8 +243,7 @@ def maximally_mixed(dim: int) -> DensityState:
 
 def haar_random_pure(dim: int, rng: np.random.Generator) -> DensityState:
     """Haar-random pure state from a normalized complex Gaussian vector."""
-    v = _haar_vector(_dense_dim(dim), rng)
-    return DensityState(np.outer(v, v.conj()))
+    return DensityState._pure(_haar_vector(_dense_dim(dim), rng))
 
 
 def _haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -219,8 +267,8 @@ def momentum_window_projector(dim: int, k_lo: float, k_hi: float,
     sel = (hk >= k_lo) & (hk < k_hi)
     if not sel.any():
         raise ConfigurationError(f"window [{k_lo}, {k_hi}) selects no ladder site")
-    return ObservableMatrix(np.diag(sel.astype(complex)),
-                            label=f"P[{k_lo},{k_hi})")
+    return ObservableMatrix._structured(dim, f"P[{k_lo},{k_hi})",
+                                        diagonal=sel.astype(float))
 
 
 def _angle_grid(dim: int) -> np.ndarray:
@@ -246,9 +294,9 @@ def _circulant(coeffs: np.ndarray) -> np.ndarray:
 
 
 def cos_theta_observable(dim: int) -> ObservableMatrix:
-    """cos(theta) on the angle grid, expressed in the momentum basis."""
-    m = _circulant(_angle_coefficients(np.cos(_angle_grid(_odd_dim(dim)))))
-    return ObservableMatrix(m, label="cos_theta")
+    """cos(theta) on the angle grid, expressed in the momentum basis: the
+    angle grid's N points make it the circulant (U + U^dagger) / 2."""
+    return ObservableMatrix._structured(_odd_dim(dim), "cos_theta", shift=0.5)
 
 
 def l_squared_observable(dim: int, hbar: float = 1.0) -> ObservableMatrix:
@@ -259,8 +307,8 @@ def l_squared_observable(dim: int, hbar: float = 1.0) -> ObservableMatrix:
     if not isfinite(top * top):
         raise ConfigurationError(
             f"hbar = {hbar!r} makes (hbar k)^2 overflow at k = {ladder[-1]}")
-    return ObservableMatrix(np.diag((hbar * ladder).astype(complex) ** 2),
-                            label="L_squared")
+    return ObservableMatrix._structured(
+        dim, "L_squared", diagonal=(hbar * ladder).astype(float) ** 2)
 
 
 @dataclass
@@ -309,6 +357,61 @@ class FloquetSystem:
         a = self._z(np.conj(matrix).T)
         return self._z(np.conj(a, out=a).T)
 
+    def observable_in_eigenbasis(self, obs: ObservableMatrix,
+                                 support=None) -> np.ndarray:
+        """Z^dagger O Z on the rows and columns `support`, ascending indices
+        of the sorted spectrum (all of them when None), through O's
+        structured form; an O given as a matrix takes `to_eigenbasis`.
+
+        Z = D^-1 P B with B = blockdiag(V_e, V_o). D cancels against a
+        momentum-diagonal O, whose P^T O P holds o_0 at k = 0, (o_k +
+        o_-k)/2 on the even and on the odd diagonal and (o_k - o_-k)/2 on
+        the even-odd pairs: three real GEMMs and a real result. The
+        circulant s (U + U^dagger) commutes with parity, and each parity
+        block T of D (U + U^dagger) D^-1 is tridiagonal plus the
+        wrap-around corner, so one V^T T V per block, with exact zeros
+        across the parities.
+        """
+        if obs.diagonal is None and obs.shift is None:
+            m = self.to_eigenbasis(obs.matrix)
+            return m if support is None else m[np.ix_(support, support)]
+        h = self.dim // 2
+        blocks = self._block_index[np.s_[:] if support is None else support]
+        even = blocks <= h
+        ie, io = np.flatnonzero(even), np.flatnonzero(~even)
+        ve = self.v_even[:, blocks[ie]]
+        vo = self.v_odd[:, blocks[io] - (h + 1)]
+        n = len(blocks)
+        if obs.diagonal is not None:
+            o = obs.diagonal
+            mean = o[h:] / 2 + o[h::-1] / 2  # halves: a sum could overflow
+            diff = o[h + 1:] / 2 - o[:h][::-1] / 2
+            out = np.empty((n, n))
+            out[np.ix_(ie, ie)] = ve.T @ (mean[:, None] * ve)
+            out[np.ix_(io, io)] = vo.T @ (mean[1:, None] * vo)
+            cross = ve[1:].T @ (diff[:, None] * vo)
+            out[np.ix_(ie, io)] = cross
+            out[np.ix_(io, ie)] = cross.T
+            return out
+        s = obs.shift
+        # <k| D s (U + U^dagger) D^-1 |k+1> for k = 0 .. h - 1; the corner
+        # <h| .. |-h> = s adds +-s to the last diagonal entry of each block
+        # (at N = 1, U = 1 and the one entry is 2 s)
+        hop = s * self.half_free[h:-1] * self.half_free[h + 1:].conj()
+        upper_e = hop.copy()
+        upper_e[:1] *= np.sqrt(2.0)  # <0| .. (|1> + |-1>)/sqrt(2)
+        out = np.zeros((n, n), dtype=complex)
+        out[np.ix_(ie, ie)] = _tridiagonal_sandwich(ve, upper_e, s if h else 2 * s)
+        out[np.ix_(io, io)] = _tridiagonal_sandwich(vo, hop[1:], -s)
+        return out
+
+    @cached_property
+    def _block_index(self) -> np.ndarray:
+        """The block column (even block first) of each sorted eigenvector."""
+        order = np.empty_like(self.col)
+        order[self.col] = np.arange(self.dim)
+        return order
+
     @cached_property
     def _scale(self) -> np.ndarray:
         """S D in block order: P = F^T S, F folding rows k and -k, S being
@@ -346,6 +449,18 @@ class FloquetSystem:
         np.add(even[1:], odd, out=g[h + 1:])
         np.subtract(even[:0:-1], odd[::-1], out=g[:h])
         return g.reshape(np.shape(c))
+
+
+def _tridiagonal_sandwich(v: np.ndarray, upper: np.ndarray,
+                          corner: float) -> np.ndarray:
+    """v^T T v for a real v and the Hermitian T with super-diagonal
+    `upper`, its conjugate below, and `corner` as its last diagonal entry
+    (its only one); v may have no rows."""
+    tv = np.zeros(v.shape, dtype=complex)
+    tv[:-1] = upper[:, None] * v[1:]
+    tv[1:] += upper.conj()[:, None] * v[:-1]
+    tv[-1:] += corner * v[-1:]
+    return (v.T @ tv.view(float)).view(complex)
 
 
 def _kick_coefficients(params: QuantumParams) -> np.ndarray:
@@ -708,6 +823,10 @@ def correlation_series(rho0: DensityState, system: FloquetSystem,
     phases of S alone, so a state of one parity, whose other parity's
     rows are exact zeros, spreads about a quarter of the pairs. A state
     whose support is the whole spectrum takes the full plan.
+
+    A pure state enters as c = Z^dagger psi, so r = c c^dagger and S holds
+    the indices where c is not zero; O enters through its structure,
+    rotated on S x S alone (see `FloquetSystem.observable_in_eigenbasis`).
     """
     if 8 * require_count("horizon", horizon, 2) > np.iinfo(np.intp).max:
         raise ConfigurationError(
@@ -716,22 +835,28 @@ def correlation_series(rho0: DensityState, system: FloquetSystem,
         raise ConfigurationError("dimension mismatch")
     if system.degeneracy_flags and not allow_degenerate:
         raise DegenerateSpectrumError(system.degeneracy_flags)
-    # Z^dagger rho Z and Z^dagger O Z before the plan, so that their
-    # transients never meet it; m is dropped once its pairs are gathered
-    r = system.to_eigenbasis(rho0.matrix)
-    support = np.flatnonzero(r.any(axis=1) | r.any(axis=0))
-    on_s = np.ix_(support, support) if len(support) < system.dim else np.s_[:, :]
-    m = r[on_s] * system.to_eigenbasis(obs.matrix)[on_s].T
-    del r
+    # r and O on S x S before the plan, so that their transients never
+    # meet it; m is dropped once its pairs are gathered
+    if rho0.vector is not None:
+        c = system._z_dag(rho0.vector)
+        support = np.flatnonzero(c)
+        c = c[support]
+        m = np.outer(c, c.conj())
+    else:
+        m = system.to_eigenbasis(rho0.matrix)
+        support = np.flatnonzero(m.any(axis=1) | m.any(axis=0))
+        if len(support) < system.dim:
+            m = m[np.ix_(support, support)]
+    m *= system.observable_in_eigenbasis(obs, support).T
     plan = _SpreadPlan(system.quasi_energies[support])
     w = m[plan.k, plan.kp][:, None]
     del m
-    times = np.arange(horizon)
     c_q = np.empty(horizon)
-    for lo, hi, sums in plan.sweep(times, np.ones((len(support), 1)), w):
+    for lo, hi, sums in plan.sweep(range(horizon), np.ones((len(support), 1)), w):
         c_q[lo:hi] = sums[:, 0]
-    cesaro = np.cumsum(c_q) / (times + 1)
-    return CorrelationSeries(times=times, c_q=c_q, cesaro=cesaro)
+    cesaro = np.cumsum(c_q)
+    cesaro /= np.arange(1, horizon + 1)
+    return CorrelationSeries(times=np.arange(horizon), c_q=c_q, cesaro=cesaro)
 
 
 def mixing_volume_fraction(system: FloquetSystem,
@@ -747,8 +872,8 @@ def mixing_volume_fraction(system: FloquetSystem,
     One NUFFT plan serves every state. A chunk of states, as many as fill
     the plan's columns with one per observable, is one sweep of the tail
     with the amplitudes c = Z^dagger psi of each state and the weights
-    O_k'k of each observable. Memory holds the plan, the weights and what
-    one chunk's columns need.
+    O_k'k of each observable, rotated through its structure. Memory holds
+    the plan, the weights and what one chunk's columns need.
     """
     if not o_set:
         raise ConfigurationError("observable set must not be empty")
@@ -762,7 +887,7 @@ def mixing_volume_fraction(system: FloquetSystem,
     times = range(int(np.ceil(0.9 * horizon)), horizon)
     # Z^dagger O Z before the plan, so that their transients never meet it;
     # each is dropped once its O_k'k, one column per observable, is gathered
-    obs_e = [system.to_eigenbasis(o.matrix) for o in o_set]
+    obs_e = [system.observable_in_eigenbasis(o) for o in o_set]
     plan = _SpreadPlan(system.quasi_energies)
     o_pairs = np.stack([obs_e.pop(0)[plan.kp, plan.k] for _ in o_set], axis=1)
     per = max(1, plan.columns // len(o_set))

@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -388,6 +389,14 @@ class TestParamsAndStates:
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError, match="finite non-zero norm"):
                 q.pure_state(vector)
+
+    @pytest.mark.parametrize("vector", [np.ones((2, 2)), np.ones((1, 3)), 1.0],
+                             ids=["matrix", "row", "scalar"])
+    def test_pure_state_refuses_a_vector_that_is_not_1d(self, vector):
+        # a matrix used to be flattened into a state of its size
+        shape = re.escape(str(np.shape(vector)))
+        with pytest.raises(ConfigurationError, match=f"1-D, got shape {shape}"):
+            q.pure_state(vector)
 
     def test_momentum_eigenstate_position(self):
         rho = q.momentum_eigenstate(7, -3)
@@ -908,6 +917,96 @@ class TestExpectationAndLimit:
         assert np.max(np.abs(star.matrix - rho.matrix)) < 1e-12
 
 
+class TestStructuredForms:
+    ROTATION_CASES = [(dim, hbar, lam) for dim in (1, 3, 5, 65, 257, 1025)
+                      for hbar in (1.0, 0.7) for lam in (0.0, 10.0)]
+
+    @pytest.mark.parametrize("dim,hbar,lam", ROTATION_CASES)
+    def test_rotations_match_dense_oracle(self, dim, hbar, lam):
+        # each structured rotation against the dense to_eigenbasis, on all
+        # of the spectrum and on each state's support, at 1e-12 of the
+        # observable's largest entry; at dim 1 the odd block is empty
+        system = q.build_floquet(q.QuantumParams(dim=dim, lam=lam, hbar=hbar))
+        odd = system.col[dim // 2 + 1:]
+        states = [q.momentum_eigenstate(dim, 0),
+                  q.momentum_eigenstate(dim, dim // 2),
+                  q.haar_random_pure(dim, np.random.default_rng(dim))]
+        supports = []
+        for rho in states:
+            c = system._z_dag(rho.vector)
+            r = system.to_eigenbasis(rho.matrix)
+            assert np.max(np.abs(np.outer(c, c.conj()) - r)) <= 1e-12
+            support = np.flatnonzero(c)
+            assert support.tolist() == np.flatnonzero(r.any(axis=1)).tolist()
+            supports.append(support)
+        assert not set(supports[0].tolist()) & set(odd.tolist())
+        # the window of k = 0, 1 is not parity symmetric: its cross-parity
+        # block is not zero
+        observables = {
+            "asymmetric window": q.momentum_window_projector(
+                dim, -0.5 * hbar, 1.5 * hbar, hbar=hbar),
+            "symmetric window": q.momentum_window_projector(
+                dim, -1.5 * hbar, 1.5 * hbar, hbar=hbar),
+            "L_squared": q.l_squared_observable(dim, hbar=hbar),
+            "cos_theta": q.cos_theta_observable(dim)}
+        for name, obs in observables.items():
+            dense = system.to_eigenbasis(obs.matrix)
+            tol = 1e-12 * max(1.0, np.max(np.abs(dense)))
+            got = system.observable_in_eigenbasis(obs)
+            assert np.max(np.abs(got - dense)) <= tol, name
+            for support in supports:
+                on_s = np.ix_(support, support)
+                part = system.observable_in_eigenbasis(obs, support)
+                assert np.max(np.abs(part - dense[on_s]), initial=0.0) <= tol, name
+            if obs.diagonal is not None:
+                assert got.dtype == float
+            cross = np.abs(got[np.ix_(system.col[:dim // 2 + 1], odd)])
+            if name == "asymmetric window" and dim > 1:
+                assert np.max(cross) > 1e-3
+            else:
+                assert not cross.any(), name
+
+    def test_no_run_path_builds_a_dense_form(self, tmp_path, monkeypatch):
+        # the series from |k> or a Haar state and the volume fraction rotate
+        # every observable through its structure: none reads a dense matrix
+        def refuse(form):
+            raise AssertionError(f"dense {type(form).__name__} built")
+
+        monkeypatch.setattr(q, "_dense", refuse)
+        observables = [{"type": "momentum_window", "k_lo": -2, "k_hi": 5},
+                       {"type": "cos_theta"}, {"type": "l_squared"}]
+        base = {"dim": 33, "lambda": 10.0, "allow_degenerate": True}
+        runs = [("correlation-series", {**base, "horizon": 50,
+                                        "observable": obs, "state": state})
+                for obs in observables
+                for state in ({"type": "momentum", "k": 3}, {"type": "haar"})]
+        runs += [("volume-fraction", {"dim": 33, "lambda": 10.0, "n_states": 100,
+                                      "horizon": 20, "tol": 0.3, "observables": [obs]})
+                 for obs in observables]
+        for i, (kind, parameters) in enumerate(runs):
+            config = tmp_path / f"{i}.json"
+            config.write_text(json.dumps({
+                "kind": kind, "output_dir": str(tmp_path / str(i)),
+                "parameters": parameters}))
+            assert cli.main(["run", "--config", str(config)]) == 0, parameters
+
+    def test_series_memory_is_a_fraction_of_a_dense_array(self):
+        # |0>, a window and the series at N = 1025: the two dense rotations
+        # took about four N x N complex arrays
+        n = 1025
+        system = q.build_floquet(q.QuantumParams(dim=n, lam=10.0))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            q.correlation_series(q.momentum_eigenstate(n, 0), system,
+                                 q.momentum_window_projector(n, 10.0, 60.0), 3000,
+                                 allow_degenerate=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 16 * n * n
+
+
 class TestCorrelationSeries:
     def test_matches_step_by_step_evolution(self):
         rng = np.random.default_rng(6)
@@ -998,7 +1097,9 @@ class TestCorrelationSeries:
 
     def test_haar_series_csv_is_the_full_plans(self, tmp_path, monkeypatch):
         # a Haar state's support is the whole spectrum, so its series is the
-        # full plan's, and so is its CSV, byte for byte
+        # full plan's, and so is its CSV, byte for byte; the weights come
+        # from c = Z^dagger psi and the window's structured rotation, and
+        # the dense rotations give the same series to rounding
         dim, horizon, seed = 257, 20_000, 5
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
@@ -1013,9 +1114,13 @@ class TestCorrelationSeries:
         system = q.build_floquet(q.QuantumParams(dim=dim, lam=10.0))
         rho = q.haar_random_pure(dim, np.random.default_rng(seed))
         obs = q.momentum_window_projector(dim, 10.0, 60.0)
-        m = system.to_eigenbasis(rho.matrix) * system.to_eigenbasis(obs.matrix).T
+        c = system._z_dag(rho.vector)
+        m = np.outer(c, c.conj()) * system.observable_in_eigenbasis(obs).T
         times = np.arange(horizon)
         c_q = plan_series(m, system.quasi_energies, times)
+        dense = system.to_eigenbasis(rho.matrix) * system.to_eigenbasis(obs.matrix).T
+        assert np.max(np.abs(plan_series(dense, system.quasi_energies, times)
+                             - c_q)) <= 1e-12
         art = harness._Artifacts()
         art.add_csv("series.csv", "t,c_q,cesaro",
                     (times, c_q, np.cumsum(c_q) / (times + 1)))
