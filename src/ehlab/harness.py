@@ -421,14 +421,11 @@ def _run_transition_fit(p: dict, seed: int, art: _Artifacts):
 def _run_quantum_evolve(p: dict, seed: int, art: _Artifacts):
     qp = _quantum_params(p)
     system = quantum.build_floquet(qp)
-    ladder = quantum.momentum_ladder(qp.dim)
-    psi0 = (ladder == p["initial_k"]).astype(complex)
-    if not psi0.any():
-        raise ConfigurationError(
-            f"parameters.initial_k={p['initial_k']} not on ladder")
+    psi0 = quantum.momentum_eigenstate(qp.dim, p["initial_k"]).vector
     psi = quantum.evolve_vector(psi0, system, p["n_kicks"])
     probs = np.abs(psi) ** 2
     probs /= probs.sum()
+    ladder = quantum.momentum_ladder(qp.dim)
     dist = list(zip(ladder.tolist(), probs.tolist()))
     fit = quantum.localization_fit(dist)
     art.add_csv("momentum_distribution.csv", "k,p", (ladder, probs))

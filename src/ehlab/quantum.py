@@ -17,7 +17,6 @@ symmetric eigensolve per half-size block diagonalises F.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf, isfinite
@@ -319,8 +318,8 @@ class FloquetSystem:
     and are stored in increasing order; `degeneracy_flags` lists index
     pairs closer than `DEFAULT_GAP_TOL` (including the 2*pi wraparound
     pair). The eigenbasis Z = D^-1 P blockdiag(V_e, V_o) is held as D, the
-    real block bases and the column col[j] of block eigenvector j (even
-    block first) in the sorted spectrum.
+    real block bases and the block column order[i] (even block first) of
+    sorted eigenvector i.
     """
 
     params: QuantumParams
@@ -328,7 +327,7 @@ class FloquetSystem:
     half_free: np.ndarray
     v_even: np.ndarray
     v_odd: np.ndarray
-    col: np.ndarray
+    order: np.ndarray
     degeneracy_flags: list = field(default_factory=list)
 
     @property
@@ -376,7 +375,7 @@ class FloquetSystem:
             m = self.to_eigenbasis(obs.matrix)
             return m if support is None else m[np.ix_(support, support)]
         h = self.dim // 2
-        blocks = self._block_index[np.s_[:] if support is None else support]
+        blocks = self.order[np.s_[:] if support is None else support]
         even = blocks <= h
         ie, io = np.flatnonzero(even), np.flatnonzero(~even)
         ve = self.v_even[:, blocks[ie]]
@@ -406,13 +405,6 @@ class FloquetSystem:
         return out
 
     @cached_property
-    def _block_index(self) -> np.ndarray:
-        """The block column (even block first) of each sorted eigenvector."""
-        order = np.empty_like(self.col)
-        order[self.col] = np.arange(self.dim)
-        return order
-
-    @cached_property
     def _scale(self) -> np.ndarray:
         """S D in block order: P = F^T S, F folding rows k and -k, S being
         1/sqrt(2) but 1/2 on the k = 0 row, which F counts twice."""
@@ -433,13 +425,15 @@ class FloquetSystem:
         out = np.empty_like(y)
         np.matmul(self.v_even.T, y[:h + 1].view(float), out=out[:h + 1].view(float))
         np.matmul(self.v_odd.T, y[h + 1:].view(float), out=out[h + 1:].view(float))
-        y[self.col] = out
+        np.take(out, self.order, axis=0, out=y)
         return y.reshape(np.shape(x))
 
     def _z(self, c) -> np.ndarray:
         """Z c = F^T conj(S D) B c: the steps of _z_dag reversed."""
         h = self.dim // 2
-        g = np.reshape(c, (self.dim, -1))[self.col].astype(complex, copy=False)
+        c2 = np.reshape(c, (self.dim, -1))
+        g = np.empty(c2.shape, dtype=complex)
+        g[self.order] = c2
         out = np.empty_like(g)
         np.matmul(self.v_even, g[:h + 1].view(float), out=out[:h + 1].view(float))
         np.matmul(self.v_odd, g[h + 1:].view(float), out=out[h + 1:].view(float))
@@ -598,15 +592,13 @@ def build_floquet(params: QuantumParams) -> FloquetSystem:
     phi[phi == 2.0 * np.pi] = 0.0  # np.mod(-tiny, 2 pi) rounds up to 2 pi
     order = np.argsort(phi, kind="stable")
     phi = phi[order]
-    col = np.empty(n, dtype=np.intp)
-    col[order] = np.arange(n)
     gaps = np.diff(phi)
     flags = [(int(i), int(i + 1))
              for i in np.flatnonzero(gaps < DEFAULT_GAP_TOL)]
     if n > 1 and (phi[0] + 2.0 * np.pi - phi[-1]) < DEFAULT_GAP_TOL:
         flags.append((n - 1, 0))
     return FloquetSystem(params=params, quasi_energies=phi,
-                         half_free=half_free, v_even=v_e, v_odd=v_o, col=col,
+                         half_free=half_free, v_even=v_e, v_odd=v_o, order=order,
                          degeneracy_flags=flags)
 
 
@@ -741,36 +733,28 @@ class _SpreadPlan:
         # glibc's malloc serves a 2 MB array by mmap
         self.ext = np.empty(0)
 
-    def sweep(self, times, amps: np.ndarray, weights: np.ndarray):
-        """(lo, hi, sums) for each window times[lo:hi] of the ascending
-        `times`: those in [t0, t0 + _WINDOW) from t0 = times[lo]. A range is
-        read without an array of all its times.
+    def sweep(self, start: int, stop: int, amps: np.ndarray, weights: np.ndarray):
+        """(lo, sums) for each window of the times t = start .. stop - 1:
+        the _WINDOW times from t0 = start + lo, fewer in the last window.
 
         sums[i, j * p + c] = 2 Re sum_{k<k'} a_k conj(a_k') w_kk'
-        exp(-i t omega_kk') at t = times[lo + i], w being column j of the
+        exp(-i t omega_kk') at t = t0 + i, w being column j of the
         plan-order (sources, q) `weights` and a column c of the (N, p)
         `amps`. Consecutive windows are summed together, up to
         self.columns columns (one window at least), each window's
-        amplitudes carrying its centre's phase. A group's windows are found
-        as the sweep reaches them, so no list of all windows is held.
+        amplitudes carrying its centre's phase.
         """
         q, p = weights.shape[1], amps.shape[1]
         per = max(1, self.columns // (q * p))
-        end = 0
-        while end < len(times):
-            group = []
-            while end < len(times) and len(group) < per:
-                t0 = int(times[end])
-                hi = bisect_left(times, t0 + _WINDOW, end)
-                group.append((t0, end, hi))
-                end = hi
+        for first in range(start, stop, per * _WINDOW):
+            group = range(first, min(first + per * _WINDOW, stop), _WINDOW)
             a = np.hstack([amps * np.exp(-1j * (t0 + _WINDOW // 2) * self.phi)[:, None]
-                           for t0, _, _ in group])
+                           for t0 in group])
             vals = self.sums(a, weights).reshape(_WINDOW, q, len(group), p)
-            for g, (t0, lo, hi) in enumerate(group):
-                rows = np.asarray(times[lo:hi]) - t0
-                yield lo, hi, vals[rows, :, g].reshape(len(rows), q * p)
-            del vals, rows  # before the next group makes its own
+            for g, t0 in enumerate(group):
+                n = min(_WINDOW, stop - t0)
+                yield t0 - start, vals[:n, :, g].copy().reshape(n, q * p)
+            del vals  # before the next group makes its own (no sums views it)
 
     def block(self, a: int, lo: int, hi: int) -> np.ndarray:
         """exp(-_KERNEL (x - u)^2) for the sources lo:hi of the tile at bin
@@ -852,8 +836,8 @@ def correlation_series(rho0: DensityState, system: FloquetSystem,
     w = m[plan.k, plan.kp][:, None]
     del m
     c_q = np.empty(horizon)
-    for lo, hi, sums in plan.sweep(range(horizon), np.ones((len(support), 1)), w):
-        c_q[lo:hi] = sums[:, 0]
+    for lo, sums in plan.sweep(0, horizon, np.ones((len(support), 1)), w):
+        c_q[lo:lo + len(sums)] = sums[:, 0]
     cesaro = np.cumsum(c_q)
     cesaro /= np.arange(1, horizon + 1)
     return CorrelationSeries(times=np.arange(horizon), c_q=c_q, cesaro=cesaro)
@@ -884,7 +868,7 @@ def mixing_volume_fraction(system: FloquetSystem,
     require_count("seed", seed, 0)
     if any(o.dim != system.dim for o in o_set):
         raise ConfigurationError("dimension mismatch")
-    times = range(int(np.ceil(0.9 * horizon)), horizon)
+    tail = int(np.ceil(0.9 * horizon))
     # Z^dagger O Z before the plan, so that their transients never meet it;
     # each is dropped once its O_k'k, one column per observable, is gathered
     obs_e = [system.observable_in_eigenbasis(o) for o in o_set]
@@ -898,7 +882,7 @@ def mixing_volume_fraction(system: FloquetSystem,
             rng = np.random.default_rng([seed, first + j])
             v[:, j] = _haar_vector(system.dim, rng)
         worst = np.zeros(v.shape[1])
-        for _, _, sums in plan.sweep(times, system._z_dag(v), o_pairs):
+        for _, sums in plan.sweep(tail, horizon, system._z_dag(v), o_pairs):
             worst = np.maximum(worst, np.abs(sums).max(axis=0)
                                .reshape(len(o_set), -1).max(axis=0))
             del sums  # before the sweep sums its next group

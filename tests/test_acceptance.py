@@ -117,14 +117,15 @@ TAIL = np.arange(9000, 10_000)
 
 def plan_series(m, phi, times):
     """sum_{k != k'} m_kk' exp(-i t (phi_k - phi_k')) at the ascending
-    `times`, for one weight matrix with m_k'k = conj(m_kk'): one plan sweep
-    with unit amplitudes and m's pairs, in plan order, as its one column."""
+    integer `times`, for one weight matrix with m_k'k = conj(m_kk'): one
+    plan sweep over [times[0], times[-1] + 1) with unit amplitudes and m's
+    pairs, in plan order, as its one column, read at `times`."""
     plan = q._SpreadPlan(phi)
-    out = np.empty(len(times))
-    for lo, hi, sums in plan.sweep(times, np.ones((len(phi), 1)),
-                                   m[plan.k, plan.kp][:, None]):
-        out[lo:hi] = sums[:, 0]
-    return out
+    out = np.empty(times[-1] + 1 - times[0])
+    for lo, sums in plan.sweep(int(times[0]), int(times[-1]) + 1,
+                               np.ones((len(phi), 1)), m[plan.k, plan.kp][:, None]):
+        out[lo:lo + len(sums)] = sums[:, 0]
+    return out[times - times[0]]
 
 
 def _tail_std(system, obs, i):

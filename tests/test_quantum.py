@@ -97,8 +97,8 @@ def eigvals_floquet(params):
 
 
 def dense_parity_basis(system):
-    """Z = D^-1 P blockdiag(V_e, V_o) from the definitions, block
-    eigenvector j in column col[j]; P's columns are |0>, then
+    """Z = D^-1 P blockdiag(V_e, V_o) from the definitions, column i being
+    block column order[i]; P's columns are |0>, then
     (|k> + |-k>)/sqrt(2) and (|k> - |-k>)/sqrt(2) for k = 1..(N-1)/2."""
     n = system.dim
     h = n // 2
@@ -111,9 +111,7 @@ def dense_parity_basis(system):
     b = np.zeros((n, n))
     b[:h + 1, :h + 1] = system.v_even
     b[h + 1:, h + 1:] = system.v_odd
-    z = np.empty((n, n), dtype=complex)
-    z[:, system.col] = system.half_free.conj()[:, None] * (p @ b)
-    return z
+    return system.half_free.conj()[:, None] * (p @ b)[:, system.order]
 
 
 def dense_parity_block(coeffs, half_free, sign):
@@ -215,14 +213,18 @@ def tail_maxima_oracle(system, o_set, n_states, horizon, seed):
 
 def plan_series(m, phi, times):
     """sum_{k != k'} m_kk' exp(-i t (phi_k - phi_k')) at the ascending
-    `times`, for one weight matrix with m_k'k = conj(m_kk'): one plan sweep
-    with unit amplitudes and m's pairs, in plan order, as its one column."""
+    integer `times`, for one weight matrix with m_k'k = conj(m_kk'): one
+    plan sweep over [times[0], times[-1] + 1) with unit amplitudes and m's
+    pairs, in plan order, as its one column, read at `times`."""
+    times = np.asarray(times)
+    if not len(times):
+        return np.empty(0)
     plan = q._SpreadPlan(phi)
-    out = np.empty(len(times))
-    for lo, hi, sums in plan.sweep(times, np.ones((len(phi), 1)),
-                                   m[plan.k, plan.kp][:, None]):
-        out[lo:hi] = sums[:, 0]
-    return out
+    out = np.empty(times[-1] + 1 - times[0])
+    for lo, sums in plan.sweep(int(times[0]), int(times[-1]) + 1,
+                               np.ones((len(phi), 1)), m[plan.k, plan.kp][:, None]):
+        out[lo:lo + len(sums)] = sums[:, 0]
+    return out[times - times[0]]
 
 
 def parity_states(dim, k=3, eps=0.3):
@@ -258,20 +260,19 @@ def recording_plan(monkeypatch):
 
 
 def pair_column_sweep_oracle(plan, times, amps, weights):
-    """What `plan.sweep` yields, by the spreading that per-tile amplitude
+    """What `plan.sweep` yields over [times[0], times[-1] + 1), read at the
+    ascending integer `times`, by the spreading that per-tile amplitude
     columns replaced: per window, all (sources, q, p) columns w_kk' a_k
     conj(a_k') formed by two takes and a multiply into one buffer, then
     one GEMM per tile over that buffer. Returns (len(times), q * p), column
-    j * p + c, for ascending integer `times`."""
+    j * p + c."""
     window, grid, spread = q._WINDOW, q._GRID, q._SPREAD
     times = np.asarray(times)
     n, p = weights.shape[0], amps.shape[1]
     modes = np.arange(-window // 2, window // 2) % grid
     out = np.empty((len(times), weights.shape[1] * p))
-    lo = 0
-    while lo < len(times):
-        t0 = times[lo]
-        hi = int(np.searchsorted(times, t0 + window))
+    for t0 in range(times[0], times[-1] + 1, window):
+        lo, hi = np.searchsorted(times, [t0, t0 + window])
         a = amps * np.exp(-1j * (t0 + window // 2) * plan.phi)[:, None]
         pair = np.take(a, plan.k, axis=0) * np.take(a.conj(), plan.kp, axis=0)
         cols = weights[:, :, None] * pair[:, None]
@@ -285,7 +286,6 @@ def pair_column_sweep_oracle(plan, times, amps, weights):
         g[grid - spread + 1:] += ext[:spread - 1]
         sums = np.fft.fft(g.view(complex), axis=0)[modes].real * plan.deconv[:, None]
         out[lo:hi] = sums[times[lo:hi] - t0]
-        lo = hi
     return out
 
 
@@ -607,7 +607,7 @@ class TestFloquet:
                 with monkeypatch.context() as m:
                     m.setattr(q, "_parity_panels", one_panel)
                     oracle = q.build_floquet(params)
-                for name in ("quasi_energies", "v_even", "v_odd", "col"):
+                for name in ("quasi_energies", "v_even", "v_odd", "order"):
                     assert (getattr(system, name).tobytes()
                             == getattr(oracle, name).tobytes()), name
                 assert system.degeneracy_flags == oracle.degeneracy_flags
@@ -725,15 +725,20 @@ class TestFloquet:
 
     def test_one_loop_over_time_windows(self):
         # _SpreadPlan.sweep is the one loop over NUFFT windows: only it
-        # finds window ends and sums a spread, and both relaxation layers
-        # go through it
+        # sums a spread, both relaxation layers go through it, and no
+        # module searches for window ends
         def reads_pair_index(node):
             return any(isinstance(a, ast.Attribute) and a.attr in ("k", "kp")
                        for a in ast.walk(node))
 
-        owners = {}
+        owners, imports = {}, set()
         for path in sorted(Path(q.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text())
+            for a in ast.walk(tree):
+                if isinstance(a, ast.ImportFrom):
+                    imports.add(a.module)
+                elif isinstance(a, ast.Import):
+                    imports.update(alias.name for alias in a.names)
             scopes = [(f"{c.name}.{f.name}", f) for c in tree.body
                       if isinstance(c, ast.ClassDef) for f in c.body
                       if isinstance(f, ast.FunctionDef)]
@@ -753,7 +758,7 @@ class TestFloquet:
                     if index or take:
                         owners.setdefault(".k/.kp row gather", set()).add(
                             (path.name, scope))
-        assert owners["bisect_left"] == {("quantum.py", "_SpreadPlan.sweep")}
+        assert "bisect" not in imports
         assert owners["sums"] == {("quantum.py", "_SpreadPlan.sweep")}
         assert owners["sweep"] == {("quantum.py", "correlation_series"),
                                    ("quantum.py", "mixing_volume_fraction")}
@@ -927,7 +932,8 @@ class TestStructuredForms:
         # of the spectrum and on each state's support, at 1e-12 of the
         # observable's largest entry; at dim 1 the odd block is empty
         system = q.build_floquet(q.QuantumParams(dim=dim, lam=lam, hbar=hbar))
-        odd = system.col[dim // 2 + 1:]
+        even = np.flatnonzero(system.order <= dim // 2)
+        odd = np.flatnonzero(system.order > dim // 2)
         states = [q.momentum_eigenstate(dim, 0),
                   q.momentum_eigenstate(dim, dim // 2),
                   q.haar_random_pure(dim, np.random.default_rng(dim))]
@@ -960,7 +966,7 @@ class TestStructuredForms:
                 assert np.max(np.abs(part - dense[on_s]), initial=0.0) <= tol, name
             if obs.diagonal is not None:
                 assert got.dtype == float
-            cross = np.abs(got[np.ix_(system.col[:dim // 2 + 1], odd)])
+            cross = np.abs(got[np.ix_(even, odd)])
             if name == "asymmetric window" and dim > 1:
                 assert np.max(cross) > 1e-3
             else:
@@ -1059,7 +1065,7 @@ class TestCorrelationSeries:
         assert len(series.c_q) == 10
         # the refusal reads the whole spectrum: no flagged pair lies inside
         # the support of the parity-even |0>, whose plan covers the even half
-        even = set(system.col[:33].tolist())
+        even = set(np.flatnonzero(system.order < 33).tolist())
         assert not any(i in even and j in even for i, j in system.degeneracy_flags)
 
     @pytest.mark.parametrize("name", ["even pure", "even mixed", "odd pure",
@@ -1079,7 +1085,7 @@ class TestCorrelationSeries:
         rho_e = system.to_eigenbasis(rho.matrix)
         obs_e = system.to_eigenbasis(obs.matrix)
         if name == "not positive":
-            assert not np.diag(rho_e)[system.col[dim // 2 + 1:]].any()
+            assert not np.diag(rho_e)[system.order > dim // 2].any()
         full = plan_series(rho_e * obs_e.T, system.quasi_energies, times)
         assert np.max(np.abs(got - full)) <= 1e-12
         ref = offdiag_series_oracle(rho_e, obs_e, system.quasi_energies, times)
@@ -1183,7 +1189,7 @@ class TestCorrelationSeries:
         for times in cases:
             ref = offdiag_series_oracle(rho_e, obs_e, phi, times)
             assert np.max(np.abs(plan_series(m, phi, times) - ref)) <= 1e-10
-        # a range is read window by window, without an array of all times
+        # a range of times as well as an array
         r = range(123_456, 123_456 + 2 * window + 3)
         assert np.max(np.abs(plan_series(m, phi, r) - offdiag_series_oracle(
             rho_e, obs_e, phi, np.arange(r.start, r.stop)))) <= 1e-10
@@ -1222,11 +1228,11 @@ class TestCorrelationSeries:
     def test_amplitude_tiles_match_pair_columns(self):
         # columns formed per tile from amplitudes against the whole-buffer
         # pair columns they replaced, on random phases, unit amplitude
-        # columns and complex weights
+        # columns and complex weights; the windows tile the range once
         rng = np.random.default_rng(23)
         window = q._WINDOW
 
-        def check(phi, times, p, n_weights, columns=None):
+        def check(phi, start, stop, p, n_weights, columns=None):
             plan = q._SpreadPlan(phi)
             if columns is not None:
                 plan.columns = columns
@@ -1235,30 +1241,38 @@ class TestCorrelationSeries:
             amps /= np.linalg.norm(amps, axis=0)
             weights = (rng.normal(size=(len(plan.k), n_weights))
                        + 1j * rng.normal(size=(len(plan.k), n_weights)))
-            got = np.full((len(times), n_weights * p), np.nan)
-            for lo, hi, sums in plan.sweep(times, amps, weights):
-                got[lo:hi] = sums
-            ref = pair_column_sweep_oracle(plan, times, amps, weights)
+            got = np.full((stop - start, n_weights * p), np.nan)
+            covered = []
+            for lo, sums in plan.sweep(start, stop, amps, weights):
+                got[lo:lo + len(sums)] = sums
+                covered += range(lo, lo + len(sums))
+            assert covered == list(range(stop - start))
+            ref = pair_column_sweep_oracle(plan, np.arange(start, stop),
+                                           amps, weights)
             assert np.max(np.abs(got - ref)) <= 1e-12
             return plan
 
         # phases within 0.3 of each other leave most tiles empty, and their
         # sources sit at the grid's wrap-around
-        plan = check(np.sort(rng.uniform(0.0, 0.3, 40)),
-                     np.arange(2 * window + 7), 2, 2)
+        plan = check(np.sort(rng.uniform(0.0, 0.3, 40)), 0, 2 * window + 7, 2, 2)
         assert len(plan.tiles) < q._GRID // q._TILE // 10
         phi = np.sort(rng.uniform(0.0, 2.0 * np.pi, 45))
-        # 6 columns a window: groups of 10 windows, the last of 3, read
-        # from a range
-        plan = check(phi, range(500_000, 500_000 + 12 * window + 37), 3, 2)
+        # 6 columns a window: groups of 10 windows, the last of 3, from a
+        # start that is not a multiple of the window
+        assert 500_000 % window
+        plan = check(phi, 500_000, 500_000 + 12 * window + 37, 3, 2)
         assert plan.columns == q._COLUMNS == 64
-        # q p = 6 above a cap of 4: one window per group
-        check(phi, np.r_[np.arange(0, 700), np.arange(5000, 5300), 10 ** 6], 3, 2,
-              columns=4)
-        # times with repeats, unit amplitudes and one weight matrix's pairs
+        # fewer times than one window, and whole windows only
+        check(phi, 999_983, 999_983 + 700, 3, 2)
+        check(phi, 3 * window, 7 * window, 1, 1)
+        # a cap of 4 columns: groups of 2 windows at q p = 2, the last of
+        # one; one window a group at q p = 6
+        check(phi, 5000, 5000 + 5 * window - 3, 1, 2, columns=4)
+        check(phi, 5000, 5000 + 2 * window + 300, 3, 2, columns=4)
+        # unit amplitudes and one weight matrix's pairs
         ms = [random_density(45, rng).matrix * random_observable(45, rng).matrix.T
               for _ in range(2)]
-        times = np.sort(rng.permutation(np.r_[np.arange(2500), 4000, 4000, 10 ** 5]))
+        times = np.arange(4000, 4000 + 2 * window + 500)
         plan = q._SpreadPlan(phi)
         for m in ms:
             ref = pair_column_sweep_oracle(plan, times, np.ones((45, 1)),
@@ -1271,15 +1285,15 @@ class TestCorrelationSeries:
         phi = np.sort(np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 5))
         plan = q._SpreadPlan(phi)
         plan.columns = 1
-        sweep = plan.sweep(range(0, 10 ** 8), np.ones((5, 1)),
+        sweep = plan.sweep(0, 10 ** 8, np.ones((5, 1)),
                            np.ones((len(plan.k), 1), complex))
         tracemalloc.start()
         try:
-            lo, hi, sums = next(sweep)
+            lo, sums = next(sweep)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (lo, hi, sums.shape) == (0, q._WINDOW, (q._WINDOW, 1))
+        assert (lo, sums.shape) == (0, (q._WINDOW, 1))
         assert peak < 1 << 20
 
     def test_sums_reuse_one_extended_grid(self):
