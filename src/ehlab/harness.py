@@ -31,14 +31,17 @@ _MALLOC_TRIM = (getattr(ctypes.CDLL(None), "malloc_trim", None)
 
 
 def max_threads() -> int:
+    """The CPUs this process may run on, capped by EHLAB_THREADS if set."""
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
     raw = os.environ.get("EHLAB_THREADS", "")
     if not raw:
-        return os.cpu_count() or 1
+        return usable
     try:
         raw = int(raw)
     except ValueError:
         pass  # the count check refuses the text itself
-    return require_count("EHLAB_THREADS", raw, 1)
+    return min(require_count("EHLAB_THREADS", raw, 1), usable)
 
 
 @dataclass

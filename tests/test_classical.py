@@ -480,9 +480,9 @@ class TestMirrorGrid:
         integrated = []
         batch = cl._lyapunov_batch
 
-        def counting_batch(theta, p, lam, tau, n_steps):
+        def counting_batch(theta, p, lam, tau, n_steps, out=None):
             integrated.extend(np.broadcast_to(lam, len(theta)).tolist())
-            return batch(theta, p, lam, tau, n_steps)
+            return batch(theta, p, lam, tau, n_steps, out=out)
 
         mirrored = record_grids(monkeypatch)
         monkeypatch.setattr(cl, "_lyapunov_batch", counting_batch)
@@ -532,6 +532,19 @@ def grid_exponents_oracle(params, grid_side, n_steps):
     return np.where(own, exponents, exponents[::-1])
 
 
+def record_shapes(monkeypatch) -> list:
+    """(ndim of lam, ndim of tau) of every batch run while patched."""
+    shapes = []
+    batch = cl._lyapunov_batch
+
+    def recording(theta, p, lam, tau, n_steps, out=None):
+        shapes.append((np.ndim(lam), np.ndim(tau)))
+        return batch(theta, p, lam, tau, n_steps, out=out)
+
+    monkeypatch.setattr(cl, "_lyapunov_batch", recording)
+    return shapes
+
+
 def no_pool(*args, **kwargs):
     raise AssertionError("a thread pool was started")
 
@@ -553,6 +566,35 @@ class TestSweep:
             assert est == cl._region_estimate(mp.lam, want,
                                               cl.DEFAULT_THRESHOLD)
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_per_orbit_period_matches_per_lambda_bitwise(self, monkeypatch,
+                                                         threads):
+        # tau differs between kick strengths, and six chunks of about 85
+        # orbits cut the 128-orbit rows: two straddle rows and pass lam
+        # and tau per orbit, the others lie inside one row
+        monkeypatch.setattr(cl, "_CHUNK_ORBITS", 100)
+        sweep = [cl.MapParams(lam, tau) for lam, tau in
+                 [(0.0, 1.0), (0.7, 0.37), (2.5, 1.7), (6.0, 1.0)]]
+        shapes = record_shapes(monkeypatch)
+        grids = record_grids(monkeypatch)
+        cl.estimate_chaotic_measures(sweep, 16, 200, threads=threads)
+        assert sorted(shapes) == [(0, 0)] * 4 + [(1, 1)] * 2
+        for mp in sweep:
+            assert np.array_equal(grids[mp.lam],
+                                  grid_exponents_oracle(mp, 16, 200))
+
+    def test_chunk_inside_one_kick_strength_passes_scalars(self, monkeypatch):
+        # 128 orbits a kick strength, cut into chunks of 64
+        monkeypatch.setattr(cl, "_CHUNK_ORBITS", 64)
+        sweep = self.SWEEP[1:3]
+        shapes = record_shapes(monkeypatch)
+        grids = record_grids(monkeypatch)
+        cl.estimate_chaotic_measures(sweep, 16, 200, threads=2)
+        assert shapes == [(0, 0)] * 4
+        for mp in sweep:
+            assert np.array_equal(grids[mp.lam],
+                                  grid_exponents_oracle(mp, 16, 200))
+
     def test_huge_kick_sweep_warns_nothing(self):
         # the grouping bound used to overflow at lam = 1e308; the kick
         # strength is refused now, and a sweep just inside the bound warns
@@ -567,7 +609,7 @@ class TestSweep:
 
     def test_measure_sweep_memory(self):
         # the measure workload's sweep on two threads: two chunks of
-        # eleven arrays each and the sweep's outputs
+        # seven arrays each and the sweep's outputs
         sweep = [cl.MapParams(i / 10) for i in range(21)]
         tracemalloc.start()
         try:
@@ -596,6 +638,9 @@ class TestSweep:
         sizes = {stop - start for start, stop in chunks}
         assert len(chunks) % 2 == 0 and max(sizes) - min(sizes) <= 1
         assert max(sizes) <= cl._CHUNK_ORBITS
+        # where a worker's share fits the chunk size it runs one chunk
+        for threads in (2, 3, 4):
+            assert len(check(21, 2048, threads)[1]) == threads
         check(3, 128, 4)
         assert check(1, 128, 8) == (1, [(0, 128)])
         assert check(2, 161, 10**6) == (2, [(0, 161), (161, 322)])

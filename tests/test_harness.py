@@ -65,6 +65,8 @@ class TestConfigParsing:
             harness.ExperimentConfig.from_file(bad)
 
     def test_thread_cap_env(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
         monkeypatch.setenv("EHLAB_THREADS", "3")
         assert harness.max_threads() == 3
         monkeypatch.setenv("EHLAB_THREADS", "zero")
@@ -73,6 +75,24 @@ class TestConfigParsing:
         monkeypatch.setenv("EHLAB_THREADS", "0")
         with pytest.raises(ConfigurationError):
             harness.max_threads()
+
+    def test_threads_count_usable_cpus(self, monkeypatch):
+        # the CPUs the process may run on, not the host's; no thread is
+        # started here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 7},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.delenv("EHLAB_THREADS", raising=False)
+        assert harness.max_threads() == 2
+        for cap, want in (("1", 1), ("2", 2), ("8", 2), (str(10**5), 2)):
+            monkeypatch.setenv("EHLAB_THREADS", cap)
+            assert harness.max_threads() == want
+        # without an affinity call the CPU count is the limit
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert harness.max_threads() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        monkeypatch.delenv("EHLAB_THREADS")
+        assert harness.max_threads() == 1
 
 
 class TestClassicalScan:
