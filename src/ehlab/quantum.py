@@ -47,11 +47,13 @@ _TILE = 8
 # grid points b - _SPREAD + 1 .. b + _SPREAD around a source in bin b, for
 # the bins 0 .. _TILE - 1 of a tile
 _REACH = np.arange(_TILE - 1 + 2 * _SPREAD) - (_SPREAD - 1)
-# Columns summed together: at most _COLUMNS, fewer where the bytes that scale
-# with them (see _SpreadPlan) would pass _CHUNK_BYTES. With the plan this
-# bounds a phase sum's memory independently of n_states and horizon.
+# Columns summed together, and sources per kernel block and GEMM: a tile
+# is cut into runs of at most _RUN, so a run's 64 complex columns take
+# 512 KiB however large the tiles grow with N. With the plan this bounds a
+# phase sum's memory independently of n_states and horizon. No tile at
+# N = 257 reaches 512 sources (the largest holds 268): a run is a tile there.
 _COLUMNS = 64
-_CHUNK_BYTES = 4 << 20
+_RUN = 512
 # Fixed irrational weight in eigh(A + _MIX B): the commuting real and
 # imaginary parts of a parity block share one real orthonormal eigenbasis.
 _MIX = np.sqrt(2.0) - 1.0
@@ -688,15 +690,17 @@ class _SpreadPlan:
     each mode s is divided by the kernel's Fourier coefficient (Greengard &
     Lee, SIAM Rev. 46, 443, 2004).
 
-    The sources are sorted by grid bin and cut into tiles of _TILE bins.
-    A tile forms its dense kernel block over the grid points its sources
-    reach when it is summed (`block`), so spreading is one real GEMM per
-    tile over the columns it forms from amplitudes and weights, and the
-    plan keeps 12 bytes a source (its grid position and two pair indices)
-    where the blocks would take 248, plus one extended grid that every
-    `sums` reuses. `sweep` is the one loop over windows
-    of times. The plan keeps the quasi-energies `phi` whose pairs it
-    spreads, so a sweep cannot be handed phases of another spectrum.
+    The sources are sorted by grid bin, cut into tiles of _TILE bins and
+    each tile into runs of at most _RUN sources. A run forms its dense
+    kernel block over the grid points its tile's sources reach when it is
+    summed (`block`), so spreading is one real GEMM per run over the
+    columns it forms from amplitudes and weights, and a sum of _COLUMNS
+    columns takes as much memory at any N. The plan keeps 12 bytes a
+    source (its grid position and two pair indices) where the blocks
+    would take 248, plus one extended grid that every `sums` reuses.
+    `sweep` is the one loop over windows of times. The plan keeps the
+    quasi-energies `phi` whose pairs it spreads, so a sweep cannot be
+    handed phases of another spectrum.
     """
 
     def __init__(self, phi: np.ndarray):
@@ -717,17 +721,14 @@ class _SpreadPlan:
         starts = range(0, _GRID, _TILE)
         edges = np.searchsorted(bins, [*starts, _GRID])
         del bins
-        self.tiles = [(a, lo, hi) for a, lo, hi in zip(starts, edges[:-1], edges[1:])
-                      if hi > lo]
+        self.tiles = [(a, lo, min(lo + _RUN, hi))
+                      for a, first, hi in zip(starts, edges[:-1], edges[1:])
+                      for lo in range(first, hi, _RUN)]
         s = np.arange(-_WINDOW // 2, _WINDOW // 2)
         self.modes = s % _GRID
         # 2 / (grid size x the kernel's Fourier coefficient sqrt(tau/pi)
         # exp(-tau s^2)), the 2 being that of 2 Re
         self.deconv = 2.0 * np.exp(_TAU * s * s) / (_GRID * np.sqrt(_TAU / np.pi))
-        # bytes per column: the extended grid and the sums (20 a grid point),
-        # amplitudes (32 each) and the largest tile's columns (48 a source)
-        column_bytes = 20 * _GRID + 32 * len(phi) + 48 * int(np.diff(edges).max())
-        self.columns = max(1, min(_COLUMNS, _CHUNK_BYTES // column_bytes))
         # the extended grid of `sums`, kept and grown across its calls, so
         # its pages are faulted in once per plan, not once per call when
         # glibc's malloc serves a 2 MB array by mmap
@@ -741,11 +742,11 @@ class _SpreadPlan:
         exp(-i t omega_kk') at t = t0 + i, w being column j of the
         plan-order (sources, q) `weights` and a column c of the (N, p)
         `amps`. Consecutive windows are summed together, up to
-        self.columns columns (one window at least), each window's
+        _COLUMNS columns (one window at least), each window's
         amplitudes carrying its centre's phase.
         """
         q, p = weights.shape[1], amps.shape[1]
-        per = max(1, self.columns // (q * p))
+        per = max(1, _COLUMNS // (q * p))
         for first in range(start, stop, per * _WINDOW):
             group = range(first, min(first + per * _WINDOW, stop), _WINDOW)
             a = np.hstack([amps * np.exp(-1j * (t0 + _WINDOW // 2) * self.phi)[:, None]
@@ -854,10 +855,12 @@ def mixing_volume_fraction(system: FloquetSystem,
     the result is independent of evaluation order.
 
     One NUFFT plan serves every state. A chunk of states, as many as fill
-    the plan's columns with one per observable, is one sweep of the tail
+    _COLUMNS columns with one per observable, is one sweep of the tail
     with the amplitudes c = Z^dagger psi of each state and the weights
-    O_k'k of each observable, rotated through its structure. Memory holds
-    the plan, the weights and what one chunk's columns need.
+    O_k'k of each observable, rotated through its structure. Since the
+    plan's tiles hold at most _RUN sources, a chunk is as wide at any N,
+    and memory holds the plan, the weights and what one chunk's columns
+    need.
     """
     if not o_set:
         raise ConfigurationError("observable set must not be empty")
@@ -874,7 +877,7 @@ def mixing_volume_fraction(system: FloquetSystem,
     obs_e = [system.observable_in_eigenbasis(o) for o in o_set]
     plan = _SpreadPlan(system.quasi_energies)
     o_pairs = np.stack([obs_e.pop(0)[plan.kp, plan.k] for _ in o_set], axis=1)
-    per = max(1, plan.columns // len(o_set))
+    per = max(1, _COLUMNS // len(o_set))
     n_ok = 0
     for first in range(0, n_states, per):
         v = np.empty((system.dim, min(per, n_states - first)), dtype=complex)

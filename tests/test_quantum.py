@@ -1204,9 +1204,8 @@ class TestCorrelationSeries:
             assert np.max(np.abs(got - ref)) <= 1e-10
 
     def test_chunks_of_one_column(self, monkeypatch):
-        # where one column's grid, sums and tile columns pass _CHUNK_BYTES a
-        # chunk holds one column; the sums and the volume fraction do not
-        # depend on the chunking
+        # with _COLUMNS = 1 a chunk holds one column; the sums and the
+        # volume fraction do not depend on the chunking
         rng = np.random.default_rng(5)
         n = 41
         phi = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
@@ -1218,24 +1217,21 @@ class TestCorrelationSeries:
                  q.cos_theta_observable(33)]
         sums = [plan_series(m, phi, times) for m in ms]
         fraction = q.mixing_volume_fraction(system, o_set, 150, 30_000, 0.41, 2)
-        monkeypatch.setattr(q, "_CHUNK_BYTES", 1)
-        assert q._SpreadPlan(phi).columns == 1
+        monkeypatch.setattr(q, "_COLUMNS", 1)
         for m, before in zip(ms, sums):
             assert np.max(np.abs(plan_series(m, phi, times) - before)) <= 1e-12
         assert q.mixing_volume_fraction(system, o_set, 150, 30_000, 0.41,
                                         2) == fraction
 
-    def test_amplitude_tiles_match_pair_columns(self):
+    def test_amplitude_tiles_match_pair_columns(self, monkeypatch):
         # columns formed per tile from amplitudes against the whole-buffer
         # pair columns they replaced, on random phases, unit amplitude
         # columns and complex weights; the windows tile the range once
         rng = np.random.default_rng(23)
         window = q._WINDOW
 
-        def check(phi, start, stop, p, n_weights, columns=None):
+        def check(phi, start, stop, p, n_weights, columns=q._COLUMNS):
             plan = q._SpreadPlan(phi)
-            if columns is not None:
-                plan.columns = columns
             amps = (rng.normal(size=(len(phi), p))
                     + 1j * rng.normal(size=(len(phi), p)))
             amps /= np.linalg.norm(amps, axis=0)
@@ -1243,9 +1239,11 @@ class TestCorrelationSeries:
                        + 1j * rng.normal(size=(len(plan.k), n_weights)))
             got = np.full((stop - start, n_weights * p), np.nan)
             covered = []
-            for lo, sums in plan.sweep(start, stop, amps, weights):
-                got[lo:lo + len(sums)] = sums
-                covered += range(lo, lo + len(sums))
+            with monkeypatch.context() as patch:
+                patch.setattr(q, "_COLUMNS", columns)
+                for lo, sums in plan.sweep(start, stop, amps, weights):
+                    got[lo:lo + len(sums)] = sums
+                    covered += range(lo, lo + len(sums))
             assert covered == list(range(stop - start))
             ref = pair_column_sweep_oracle(plan, np.arange(start, stop),
                                            amps, weights)
@@ -1259,9 +1257,8 @@ class TestCorrelationSeries:
         phi = np.sort(rng.uniform(0.0, 2.0 * np.pi, 45))
         # 6 columns a window: groups of 10 windows, the last of 3, from a
         # start that is not a multiple of the window
-        assert 500_000 % window
-        plan = check(phi, 500_000, 500_000 + 12 * window + 37, 3, 2)
-        assert plan.columns == q._COLUMNS == 64
+        assert 500_000 % window and q._COLUMNS == 64
+        check(phi, 500_000, 500_000 + 12 * window + 37, 3, 2)
         # fewer times than one window, and whole windows only
         check(phi, 999_983, 999_983 + 700, 3, 2)
         check(phi, 3 * window, 7 * window, 1, 1)
@@ -1279,12 +1276,12 @@ class TestCorrelationSeries:
                                            m[plan.k, plan.kp][:, None])
             assert np.max(np.abs(plan_series(m, phi, times) - ref[:, 0])) <= 1e-12
 
-    def test_sweep_finds_its_windows_as_it_goes(self):
+    def test_sweep_finds_its_windows_as_it_goes(self, monkeypatch):
         # the first group of a sweep over 10**8 times holds its own window,
         # not a list of all ~10**5 of them
         phi = np.sort(np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 5))
         plan = q._SpreadPlan(phi)
-        plan.columns = 1
+        monkeypatch.setattr(q, "_COLUMNS", 1)
         sweep = plan.sweep(0, 10 ** 8, np.ones((5, 1)),
                            np.ones((len(plan.k), 1), complex))
         tracemalloc.start()
@@ -1356,6 +1353,69 @@ class TestCorrelationSeries:
         for times in (np.arange(3000), np.arange(999_000, 1_001_100)):
             ref = offdiag_series_oracle(rho_e, obs_e, phi, times)
             assert np.max(np.abs(plan_series(m, phi, times) - ref)) <= 1e-10
+
+    def test_runs_of_a_split_tile_sum_like_the_tile(self, monkeypatch):
+        # runs of 7 sources split every tile of 45 random phases that holds
+        # more; the series still matches the oracle, and the unsplit plan
+        # to rounding
+        rng = np.random.default_rng(41)
+        n, window = 45, q._WINDOW
+        phi = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        rho_e = random_density(n, rng).matrix
+        obs_e = random_observable(n, rng).matrix
+        m = rho_e * obs_e.T
+        cases = [np.arange(2 * window + 37),
+                 np.arange(10 ** 6 - window // 2, 10 ** 6 + window + 5)]
+        wholes = [plan_series(m, phi, times) for times in cases]
+        tiles = q._SpreadPlan(phi).tiles
+        monkeypatch.setattr(q, "_RUN", 7)
+        runs = q._SpreadPlan(phi).tiles
+        assert max(hi - lo for _, lo, hi in tiles) > 7
+        assert max(hi - lo for _, lo, hi in runs) == 7 and len(runs) > len(tiles)
+        for times, whole in zip(cases, wholes):
+            split = plan_series(m, phi, times)
+            ref = offdiag_series_oracle(rho_e, obs_e, phi, times)
+            assert np.max(np.abs(split - ref)) <= 1e-10
+            assert np.max(np.abs(split - whole)) <= 1e-12
+
+    def test_runs_cover_the_sorted_sources_once(self):
+        # at N = 1025 the largest tile holds thousands of sources: it is cut
+        # into runs of _RUN, in order, all full but its last, and every
+        # run's sources lie in its tile's bins
+        phi = np.sort(np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, 1025))
+        plan = q._SpreadPlan(phi)
+        a, lo, hi = np.array(plan.tiles).T
+        assert np.all(hi > lo) and np.max(hi - lo) == q._RUN
+        assert lo[0] == 0 and np.array_equal(lo[1:], hi[:-1])
+        assert hi[-1] == len(plan.k) == 1025 * 1024 // 2
+        last = np.r_[a[1:] != a[:-1], True]
+        assert np.all(np.diff(a) >= 0) and not np.any(a % q._TILE)
+        assert np.all(hi[~last] - lo[~last] == q._RUN) and np.any(~last)
+        bins = plan.u.astype(int) - np.repeat(a, hi - lo)
+        assert np.all((bins >= 0) & (bins < q._TILE))
+
+    def test_relax_plans_split_no_tile(self, monkeypatch):
+        # the two plans of the relax benchmark (N = 257, lambda = 10): the
+        # |0> support plan's largest tile holds 70 sources and the full
+        # plan's 268, both under _RUN, so each of their tiles is one run and
+        # their sums are those of the unsplit tiles, bit for bit
+        dim = 257
+        system = q.build_floquet(q.QuantumParams(dim=dim, lam=10.0))
+        window = q.momentum_window_projector(dim, 10.0, 60.0)
+        largest = []
+
+        class Plan(q._SpreadPlan):
+            def __init__(self, phi):
+                super().__init__(phi)
+                a, lo, hi = np.array(self.tiles).T
+                assert len(np.unique(a)) == len(a)
+                largest.append((len(phi), int(np.max(hi - lo))))
+
+        monkeypatch.setattr(q, "_SpreadPlan", Plan)
+        q.correlation_series(q.momentum_eigenstate(dim, 0), system, window, 10)
+        q.mixing_volume_fraction(system, [window, q.cos_theta_observable(dim)],
+                                 100, 10, 0.16, seed=0)
+        assert largest == [(129, 70), (257, 268)] and 268 < q._RUN
 
 
 class TestLocalization:
@@ -1519,3 +1579,41 @@ class TestVolumeFraction:
         small = peak(100, 10_240)
         assert peak(100, 102_400) <= small + 4096
         assert peak(1000, 10_240) <= small + 4096
+
+    def test_runs_give_the_same_fraction(self, monkeypatch):
+        # runs of 7 sources split the dim-33 plan's largest tiles; no
+        # decision of the volume fraction moves
+        system = q.build_floquet(q.QuantumParams(dim=33, lam=10.0))
+        o_set = [q.momentum_window_projector(33, 0.0, 8.0),
+                 q.cos_theta_observable(33)]
+        cases = [(0, 10_000, 0.4), (3, 10_000, 0.38), (5, 7_000, 0.36),
+                 (1, 400, 0.27), (2, 30_000, 0.41)]
+        before = [q.mixing_volume_fraction(system, o_set, 150, h, tol, seed)
+                  for seed, h, tol in cases]
+        tiles = q._SpreadPlan(system.quasi_energies).tiles
+        monkeypatch.setattr(q, "_RUN", 7)
+        runs = q._SpreadPlan(system.quasi_energies).tiles
+        assert max(hi - lo for _, lo, hi in tiles) > 7
+        assert max(hi - lo for _, lo, hi in runs) == 7 and len(runs) > len(tiles)
+        assert [q.mixing_volume_fraction(system, o_set, 150, h, tol, seed)
+                for seed, h, tol in cases] == before
+
+    def test_every_group_but_the_last_takes_every_column(self, monkeypatch):
+        # at N = 513 the largest tile holds 1080 sources; in runs of _RUN
+        # they take _COLUMNS columns a group as at any N, so 100 states
+        # under two observables are chunks of 32, 32, 32 and 4 states, each
+        # of one window
+        dim = 513
+        system = q.build_floquet(q.QuantumParams(dim=dim, lam=10.0))
+        o_set = [q.momentum_window_projector(dim, 10.0, 60.0),
+                 q.cos_theta_observable(dim)]
+        columns = []
+
+        class Plan(q._SpreadPlan):
+            def sums(self, amps, weights):
+                columns.append(amps.shape[1] * weights.shape[1])
+                return super().sums(amps, weights)
+
+        monkeypatch.setattr(q, "_SpreadPlan", Plan)
+        q.mixing_volume_fraction(system, o_set, 100, 3000, 1e6, seed=0)
+        assert columns == [q._COLUMNS] * 3 + [8] and q._COLUMNS == 64
