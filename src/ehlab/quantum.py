@@ -209,10 +209,8 @@ def _dense(form: _Operator) -> np.ndarray:
         return np.outer(form.vector, form.vector.conj())
     if form.diagonal is not None:
         return np.diag(form.diagonal.astype(complex))
-    coeffs = np.zeros(form.dim, dtype=complex)
-    coeffs[1 % form.dim] += form.shift
-    coeffs[-1 % form.dim] += form.shift
-    return _circulant(coeffs)
+    u = np.roll(np.eye(form.dim, dtype=complex), 1, axis=0)  # U|k> = |k+1>
+    return form.shift * (u + u.T)  # 2 s at N = 1, where U = 1
 
 
 def pure_state(vector) -> DensityState:
@@ -287,13 +285,6 @@ def _angle_coefficients(values: np.ndarray) -> np.ndarray:
     return np.fft.fft(values) / len(values)
 
 
-def _circulant(coeffs: np.ndarray) -> np.ndarray:
-    """The momentum-basis matrix with entry coeffs[(k - k') mod N]."""
-    n = len(coeffs)
-    ladder = momentum_ladder(n)
-    return coeffs[np.subtract.outer(ladder, ladder) % n]
-
-
 def cos_theta_observable(dim: int) -> ObservableMatrix:
     """cos(theta) on the angle grid, expressed in the momentum basis: the
     angle grid's N points make it the circulant (U + U^dagger) / 2."""
@@ -335,17 +326,6 @@ class FloquetSystem:
     @property
     def dim(self) -> int:
         return self.params.dim
-
-    @property
-    def unitary(self) -> np.ndarray:
-        """The dense F = kick * free, assembled on each access."""
-        return (kick_operator(self.params)
-                * free_propagator_diagonal(self.params)[None, :])
-
-    @property
-    def eigenbasis(self) -> np.ndarray:
-        """The dense Z (columns are eigenvectors), assembled on each access."""
-        return self._z(np.eye(self.dim))
 
     def to_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
         """Z^dagger M Z = (Z^dagger (Z^dagger M)^dagger)^dagger."""
@@ -466,17 +446,6 @@ def _kick_coefficients(params: QuantumParams) -> np.ndarray:
         np.exp(-1j * (params.lam / params.hbar) * np.cos(theta)))
 
 
-def kick_operator(params: QuantumParams) -> np.ndarray:
-    """exp(-i (lam/hbar) cos theta) in the momentum basis (circulant)."""
-    return _circulant(_kick_coefficients(params))
-
-
-def free_propagator_diagonal(params: QuantumParams) -> np.ndarray:
-    """Diagonal of exp(-i tau (hbar k)^2 / (2 hbar)) = exp(-i tau hbar k^2/2)."""
-    k = momentum_ladder(params.dim)
-    return np.exp(-0.5j * params.tau * params.hbar * k.astype(float) ** 2)
-
-
 def _parity_panels(coeffs: np.ndarray, half_free: np.ndarray, sign: int):
     """Row panels (rows, block[rows]) of the even (sign +1) or odd (sign
     -1) block of F_s = D K D in the parity basis P, _PANEL rows at a time,
@@ -541,10 +510,16 @@ def _block_eigensystem(coeffs: np.ndarray, half_free: np.ndarray, sign: int):
         v[:, c], av[:, c], bv[:, c] = v[:, c] @ r, av[:, c] @ r, bv[:, c] @ r
     re = np.einsum("ij,ij->j", v, av)
     im = np.einsum("ij,ij->j", v, bv)
-    # max |(A + iB)v - lambda v| column by column, in place in av and bv
-    av -= v * re
-    bv -= v * im
-    residual = np.max(np.hypot(av, bv, out=av), initial=0.0)
+    # max |(A + iB)v - lambda v| column by column, squared in place in av
+    # and bv beside one scratch block; a NaN passes max and fails the gate
+    tmp = v * re
+    av -= tmp
+    np.multiply(v, im, out=tmp)
+    bv -= tmp
+    av *= av
+    bv *= bv
+    av += bv
+    residual = np.sqrt(np.max(av, initial=0.0))
     return re + 1j * im, v, residual
 
 

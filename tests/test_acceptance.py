@@ -28,16 +28,12 @@ from ehlab import geometry as g
 from ehlab import harness
 from ehlab import quantum as q
 from ehlab import transition as tr
+from test_quantum import (circulant_kick, dense_floquet, dense_parity_basis,
+                          plan_series, random_observable)
 
 
 def report(criterion: str, detail: str):
     print(f"ACCEPTANCE {criterion} PASS: {detail}")
-
-
-def random_observable(dim, rng, label="random"):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = (a + a.conj().T) / 2.0
-    return q.ObservableMatrix(h / np.linalg.norm(h), label=label)
 
 
 def test_criterion_01_cubic_headline():
@@ -77,16 +73,15 @@ def test_criterion_03_floquet_construction():
     d = ladder[:, None] - ladder[None, :]
     worst = 0.0
     for a in (1.0, 3.0, 5.0):
-        u = q.kick_operator(q.QuantumParams(dim=dim, lam=a))
+        u = circulant_kick(q.QuantumParams(dim=dim, lam=a))
         expected = sum((-1j) ** (d + m * dim) * scipy.special.jv(d + m * dim, a)
                        for m in (-1, 0, 1))
         worst = max(worst, float(np.max(np.abs(u - expected))))
     assert worst < 1e-8
     unit_errs = []
     for n in (65, 257, 1025):
-        system = q.build_floquet(q.QuantumParams(dim=n, lam=10.0))
-        unit_errs.append(float(np.max(np.abs(
-            system.unitary @ system.unitary.conj().T - np.eye(n)))))
+        f = dense_floquet(q.QuantumParams(dim=n, lam=10.0))
+        unit_errs.append(float(np.max(np.abs(f @ f.conj().T - np.eye(n)))))
     assert max(unit_errs) < 1e-10
     report("3", f"Bessel oracle max err {worst:.2e}; "
                 f"unitarity max err {max(unit_errs):.2e} up to N=1025")
@@ -115,23 +110,10 @@ def test_criterion_04_ergodicity_at_every_lambda():
 TAIL = np.arange(9000, 10_000)
 
 
-def plan_series(m, phi, times):
-    """sum_{k != k'} m_kk' exp(-i t (phi_k - phi_k')) at the ascending
-    integer `times`, for one weight matrix with m_k'k = conj(m_kk'): one
-    plan sweep over [times[0], times[-1] + 1) with unit amplitudes and m's
-    pairs, in plan order, as its one column, read at `times`."""
-    plan = q._SpreadPlan(phi)
-    out = np.empty(times[-1] + 1 - times[0])
-    for lo, sums in plan.sweep(int(times[0]), int(times[-1]) + 1,
-                               np.ones((len(phi), 1)), m[plan.k, plan.kp][:, None]):
-        out[lo:lo + len(sums)] = sums[:, 0]
-    return out[times - times[0]]
-
-
 def _tail_std(system, obs, i):
     rng = np.random.default_rng([42, i])
     v = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
-    c = system.eigenbasis.conj().T @ (v / np.linalg.norm(v))
+    c = dense_parity_basis(system).conj().T @ (v / np.linalg.norm(v))
     m = np.outer(c, c.conj()) * system.to_eigenbasis(obs.matrix).T
     return float(np.std(plan_series(m, system.quasi_energies, TAIL)))
 

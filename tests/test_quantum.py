@@ -59,9 +59,23 @@ class DenseFloquet:
         return z.conj().T @ matrix @ z
 
 
+def circulant_kick(params):
+    """The dense kick K[k, k'] = c[(k - k') mod N], gathered from its
+    circulant coefficients."""
+    n = params.dim
+    ladder = q.momentum_ladder(n)
+    return q._kick_coefficients(params)[np.subtract.outer(ladder, ladder) % n]
+
+
+def free_diagonal(params):
+    """The diagonal exp(-i tau hbar k^2 / 2) of the free factor."""
+    k = q.momentum_ladder(params.dim)
+    return np.exp(-0.5j * params.tau * params.hbar * k.astype(float) ** 2)
+
+
 def dense_floquet(params):
     """The dense F = kick * free."""
-    return q.kick_operator(params) * q.free_propagator_diagonal(params)[None, :]
+    return circulant_kick(params) * free_diagonal(params)[None, :]
 
 
 def sorted_spectrum(eigenvalues):
@@ -197,7 +211,7 @@ def tail_maxima_oracle(system, o_set, n_states, horizon, seed):
     the last decile and over the rest, state by state from the oracle."""
     times = np.arange(int(np.ceil(0.9 * horizon)), horizon)
     obs_e = [system.to_eigenbasis(o.matrix) for o in o_set]
-    z_dag = system.eigenbasis.conj().T
+    z_dag = dense_parity_basis(system).conj().T
     out = np.empty((n_states, len(o_set), 2))
     for i in range(n_states):
         rng = np.random.default_rng([seed, i])
@@ -450,7 +464,7 @@ class TestFloquet:
         ladder = q.momentum_ladder(dim)
         for a in (1.0, 3.0, 5.0):
             params = q.QuantumParams(dim=dim, lam=a, hbar=1.0, tau=1.0)
-            u = q.kick_operator(params)
+            u = circulant_kick(params)
             d = ladder[:, None] - ladder[None, :]
             expected = (-1j) ** d * scipy.special.jv(d, a)
             # aliasing from the finite grid only affects |m-n| ~ N
@@ -463,7 +477,7 @@ class TestFloquet:
         for lam in (0.0, 1.0, 10.0):
             for hbar in (1.0, 0.7):
                 params = q.QuantumParams(dim=dim, lam=lam, hbar=hbar)
-                err = np.max(np.abs(q.kick_operator(params)
+                err = np.max(np.abs(circulant_kick(params)
                                     - dense_kick(params)))
                 assert err <= 1e-12
         theta = 2.0 * np.pi * np.arange(dim) / dim
@@ -496,8 +510,8 @@ class TestFloquet:
                 params = q.QuantumParams(dim=dim, lam=lam, hbar=hbar)
                 system = q.build_floquet(params)
                 assert_same_spectrum(system, eigvals_floquet(params))
-                z, phi = system.eigenbasis, system.quasi_energies
-                assert np.max(np.abs(system.unitary @ z
+                z, phi = dense_parity_basis(system), system.quasi_energies
+                assert np.max(np.abs(dense_floquet(params) @ z
                                      - z * np.exp(-1j * phi))) <= 1e-10
                 assert np.max(np.abs(z.conj().T @ z - np.eye(dim))) <= 1e-12
                 assert phi[0] >= 0.0 and phi[-1] < 2.0 * np.pi
@@ -566,7 +580,7 @@ class TestFloquet:
             cases.append((params, np.fft.fft(off) / dim))
         for params, c in cases:
             f = (c[np.subtract.outer(ladder, ladder) % dim]
-                 * q.free_propagator_diagonal(params)[None, :])
+                 * free_diagonal(params)[None, :])
             dense = np.max(np.abs(f @ f.conj().T - np.eye(dim)))
             assert abs(q._unitarity_residual(c) - dense) <= 1e-14
 
@@ -640,8 +654,7 @@ class TestFloquet:
     def test_build_holds_one_dense_array(self):
         # a built system holds its two real half-size block bases, a
         # quarter of one N x N complex array; a stored or transient dense
-        # eigenbasis, F or kick breaks the bounds. The eigenbasis property
-        # assembles the dense basis on access.
+        # eigenbasis, F or kick breaks the bounds
         n = 1025
         unit = 16 * n * n
         tracemalloc.start()
@@ -651,7 +664,6 @@ class TestFloquet:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert system.eigenbasis.nbytes == unit
         assert held - base <= 0.3 * unit
         assert peak - base < 1.0 * unit
 
@@ -680,7 +692,6 @@ class TestFloquet:
         system = q.build_floquet(q.QuantumParams(dim=dim, lam=10.0))
         z = dense_parity_basis(system)
         zh = z.conj().T
-        assert np.max(np.abs(system.eigenbasis - z)) <= 1e-12
         observables = [random_observable(dim, rng),
                        q.momentum_window_projector(dim, 0, dim // 2 + 1),
                        q.cos_theta_observable(dim)]
@@ -704,24 +715,6 @@ class TestFloquet:
         star = (z * np.diag(rho_e).real) @ zh
         limit = q.cesaro_limit_state(rho, system, allow_degenerate=True)
         assert np.max(np.abs(limit.matrix - star)) <= 1e-12
-
-    def test_only_the_property_reads_the_dense_eigenbasis(self):
-        # reading .eigenbasis assembles a dense complex N x N basis: no run
-        # path in ehlab may do so
-        reads, inside = [], []
-        for path in sorted(Path(q.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text())
-            reads += [(path.name, a.lineno) for a in ast.walk(tree)
-                      if isinstance(a, ast.Attribute) and a.attr == "eigenbasis"]
-            inside += [(path.name, a.lineno)
-                       for c in tree.body if isinstance(c, ast.ClassDef)
-                       and c.name == "FloquetSystem"
-                       for f in c.body if isinstance(f, ast.FunctionDef)
-                       and f.name == "eigenbasis"
-                       for a in ast.walk(f) if isinstance(a, ast.Attribute)
-                       and a.attr == "eigenbasis"]
-        assert isinstance(q.FloquetSystem.eigenbasis, property)
-        assert sorted(reads) == sorted(inside)
 
     def test_one_loop_over_time_windows(self):
         # _SpreadPlan.sweep is the one loop over NUFFT windows: only it
@@ -771,17 +764,17 @@ class TestFloquet:
         params = q.QuantumParams(dim=65, lam=10.0)
         system = q.build_floquet(params)
         n = params.dim
-        assert np.max(np.abs(system.unitary @ system.unitary.conj().T
-                             - np.eye(n))) < 1e-10
+        f = dense_floquet(params)
+        assert np.max(np.abs(f @ f.conj().T - np.eye(n))) < 1e-10
         # eigenbasis orthonormal, quasi-energies sorted in [0, 2*pi)
-        z = system.eigenbasis
+        z = dense_parity_basis(system)
         assert np.max(np.abs(z.conj().T @ z - np.eye(n))) < 1e-10
         phi = system.quasi_energies
         assert np.all(np.diff(phi) >= 0)
         assert phi[0] >= 0.0 and phi[-1] < 2.0 * np.pi
         # the decomposition reproduces F
         rebuilt = z @ np.diag(np.exp(-1j * phi)) @ z.conj().T
-        assert np.max(np.abs(rebuilt - system.unitary)) < 1e-8
+        assert np.max(np.abs(rebuilt - f)) < 1e-8
 
     def test_degeneracy_flags(self):
         # parity doublets at small kick strength, none at strong kick
@@ -808,7 +801,7 @@ class TestEvolution:
         params = q.QuantumParams(dim=33, lam=5.0)
         system = q.build_floquet(params)
         rho = random_density(33, rng)
-        f = system.unitary
+        f = dense_floquet(params)
         direct = rho.matrix.copy()
         for _ in range(7):
             direct = f @ direct @ f.conj().T
@@ -821,7 +814,7 @@ class TestEvolution:
         psi = np.zeros(17, dtype=complex)
         psi[8] = 1.0
         out = q.evolve_vector(psi, system, 5)
-        direct = np.linalg.matrix_power(system.unitary, 5) @ psi
+        direct = np.linalg.matrix_power(dense_floquet(params), 5) @ psi
         assert np.max(np.abs(out - direct)) < 1e-10
 
     def test_evolve_vector_dimension_mismatch(self):
