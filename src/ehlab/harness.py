@@ -526,7 +526,9 @@ def run(config: ExperimentConfig) -> dict:
     art = _Artifacts()
     start = time.perf_counter()
     try:
-        runner(_read(config.parameters, table, "parameters"), config.seed, art)
+        params = _read(config.parameters, table, "parameters")
+        with quantum._blas_threads_for(params.get("dim")):
+            runner(params, config.seed, art)
     except MemoryError as exc:  # numpy's _ArrayMemoryError too
         raise ConfigurationError(f"{config.kind} ran out of memory: "
                                  f"{str(exc) or 'MemoryError'}") from exc

@@ -17,8 +17,10 @@ symmetric eigensolve per half-size block diagonalises F.
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from math import inf, isfinite
 from typing import Sequence
 
@@ -64,6 +66,18 @@ _PANEL = 128
 _CLUSTER_GAP = 1e-4
 # The localization fit reads the bulk |k| <= _BULK_FRACTION * max |k|.
 _BULK_FRACTION = 0.9
+# The smallest dim whose Floquet build a second OpenBLAS thread speeds up
+# (minima of repeated builds on 2 cores, 1 against 2 threads: a tie within
+# about 1 ms up to N = 545, 26.5 against 25.7 ms at 561, 29 against 27 ms
+# at 577). Below it a run's BLAS calls gain nothing from OpenBLAS's worker,
+# which spins on its core for about 0.135 s after each call it shares.
+_BLAS_THREADED_DIM = 561
+# (set, get) thread-count symbols of OpenBLAS: in numpy >= 2 wheels, in
+# numpy 1.x wheels, and unsuffixed
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"))
 
 
 @dataclass(frozen=True)
@@ -540,6 +554,53 @@ def _unitarity_residual(coeffs: np.ndarray) -> float:
     r = np.fft.ifft(np.abs(np.fft.fft(coeffs)) ** 2)
     r[0] -= 1.0
     return float(np.max(np.abs(r)))
+
+
+def _thread_functions(lib):
+    """The first (set, get) pair of _OPENBLAS_THREADS that `lib` exports,
+    or None."""
+    for names in _OPENBLAS_THREADS:
+        found = tuple(getattr(lib, name, None) for name in names)
+        if None not in found:
+            return found
+    return None
+
+
+@cache
+def _openblas():
+    """The thread-count functions of the OpenBLAS numpy loaded, or None.
+
+    A symbol looked up in numpy's linalg extension is searched for in the
+    libraries it links too, so this finds numpy's OpenBLAS and not another
+    one in the process, such as scipy's.
+    """
+    try:
+        blas = _thread_functions(ctypes.CDLL(np.linalg._umath_linalg.__file__))
+    except (AttributeError, OSError):
+        return None
+    if blas is not None:
+        set_threads, get_threads = blas
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return blas
+
+
+@contextmanager
+def _blas_threads_for(dim):
+    """Hold numpy's OpenBLAS to one thread while a run of dimension `dim`
+    below _BLAS_THREADED_DIM computes, and restore its count afterwards.
+    Without a dim (a classical kind) or an OpenBLAS, do nothing."""
+    blas = _openblas() if dim is not None and dim < _BLAS_THREADED_DIM else None
+    if blas is None:
+        yield
+        return
+    set_threads, get_threads = blas
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def build_floquet(params: QuantumParams) -> FloquetSystem:

@@ -10,6 +10,7 @@ import tracemalloc
 import warnings
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehlab
-from ehlab import cli, harness, quantum
-from ehlab.errors import ConfigurationError
+from ehlab import classical, cli, harness, quantum
+from ehlab.errors import ConfigurationError, NumericError
 
 
 def write_config(tmp_path: Path, payload: dict, name="config.json") -> Path:
@@ -236,6 +237,106 @@ class TestQuantumKinds:
             "parameters": {"dim": 64, "lambda": 1.0, "n_kicks": 10}})
         with pytest.raises(ConfigurationError):
             harness.run(config)
+
+
+BLAS = quantum._openblas()
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS set to two threads for the test, its count then."""
+    if BLAS is None:
+        pytest.skip("numpy loaded no OpenBLAS with a thread-count setter")
+    set_threads, get_threads = BLAS
+    before = get_threads()
+    set_threads(2)
+    yield get_threads()
+    set_threads(before)
+
+
+def record_blas_threads(monkeypatch, module, name, fail=None):
+    """Record numpy's OpenBLAS thread count at each call of module.name,
+    then raise `fail` if given, else call through."""
+    seen, real = [], getattr(module, name)
+
+    def recording(*args, **kwargs):
+        seen.append(BLAS[1]() if BLAS else None)
+        if fail is not None:
+            raise fail
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, recording)
+    return seen
+
+
+def fraction_config(out_dir, dim=257) -> dict:
+    return {"kind": "volume-fraction", "seed": 0, "output_dir": str(out_dir),
+            "parameters": {**FRACTION, "dim": dim}}
+
+
+class TestBlasThreads:
+    def test_small_quantum_run_holds_one_thread(self, tmp_path, monkeypatch,
+                                                blas_threads):
+        seen = record_blas_threads(monkeypatch, quantum, "mixing_volume_fraction")
+        harness.run(harness.ExperimentConfig.from_dict(fraction_config(tmp_path)))
+        assert seen == [1]
+        assert BLAS[1]() == blas_threads
+
+    def test_count_restored_after_a_numeric_error(self, tmp_path, monkeypatch,
+                                                  blas_threads):
+        seen = record_blas_threads(monkeypatch, quantum, "mixing_volume_fraction",
+                                   fail=NumericError("injected"))
+        config = write_config(tmp_path, fraction_config(tmp_path / "out"))
+        assert cli.main(["run", "--config", str(config)]) == 3
+        assert seen == [1]
+        assert BLAS[1]() == blas_threads
+
+    @pytest.mark.parametrize("module, name, config", [
+        pytest.param(quantum, "build_floquet", {
+            "kind": "quantum-evolve", "parameters": {
+                "dim": quantum._BLAS_THREADED_DIM, "lambda": 1.0, "n_kicks": 2}},
+            id="threaded-dim"),
+        pytest.param(classical, "estimate_chaotic_measures",
+                     scan_config(None, lambdas=(1.0,), steps=10),
+                     id="classical-scan")])
+    def test_count_unchanged_at_threaded_dim_and_without_dim(
+            self, tmp_path, monkeypatch, blas_threads, module, name, config):
+        seen = record_blas_threads(monkeypatch, module, name)
+        harness.run(harness.ExperimentConfig.from_dict(
+            {**config, "output_dir": str(tmp_path)}))
+        assert seen == [blas_threads]
+        assert BLAS[1]() == blas_threads
+
+    def test_no_library_is_a_no_op(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(quantum, "_openblas", lambda: None)
+        before = BLAS[1]() if BLAS else None
+        seen = record_blas_threads(monkeypatch, quantum, "mixing_volume_fraction")
+        harness.run(harness.ExperimentConfig.from_dict(fraction_config(tmp_path)))
+        assert seen == [before]
+        assert json.loads((tmp_path / "volume_fraction.json").read_text())
+
+    @pytest.mark.parametrize("names", quantum._OPENBLAS_THREADS,
+                             ids=lambda names: names[0])
+    def test_lookup_finds_each_symbol_pair(self, names):
+        set_threads, get_threads = object(), object()
+        lib = SimpleNamespace(**{names[0]: set_threads, names[1]: get_threads,
+                                 "openblas_get_config": object()})
+        assert quantum._thread_functions(lib) == (set_threads, get_threads)
+
+    @pytest.mark.parametrize("lib", [
+        SimpleNamespace(),
+        SimpleNamespace(openblas_set_num_threads=object()),
+        SimpleNamespace(scipy_openblas_get_num_threads64_=object(),
+                        openblas_set_num_threads64_=object())])
+    def test_lookup_ignores_a_library_without_a_pair(self, monkeypatch, lib):
+        assert quantum._thread_functions(lib) is None
+        monkeypatch.setattr(quantum.ctypes, "CDLL", lambda path: lib)
+        assert quantum._openblas.__wrapped__() is None
+
+    def test_lookup_survives_an_unloadable_library(self, monkeypatch):
+        def unloadable(path):
+            raise OSError(f"cannot load {path}")
+        monkeypatch.setattr(quantum.ctypes, "CDLL", unloadable)
+        assert quantum._openblas.__wrapped__() is None
 
 
 PREAMBLE = 'set datafile separator ","\nset key top left\n'
