@@ -426,6 +426,15 @@ def cells_from_json(text: str) -> list[Cell]:
     return [_cell(i, spec) for i, spec in enumerate(raw)]
 
 
+def _require_cells(name: str, cells) -> None:
+    """Refuse `cells` unless it is a list or tuple of Cell."""
+    bad = ([c for c in cells if not isinstance(c, Cell)]
+           if isinstance(cells, (list, tuple)) else [cells])
+    if bad:
+        raise ConfigurationError(
+            f"{name} must be a list of Cell, got {bad[0]!r}")
+
+
 def _membership(cells, theta, p):
     inside = np.zeros(theta.shape, dtype=bool)
     for cell in cells:
@@ -454,6 +463,8 @@ def set_correlation(A: list[Cell], B: list[Cell], params: MapParams, t: int,
     so A = B = whole torus gives exactly zero. Empty A or B yields
     -mu(A)*mu(B) with the `empty_input` flag raised.
     """
+    _require_cells("A", A)
+    _require_cells("B", B)
     require_count("n_samples", n_samples, 10_000)
     require_count("t", t, 0)
     require_count("seed", seed, 0)

@@ -41,6 +41,23 @@ def require_positive(name: str, x):
     return x
 
 
+def require_table(name: str, rows, width: int) -> np.ndarray:
+    """`rows` read as one float table of shape (n, width), n >= 1: each row
+    `width` numbers (integers or floats, not strings), all finite."""
+    try:
+        table = np.asarray(rows)
+    except ValueError:  # ragged rows
+        table = np.asarray(None)  # an object array, refused below
+    if (table.dtype.kind not in "iuf" or table.ndim != 2
+            or table.shape[0] < 1 or table.shape[1] != width):
+        raise ConfigurationError(
+            f"{name} must be a non-empty sequence of rows of {width} numbers")
+    table = np.array(table, dtype=float)
+    if not np.isfinite(table).all():
+        raise ConfigurationError(f"{name} must hold finite numbers only")
+    return table
+
+
 class EhlabError(Exception):
     """Base class for all errors raised by this package."""
 

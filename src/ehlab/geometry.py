@@ -12,14 +12,15 @@ from typing import Sequence
 
 import numpy as np
 
+from .classical import _require_cells
 from .errors import ConfigurationError, EmptyRegionError, require_count
-from .quantum import QuantumParams, momentum_ladder
+from .quantum import QuantumParams, _complex_array, momentum_ladder
 
 
 def hs_distance(a, b) -> float:
     """Hilbert-Schmidt distance (Tr((A-B)(A-B)^dagger))^(1/2)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a = _complex_array(a, "a")
+    b = _complex_array(b, "b")
     if a.shape != b.shape:
         raise ConfigurationError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a - b))
@@ -64,12 +65,14 @@ class RegionProjector:
 
 
 def region_projector_from_cells(cells: Sequence, params: QuantumParams) -> RegionProjector:
-    """Momentum-window projector from cells carrying [p_min, p_max) bounds.
+    """Momentum-window projector from a list of Cell, read by their
+    [p_min, p_max) bounds.
 
     A ladder index k is selected when hbar*k lies in some cell; windows
     are closed on the left and open on the right so adjacent cells tile
     the ladder without double counting.
     """
+    _require_cells("cells", cells)
     ladder = momentum_ladder(params.dim)
     values = params.hbar * ladder
     sel = np.zeros(params.dim, dtype=bool)

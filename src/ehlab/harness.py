@@ -429,8 +429,7 @@ def _run_quantum_evolve(p: dict, seed: int, art: _Artifacts):
     probs = np.abs(psi) ** 2
     probs /= probs.sum()
     ladder = quantum.momentum_ladder(qp.dim)
-    dist = list(zip(ladder.tolist(), probs.tolist()))
-    fit = quantum.localization_fit(dist)
+    fit = quantum.localization_fit(np.column_stack((ladder, probs)))
     art.add_csv("momentum_distribution.csv", "k,p", (ladder, probs))
     art.add_csv("spectrum.csv", "k,phi_k",
                 (np.arange(qp.dim), system.quasi_energies))

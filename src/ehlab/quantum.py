@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigurationError, DegenerateSpectrumError,
                      HermiticityError, NumericError, is_count, is_real,
-                     require_count, require_positive)
+                     require_count, require_positive, require_table)
 
 DEFAULT_GAP_TOL = 1e-9
 _HERM_TOL = 1e-10
@@ -130,10 +130,20 @@ def momentum_ladder(dim: int) -> np.ndarray:
     return np.arange(-half, half + 1)
 
 
+def _complex_array(value, what: str) -> np.ndarray:
+    """`value` as a complex array; ragged rows or entries that are not
+    numbers are a ConfigurationError naming `what`."""
+    try:
+        return np.asarray(value, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(
+            f"{what} must be an array of numbers: {exc}") from None
+
+
 def _hermitian(matrix, what: str) -> np.ndarray:
     """`matrix` as a complex array; it must be a non-empty square matrix,
     Hermitian to _HERM_TOL (NaN fails too)."""
-    m = np.asarray(matrix, dtype=complex)
+    m = _complex_array(matrix, what)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise ConfigurationError(
             f"{what} must be a non-empty square matrix, got shape {m.shape}")
@@ -231,7 +241,7 @@ def pure_state(vector) -> DensityState:
     """|psi><psi| from a (not necessarily normalized) 1-D vector, whose
     norm must be finite (it overflows for entries near 1e154 and up) and
     above zero."""
-    v = np.asarray(vector, dtype=complex)
+    v = _complex_array(vector, "vector")
     if v.ndim != 1:
         raise ConfigurationError(f"vector must be 1-D, got shape {v.shape}")
     with np.errstate(over="ignore"):
@@ -282,21 +292,6 @@ def momentum_window_projector(dim: int, k_lo: float, k_hi: float,
         raise ConfigurationError(f"window [{k_lo}, {k_hi}) selects no ladder site")
     return ObservableMatrix._structured(dim, f"P[{k_lo},{k_hi})",
                                         diagonal=sel.astype(float))
-
-
-def _angle_grid(dim: int) -> np.ndarray:
-    """theta_j = 2 pi j / N."""
-    return 2.0 * np.pi * np.arange(dim) / dim
-
-
-def _angle_coefficients(values: np.ndarray) -> np.ndarray:
-    """Circulant coefficients of the operator diagonal on the angle grid.
-
-    With |theta_j> = sum_k exp(-i k theta_j)|k>/sqrt(N), the momentum-basis
-    entry at (k, k') is sum_j values_j exp(-i (k - k') theta_j) / N, which
-    is the FFT coefficient c[(k - k') mod N].
-    """
-    return np.fft.fft(values) / len(values)
 
 
 def cos_theta_observable(dim: int) -> ObservableMatrix:
@@ -454,10 +449,14 @@ def _tridiagonal_sandwich(v: np.ndarray, upper: np.ndarray,
 
 
 def _kick_coefficients(params: QuantumParams) -> np.ndarray:
-    """Circulant coefficients c of the kick: K[k, k'] = c[(k - k') mod N]."""
-    theta = _angle_grid(params.dim)
-    return _angle_coefficients(
-        np.exp(-1j * (params.lam / params.hbar) * np.cos(theta)))
+    """Circulant coefficients c of the kick: K[k, k'] = c[(k - k') mod N].
+
+    With |theta_j> = sum_k exp(-i k theta_j)|k>/sqrt(N) on the angle grid
+    theta_j = 2 pi j / N, c is the FFT of the kick's grid values over N.
+    """
+    n = params.dim
+    theta = 2.0 * np.pi * np.arange(n) / n
+    return np.fft.fft(np.exp(-1j * (params.lam / params.hbar) * np.cos(theta))) / n
 
 
 def _parity_panels(coeffs: np.ndarray, half_free: np.ndarray, sign: int):
@@ -951,18 +950,27 @@ class LocalizationFit:
 def localization_fit(distribution: Sequence[tuple[int, float]]) -> LocalizationFit:
     """Fit ln p vs |k| over the bulk of the ladder.
 
-    The outer (1 - _BULK_FRACTION) of the ladder is excluded; sites with
-    vanishing probability are dropped from the fit.
+    `distribution` holds (k, p) rows of finite numbers. The outer
+    (1 - _BULK_FRACTION) of the ladder is excluded; sites with vanishing
+    probability are dropped from the fit. At least 3 sites must remain,
+    at |k| distinct and small enough for the fit to resolve a slope.
     """
-    ks = np.array([d[0] for d in distribution], dtype=float)
-    ps = np.array([d[1] for d in distribution], dtype=float)
+    ks, ps = require_table("distribution", distribution, 2).T
     k_max = np.max(np.abs(ks))
     mask = (np.abs(ks) <= _BULK_FRACTION * k_max) & (ps > 0.0)
-    if mask.sum() < 3:
-        raise ConfigurationError("fewer than 3 usable sites in the bulk")
     x = np.abs(ks[mask])
+    if mask.sum() < 3 or np.ptp(x) == 0.0:
+        raise ConfigurationError(
+            "distribution has fewer than 3 usable sites at 2 distinct |k| "
+            "in the bulk")
     y = np.log(ps[mask])
-    slope, intercept = np.polyfit(x, y, 1)
+    # |k| of 1e154 and up overflows polyfit's column scaling, which then
+    # sees one column (rank 1) and would return slope 0
+    with np.errstate(over="ignore"):
+        (slope, intercept), _, rank, _, _ = np.polyfit(x, y, 1, full=True)
+    if rank < 2:
+        raise ConfigurationError(
+            "distribution's bulk |k| are too close or too large to fit a slope")
     resid = y - (intercept + slope * x)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, InsufficientDataError,
                      OutOfDomainError, SingularFitError, is_real,
-                     require_positive)
+                     require_positive, require_table)
 
 # Validity window margin eps = EPS_FACTOR * lam_c used by the fit;
 # the Taylor remainder O(|lam - lam_c|^4) grows fast beyond lam_c.
@@ -99,16 +99,16 @@ def check_critical_conditions(samples: Sequence[tuple[float, float]],
                               lambda_c: float) -> CriticalReport:
     """Check origin/plateau/inflection conditions on (lambda, mu_A) samples.
 
-    The second derivative at lambda_c is estimated by an unequal-spacing
-    central difference over the three nearest samples; the origin slope
-    by a three-point forward difference.
+    The samples are rows of two finite numbers. The second derivative at
+    lambda_c is estimated by an unequal-spacing central difference over the
+    three nearest samples; the origin slope by a three-point forward
+    difference.
     """
     require_positive("lambda_c", lambda_c)
-    if len(samples) < 5:
+    lams, mus = require_table("samples", samples, 2).T
+    if len(lams) < 5:
         raise InsufficientDataError(
-            f"need at least 5 samples, got {len(samples)}")
-    lams = np.array([s[0] for s in samples], dtype=float)
-    mus = np.array([s[1] for s in samples], dtype=float)
+            f"need at least 5 samples, got {len(lams)}")
     if np.any(np.diff(lams) <= 0):
         raise ConfigurationError("samples must be sorted by strictly increasing lambda")
     if lams[0] > 0 or lams[-1] < lambda_c:
@@ -200,9 +200,7 @@ def fit_transition(samples: Sequence[tuple[float, float, float]],
             raise ConfigurationError(
                 f"sample {i} must hold a finite lambda, mu_A and CI, got "
                 f"{tuple(sample)!r}")
-    lams = np.array([s[0] for s in samples], dtype=float)
-    mus = np.array([s[1] for s in samples], dtype=float)
-    cis = np.array([s[2] for s in samples], dtype=float)
+    lams, mus, cis = np.array([s[:3] for s in samples], dtype=float).T
     if lams.min() > 0.0 or lams.max() < 2.0:
         raise ConfigurationError("samples must span lambda in [0, 2]")
     # candidates lambda_c <= max lambda: the widest window must be finite

@@ -119,3 +119,42 @@ def test_malformed_scalar_is_a_configuration_error(entry, valid, name):
             continue
         with pytest.raises(ConfigurationError, match=rf"\b{re.escape(name)}\b"):
             entry(**{**valid(), name: bad})
+
+
+KS = np.arange(-10, 11)
+DIST = list(zip(KS.tolist(), (np.exp(-np.abs(KS) / 3.0) / 5.0).tolist()))
+SAMPLES = [s[:2] for s in CUBIC]
+NAN_LAST = SAMPLES[:-1] + [(2.0, float("nan"))]
+ONE_K = [(0, 0.4), (0, 0.3), (0, 0.3)]
+# |k| near 1e154 and up overflows the fit's column scaling
+HUGE_K = [(k * 1e200, p) for k, p in DIST]
+BAD_DIST = [[], [(1,)], [(float("inf"), 0.1)] + DIST, ONE_K, HUGE_K]
+# (entry, keyword arguments that it accepts, row, array or cell argument,
+# malformed values of it)
+ARRAYS = [
+    (q.localization_fit, lambda: {"distribution": DIST}, "distribution",
+     BAD_DIST),
+    (q.localization_length, lambda: {"distribution": DIST}, "distribution",
+     BAD_DIST),
+    (tr.check_critical_conditions,
+     lambda: {"samples": SAMPLES, "lambda_c": 0.97}, "samples",
+     [NAN_LAST, "abcdef", [(0.0,)] + SAMPLES[1:]]),
+    (cl.set_correlation,
+     lambda: {"A": CELL, "B": CELL, "params": cl.MapParams(1.0), "t": 1,
+              "n_samples": 10_000, "seed": 0}, "B", [["x"]]),
+    (ge.region_projector_from_cells,
+     lambda: {"cells": CELL, "params": q.QuantumParams(dim=17, lam=1.0)},
+     "cells", [[1]]),
+    (ge.hs_distance, lambda: {"a": np.eye(2), "b": np.eye(2)}, "a",
+     ["abc", [[1, 2], [3]]]),
+]
+
+
+@pytest.mark.parametrize("entry,valid,name,bad", [
+    pytest.param(entry, valid, name, bad, id=f"{entry.__name__}-{name}-{i}")
+    for entry, valid, name, cases in ARRAYS for i, bad in enumerate(cases)])
+@pytest.mark.filterwarnings("error")
+def test_malformed_array_is_a_configuration_error(entry, valid, name, bad):
+    entry(**valid())  # the table's own arguments are accepted
+    with pytest.raises(ConfigurationError, match=rf"\b{re.escape(name)}\b"):
+        entry(**{**valid(), name: bad})

@@ -111,6 +111,17 @@ class TestClassicalScan:
         assert rows[0][1] == 0.0  # integrable limit
         assert rows[2][1] > 0.9
 
+    def test_direct_config_is_echoed_in_the_manifest(self, tmp_path):
+        # a config built without from_dict has no raw file to echo
+        parameters = scan_config(tmp_path)["parameters"]
+        config = harness.ExperimentConfig("classical-scan", parameters,
+                                          seed=3, output_dir=str(tmp_path))
+        harness.run(config)
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["config"] == {"kind": "classical-scan",
+                                 "parameters": parameters, "seed": 3,
+                                 "output_dir": str(tmp_path)}
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):

@@ -349,6 +349,14 @@ class TestParamsAndStates:
         with pytest.raises(HermiticityError):
             q.expectation(q.maximally_mixed(3), obs)
 
+    def test_non_numeric_states_and_observables_rejected(self):
+        with pytest.raises(ConfigurationError, match="density matrix"):
+            q.DensityState("abc")
+        with pytest.raises(ConfigurationError, match="observable 'x'"):
+            q.ObservableMatrix([[1, 2], [3]], "x")
+        with pytest.raises(ConfigurationError, match="vector"):
+            q.pure_state(["a", "b"])
+
     def test_overflowing_asymmetry_is_not_hermitian(self):
         # m - m^dagger overflows to inf (or inf - inf gives NaN) for entries
         # of opposite sign near the largest double: the refusal, not a
@@ -782,6 +790,23 @@ class TestFloquet:
         strong = q.build_floquet(q.QuantumParams(dim=65, lam=10.0))
         assert len(weak.degeneracy_flags) == 23
         assert strong.degeneracy_flags == []
+
+    def test_wrap_around_pair_is_flagged(self):
+        # at lam = 0 and this hbar the free phases hbar k^2 / 2 mod 2 pi of
+        # dim 7 are 0 and 2 pi - 1e-10: neighbours across 2 pi
+        hbar = (4.0 * np.pi - 2e-10) / 9.0
+        free = q.build_floquet(q.QuantumParams(dim=7, lam=0.0, hbar=hbar))
+        assert free.quasi_energies[0] == 0.0
+        assert free.quasi_energies[-1] == pytest.approx(2.0 * np.pi - 1e-10,
+                                                        abs=1e-12)
+        assert free.degeneracy_flags == [(1, 2), (3, 4), (5, 6), (6, 0)]
+        kicked = q.build_floquet(q.QuantumParams(dim=7, lam=1e-3, hbar=hbar))
+        assert kicked.degeneracy_flags == [(3, 4)]
+        rho, obs = q.momentum_eigenstate(7, 0), q.cos_theta_observable(7)
+        with pytest.raises(DegenerateSpectrumError) as exc:
+            q.correlation_series(rho, free, obs, 10)
+        assert (6, 0) in exc.value.pairs
+        q.correlation_series(rho, free, obs, 10, allow_degenerate=True)
 
     def test_zero_kick_spectrum_is_free(self):
         params = q.QuantumParams(dim=33, lam=0.0)
