@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, is_real, require_count,
-                     require_positive)
+                     require_instance, require_positive)
 
 TWO_PI = 2.0 * np.pi
 
@@ -246,6 +246,8 @@ def _lyapunov_batch(theta, p, lam, tau, n_steps: int, *, out=None):
 
 def lyapunov_exponent(x0: PhasePoint, params: MapParams, n_steps: int) -> float:
     """Largest Lyapunov exponent (per kick) from the tangent-map method."""
+    require_instance("x0", x0, PhasePoint)
+    require_instance("params", params, MapParams)
     require_count("n_steps", n_steps, 1000)
     return float(_lyapunov_batch(np.array([x0.theta]), np.array([x0.p]),
                                  params.lam, params.tau, n_steps)[0])
@@ -465,6 +467,7 @@ def set_correlation(A: list[Cell], B: list[Cell], params: MapParams, t: int,
     """
     _require_cells("A", A)
     _require_cells("B", B)
+    require_instance("params", params, MapParams)
     require_count("n_samples", n_samples, 10_000)
     require_count("t", t, 0)
     require_count("seed", seed, 0)

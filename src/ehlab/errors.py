@@ -34,6 +34,14 @@ def require_count(name: str, x, low: int):
     return x
 
 
+def require_instance(name: str, x, cls):
+    """`x` if it is an instance of `cls`."""
+    if not isinstance(x, cls):
+        raise ConfigurationError(
+            f"{name} must be a {cls.__name__}, got {type(x).__name__}")
+    return x
+
+
 def require_positive(name: str, x):
     """`x` if it is a real number (:func:`is_real`) above zero."""
     if not is_real(x) or x <= 0:

@@ -13,7 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .classical import _require_cells
-from .errors import ConfigurationError, EmptyRegionError, require_count
+from .errors import (ConfigurationError, EmptyRegionError, require_count,
+                     require_instance)
 from .quantum import QuantumParams, _complex_array, momentum_ladder
 
 
@@ -73,6 +74,7 @@ def region_projector_from_cells(cells: Sequence, params: QuantumParams) -> Regio
     the ladder without double counting.
     """
     _require_cells("cells", cells)
+    require_instance("params", params, QuantumParams)
     ladder = momentum_ladder(params.dim)
     values = params.hbar * ladder
     sel = np.zeros(params.dim, dtype=bool)

@@ -423,7 +423,7 @@ def _run_transition_fit(p: dict, seed: int, art: _Artifacts):
 
 def _run_quantum_evolve(p: dict, seed: int, art: _Artifacts):
     qp = _quantum_params(p)
-    system = quantum.build_floquet(qp)
+    system = quantum.build_floquet(qp, threads=max_threads())
     psi0 = quantum.momentum_eigenstate(qp.dim, p["initial_k"]).vector
     psi = quantum.evolve_vector(psi0, system, p["n_kicks"])
     probs = np.abs(psi) ** 2
@@ -455,7 +455,7 @@ def _run_correlation_series(p: dict, seed: int, art: _Artifacts):
         rho0 = quantum.momentum_eigenstate(qp.dim, p["state"]["k"])
     else:
         rho0 = quantum.haar_random_pure(qp.dim, np.random.default_rng(seed))
-    system = quantum.build_floquet(qp)
+    system = quantum.build_floquet(qp, threads=max_threads())
     series = quantum.correlation_series(rho0, system, obs, p["horizon"],
                                         allow_degenerate=p["allow_degenerate"])
     art.add_csv("correlation_series.csv", "t,c_q,cesaro",
@@ -468,7 +468,7 @@ def _run_correlation_series(p: dict, seed: int, art: _Artifacts):
 def _run_volume_fraction(p: dict, seed: int, art: _Artifacts):
     qp = _quantum_params(p)
     o_set = [_observable(s, qp) for s in p["observables"]]
-    system = quantum.build_floquet(qp)
+    system = quantum.build_floquet(qp, threads=max_threads())
     frac = quantum.mixing_volume_fraction(system, o_set, p["n_states"],
                                           p["horizon"], p["tol"], seed)
     art.add_json("volume_fraction.json", _sidecar(qp, seed, {

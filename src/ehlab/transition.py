@@ -195,12 +195,18 @@ def fit_transition(samples: Sequence[tuple[float, float, float]],
     """
     if len(samples) < 6:
         raise InsufficientDataError(f"need at least 6 samples, got {len(samples)}")
+    rows = []
     for i, sample in enumerate(samples):
-        if len(sample) < 3 or not all(is_real(x) for x in sample[:3]):
+        try:
+            row = tuple(sample)[:3]
+        except TypeError:  # not a sequence
+            row = ()
+        if len(row) < 3 or not all(is_real(x) for x in row):
             raise ConfigurationError(
-                f"sample {i} must hold a finite lambda, mu_A and CI, got "
-                f"{tuple(sample)!r}")
-    lams, mus, cis = np.array([s[:3] for s in samples], dtype=float).T
+                f"sample {i} of samples must hold a finite lambda, mu_A and "
+                f"CI, got {sample!r}")
+        rows.append(row)
+    lams, mus, cis = np.array(rows, dtype=float).T
     if lams.min() > 0.0 or lams.max() < 2.0:
         raise ConfigurationError("samples must span lambda in [0, 2]")
     # candidates lambda_c <= max lambda: the widest window must be finite

@@ -32,13 +32,14 @@ def orbit(**kw):
             "n_steps": 1000, **kw}
 
 
-# (entry point, keyword arguments that it accepts, scalar arguments)
+# (entry point, keyword arguments that it accepts, scalar arguments and
+# arguments that must be one parameter or system object)
 TABLE = [
     (cl.PhasePoint, lambda: {"theta": 1.0, "p": 1.0}, ["theta", "p"]),
     (cl.MapParams, lambda: {"lam": 1.0, "tau": 1.0}, ["lam", "tau"]),
-    (cl.lyapunov_exponent, orbit, ["n_steps"]),
+    (cl.lyapunov_exponent, orbit, ["n_steps", "x0", "params"]),
     (cl.classify_orbit, lambda: orbit(threshold=0.05),
-     ["n_steps", "threshold"]),
+     ["n_steps", "threshold", "x0", "params"]),
     (cl.estimate_chaotic_measures,
      lambda: {"params_list": [cl.MapParams(1.0)], "grid_side": 16,
               "n_steps": 50, "threshold": 0.05, "threads": 1},
@@ -46,18 +47,30 @@ TABLE = [
     (cl.set_correlation,
      lambda: {"A": CELL, "B": CELL, "params": cl.MapParams(1.0), "t": 1,
               "n_samples": 10_000, "seed": 0},
-     ["n_samples", "t", "seed"]),
+     ["n_samples", "t", "seed", "params"]),
     (q.QuantumParams, lambda: {"dim": 17, "lam": 1.0, "hbar": 1.0,
                                "tau": 1.0},
      ["dim", "lam", "hbar", "tau"]),
+    (q.build_floquet,
+     lambda: {"params": q.QuantumParams(dim=17, lam=10.0), "threads": 1},
+     ["params", "threads"]),
+    (q.evolve,
+     lambda: {"rho": q.momentum_eigenstate(17, 0), "system": system(),
+              "n": 3}, ["system"]),
+    (q.evolve_vector,
+     lambda: {"psi": q.momentum_eigenstate(17, 0).vector, "system": system(),
+              "n": 3}, ["system"]),
+    (q.cesaro_limit_state,
+     lambda: {"rho0": q.momentum_eigenstate(17, 0), "system": system(),
+              "allow_degenerate": True}, ["system"]),
     (q.correlation_series,
      lambda: {"rho0": q.momentum_eigenstate(17, 0), "system": system(),
               "obs": q.cos_theta_observable(17), "horizon": 10},
-     ["horizon"]),
+     ["horizon", "system"]),
     (q.mixing_volume_fraction,
      lambda: {"system": system(), "o_set": [q.cos_theta_observable(17)],
               "n_states": 100, "horizon": 10, "tol": 0.1, "seed": 0},
-     ["n_states", "horizon", "tol", "seed"]),
+     ["n_states", "horizon", "tol", "seed", "system"]),
     (q.momentum_window_projector,
      lambda: {"dim": 17, "k_lo": 0.0, "k_hi": 5.0, "hbar": 1.0},
      ["k_lo", "k_hi", "dim", "hbar"]),
@@ -83,6 +96,9 @@ TABLE = [
      ["eps_factor"]),
     (ge.RegionProjector, lambda: {"dim": 17, "indices": (0, 1)},
      ["dim", "indices"]),
+    (ge.region_projector_from_cells,
+     lambda: {"cells": CELL, "params": q.QuantumParams(dim=17, lam=1.0)},
+     ["params"]),
 ]
 # optional arguments, for which None picks the default
 OPTIONAL = {(tr.cubic_transition, "eps")}
@@ -139,6 +155,9 @@ ARRAYS = [
     (tr.check_critical_conditions,
      lambda: {"samples": SAMPLES, "lambda_c": 0.97}, "samples",
      [NAN_LAST, "abcdef", [(0.0,)] + SAMPLES[1:]]),
+    # a row that is not a sequence is named by its index
+    (tr.fit_transition, lambda: {"samples": CUBIC}, "samples",
+     [[1.0] * 6, CUBIC[:3] + [None] + CUBIC[4:]]),
     (cl.set_correlation,
      lambda: {"A": CELL, "B": CELL, "params": cl.MapParams(1.0), "t": 1,
               "n_samples": 10_000, "seed": 0}, "B", [["x"]]),

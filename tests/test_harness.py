@@ -195,6 +195,28 @@ class TestQuantumKinds:
         loc = json.loads((tmp_path / "localization.json").read_text())
         assert {"length", "slope", "intercept", "r_squared"} <= set(loc)
 
+    def test_evolve_csvs_do_not_depend_on_thread_cap(self, tmp_path,
+                                                     monkeypatch):
+        # at dim 1025 a Floquet build given two threads solves its parity
+        # blocks side by side, given one in turn: the CSVs are the same
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        seen, build = [], quantum.build_floquet
+
+        def recording(params, threads=1):
+            seen.append(threads)
+            return build(params, threads=threads)
+        monkeypatch.setattr(quantum, "build_floquet", recording)
+        for cap in ("1", "2"):
+            monkeypatch.setenv("EHLAB_THREADS", cap)
+            harness.run(harness.ExperimentConfig.from_dict({
+                "kind": "quantum-evolve", "output_dir": str(tmp_path / cap),
+                "parameters": {"dim": 1025, "lambda": 10.0, "n_kicks": 100}}))
+        assert seen == [1, 2]
+        for name in ("momentum_distribution.csv", "spectrum.csv"):
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes()), name
+
     def test_correlation_series_artifacts(self, tmp_path):
         config = harness.ExperimentConfig.from_dict({
             "kind": "correlation-series", "output_dir": str(tmp_path),
@@ -315,6 +337,17 @@ class TestBlasThreads:
         harness.run(harness.ExperimentConfig.from_dict(
             {**config, "output_dir": str(tmp_path)}))
         assert seen == [blas_threads]
+        assert BLAS[1]() == blas_threads
+
+    def test_evolve_vector_holds_one_thread(self, monkeypatch, blas_threads):
+        # at the threaded dim too: its products are matrix-vector products
+        system = quantum.build_floquet(quantum.QuantumParams(
+            dim=quantum._BLAS_THREADED_DIM, lam=1.0), threads=2)
+        assert BLAS[1]() == blas_threads
+        seen = record_blas_threads(monkeypatch, quantum.FloquetSystem, "_z")
+        psi = quantum.momentum_eigenstate(system.dim, 0).vector
+        quantum.evolve_vector(psi, system, 2)
+        assert seen == [1]
         assert BLAS[1]() == blas_threads
 
     def test_no_library_is_a_no_op(self, tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 import ast
 import json
 import re
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -537,15 +539,15 @@ class TestFloquet:
 
     def test_eigensolve_gate(self, monkeypatch, tmp_path):
         # a basis rotated inside one 2x2 pair of a block is not an eigenbasis
-        eigh = np.linalg.eigh
+        solve = q._eigh_in_place
 
-        def rotated(m):
-            w, v = eigh(m)
+        def rotated(m, work):
+            w = solve(m, work)
             if len(w) > 1:
-                v[:, :2] = v[:, :2] @ (np.array([[1.0, -1.0], [1.0, 1.0]])
+                m[:, :2] = m[:, :2] @ (np.array([[1.0, -1.0], [1.0, 1.0]])
                                        / np.sqrt(2.0))
-            return w, v
-        monkeypatch.setattr(np.linalg, "eigh", rotated)
+            return w
+        monkeypatch.setattr(q, "_eigh_in_place", rotated)
         with pytest.raises(NumericError, match="eigen-residual"):
             q.build_floquet(q.QuantumParams(dim=33, lam=5.0))
         config = tmp_path / "config.json"
@@ -554,6 +556,107 @@ class TestFloquet:
             "parameters": {"dim": 33, "lambda": 5.0, "n_kicks": 10}}))
         assert cli.main(["run", "--config", str(config)]) == 3
         assert not (tmp_path / "out").exists()
+
+    def test_nan_in_either_block_fails_the_gate(self, monkeypatch):
+        solve = q._eigh_in_place
+        for size in (17, 16):  # the even and the odd block at N = 33
+            def nan_vector(m, work, size=size):
+                w = solve(m, work)
+                if len(m) == size:
+                    m[0, 0] = np.nan
+                return w
+            with monkeypatch.context() as patch:
+                patch.setattr(q, "_eigh_in_place", nan_vector)
+                with pytest.raises(NumericError, match="eigen-residual nan"):
+                    q.build_floquet(q.QuantumParams(dim=33, lam=5.0))
+
+    @pytest.mark.skipif(q._dsyevd() is None,
+                        reason="numpy's OpenBLAS exports no dsyevd")
+    def test_solver_failure_is_numeric_error(self, monkeypatch, tmp_path):
+        # dsyevd reporting info != 0 ends in a NumericError, and ehlab run
+        # in exit code 3 without output
+        dsyevd, integer = q._dsyevd()
+
+        def failing(*args):
+            args[10].value = 7  # info
+        monkeypatch.setattr(q, "_dsyevd", lambda: (failing, integer))
+        with pytest.raises(NumericError, match="dsyevd info 7"):
+            q.build_floquet(q.QuantumParams(dim=33, lam=5.0))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kind": "quantum-evolve", "output_dir": str(tmp_path / "out"),
+            "parameters": {"dim": 33, "lambda": 5.0, "n_kicks": 10}}))
+        assert cli.main(["run", "--config", str(config)]) == 3
+        assert not (tmp_path / "out").exists()
+
+    def test_cluster_eigh_failure_is_numeric_error(self, monkeypatch, tmp_path):
+        # N = 257 at lam = 10 has a cluster in its even block, whose
+        # Rayleigh-Ritz eigh here fails to converge
+        def failing(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NumericError, match="did not converge"):
+            q.build_floquet(q.QuantumParams(dim=257, lam=10.0))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kind": "quantum-evolve", "output_dir": str(tmp_path / "out"),
+            "parameters": {"dim": 257, "lambda": 10.0, "n_kicks": 10}}))
+        assert cli.main(["run", "--config", str(config)]) == 3
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(q._dsyevd() is None,
+                        reason="without dsyevd the blocks are solved in turn")
+    def test_worker_is_joined_when_a_block_fails(self, monkeypatch):
+        # the even block fails on the calling thread while the odd one is
+        # still being solved on the worker: the error propagates only once
+        # the worker is done, and no thread is left behind
+        n = q._BLAS_THREADED_DIM
+        solve, done = q._eigh_in_place, []
+
+        def even_fails(m, work):
+            if len(m) == (n + 1) // 2:
+                raise NumericError("injected")
+            w = solve(m, work)
+            time.sleep(0.2)
+            done.append(len(m))
+            return w
+        monkeypatch.setattr(q, "_eigh_in_place", even_fails)
+        before = threading.active_count()
+        with pytest.raises(NumericError, match="injected"):
+            q.build_floquet(q.QuantumParams(dim=n, lam=10.0), threads=2)
+        assert done == [(n - 1) // 2]
+        assert threading.active_count() == before
+
+    def test_build_below_the_threaded_dim_starts_no_thread(self, monkeypatch):
+        # relax's N = 257 builds, and any below the threaded dim, solve the
+        # blocks in turn on the calling thread, given two threads or not
+        monkeypatch.setattr(q, "ThreadPoolExecutor", None)
+        for dim in (257, q._BLAS_THREADED_DIM - 2):
+            q.build_floquet(q.QuantumParams(dim=dim, lam=10.0), threads=2)
+
+    def test_block_threads_give_the_same_system(self):
+        # the blocks solved side by side on two threads and in turn on one
+        # are the same, bit for bit
+        params = q.QuantumParams(dim=1025, lam=10.0)
+        one = q.build_floquet(params, threads=1)
+        two = q.build_floquet(params, threads=2)
+        for name in ("quasi_energies", "v_even", "v_odd", "order"):
+            assert getattr(one, name).tobytes() == getattr(two, name).tobytes(), name
+        assert one.degeneracy_flags == two.degeneracy_flags
+
+    @pytest.mark.parametrize("dim", [1, 3, 257, 1025])
+    def test_solve_without_dsyevd_is_the_same(self, dim, monkeypatch):
+        # without the LAPACK symbol np.linalg.eigh solves each block, in
+        # turn, into the same buffer: the same system, bit for bit, since
+        # eigh calls the same dsyevd
+        params = q.QuantumParams(dim=dim, lam=10.0)
+        system = q.build_floquet(params, threads=2)
+        monkeypatch.setattr(q, "_dsyevd", lambda: None)
+        fallback = q.build_floquet(params, threads=2)
+        for name in ("quasi_energies", "v_even", "v_odd", "order"):
+            assert (getattr(system, name).tobytes()
+                    == getattr(fallback, name).tobytes()), name
+        assert system.degeneracy_flags == fallback.degeneracy_flags
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_kick_is_numeric_error(self, tmp_path):
@@ -613,7 +716,7 @@ class TestFloquet:
         # the row panels read off strided views of c are, bit for bit, the
         # block the index formula gathers, and a build from that block as
         # one panel is the panel build, bit for bit
-        def one_panel(coeffs, half_free, sign):
+        def one_panel(coeffs, half_free, sign, scratch=None):
             block = dense_parity_block(coeffs, half_free, sign)
             yield slice(0, len(block)), block
         for lam in (0.0, 10.0):
@@ -634,30 +737,27 @@ class TestFloquet:
                             == getattr(oracle, name).tobytes()), name
                 assert system.degeneracy_flags == oracle.degeneracy_flags
 
-    def test_eigensolve_holds_one_real_block(self, monkeypatch):
-        # when a block's eigh starts, the build holds the one real matrix
-        # A + _MIX B, an eighth of one N x N complex array, and for the odd
-        # block the even block's basis, another eighth; A or B beside it,
-        # a complex block or its index matrices break the bound
+    @pytest.mark.parametrize("threads, blocks", [(1, 4), (2, 6)])
+    def test_build_peak_in_block_matrices(self, threads, blocks):
+        # a block solved in place holds three real matrices of its size: its
+        # buffer, which becomes its eigenvectors, and the dsyevd workspace,
+        # which then holds B and B V, then A and A V. In turn, the odd
+        # block's three meet the even block's basis: 4 block matrices. Side
+        # by side, both blocks' three meet: 6, the true peak of a solve by
+        # np.linalg.eigh in turn (its input, copy, workspace and output
+        # beside the even basis). numpy's ufunc buffers and the vectors take
+        # under 0.5 MiB a thread; a panel outside the workspace, a complex
+        # block or an N x N array breaks the bound
         n = 1025
-        unit = 16 * n * n
-        sizes = {(n + 1) // 2, (n - 1) // 2}
-        eigh = np.linalg.eigh
-        held = []
-
-        def traced(m):
-            if len(m) in sizes:
-                held.append(tracemalloc.get_traced_memory()[0] - base)
-            return eigh(m)
-        monkeypatch.setattr(np.linalg, "eigh", traced)
+        block = 8 * ((n + 1) // 2) ** 2
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            q.build_floquet(q.QuantumParams(dim=n, lam=10.0))
+            q.build_floquet(q.QuantumParams(dim=n, lam=10.0), threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(held) == 2
-        assert max(held) <= 0.3 * unit
+        assert peak - base <= blocks * block + threads * (1 << 19)
 
     def test_build_holds_one_dense_array(self):
         # a built system holds its two real half-size block bases, a
