@@ -1,8 +1,10 @@
 """Classical kicked-rotator dynamics on the 2-torus.
 
-Implements the standard (Chirikov) map, tangent-map Lyapunov exponents,
-grid classification of the phase space into regular and chaotic regions,
-and Monte-Carlo correlations between phase-space sets.
+The standard (Chirikov) map is integrated in one tangent-map Lyapunov
+batch. `estimate_chaotic_measures` classifies a cell-centred grid of
+initial conditions as chaotic (exponent above a threshold) or regular at
+each kick strength of a sweep, and `set_correlation` estimates the
+time-shifted correlation of two cell sets by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, is_real, require_count,
-                     require_instance, require_positive)
+                     require_instance, require_instances, require_positive)
 
 TWO_PI = 2.0 * np.pi
 
@@ -101,22 +103,6 @@ def _advance(theta, p, lam: float, tau: float):
 
 
 @dataclass(frozen=True)
-class PhasePoint:
-    """A point (theta, p) on the torus, both coordinates in [0, 2*pi)."""
-
-    theta: float
-    p: float
-
-    def __post_init__(self):
-        if not (is_real(self.theta) and is_real(self.p)):
-            raise ConfigurationError(
-                f"theta and p must be finite real numbers, got "
-                f"{self.theta!r}, {self.p!r}")
-        object.__setattr__(self, "theta", float(_wrap(self.theta)))
-        object.__setattr__(self, "p", float(_wrap(self.p)))
-
-
-@dataclass(frozen=True)
 class MapParams:
     """Kick strength and kick period of the standard map."""
 
@@ -141,16 +127,6 @@ class MapParams:
 
 
 @dataclass(frozen=True)
-class OrbitClass:
-    """Classification of a single orbit with the evidence used."""
-
-    label: str  # "Regular" or "Chaotic"
-    lyapunov: float
-    n_steps: int
-    threshold: float
-
-
-@dataclass(frozen=True)
 class RegionEstimate:
     """Grid estimate of the normalized chaotic measure at one kick strength."""
 
@@ -160,25 +136,6 @@ class RegionEstimate:
     n_samples: int
     threshold: float
     ci_halfwidth: float
-
-
-def step_map(x: PhasePoint, params: MapParams) -> PhasePoint:
-    """One application of p' = p + lam*sin(theta), theta' = theta + tau*p'."""
-    return PhasePoint(*_advance(x.theta, x.p, params.lam, params.tau))
-
-
-def inverse_step_map(x: PhasePoint, params: MapParams) -> PhasePoint:
-    """Exact inverse of :func:`step_map` (the map is invertible)."""
-    p = x.p - TWO_PI * np.rint(x.p / TWO_PI)  # as _advance centres it
-    theta_old = x.theta - params.tau * p
-    p_old = p - params.lam * np.sin(theta_old)
-    return PhasePoint(theta_old, p_old)
-
-
-def step_jacobian(x: PhasePoint, params: MapParams) -> np.ndarray:
-    """Tangent map d(theta', p')/d(theta, p) at the point x; det = 1."""
-    c = params.lam * np.cos(x.theta)
-    return np.array([[1.0 + params.tau * c, params.tau], [c, 1.0]])
 
 
 def _lyapunov_batch(theta, p, lam, tau, n_steps: int, *, out=None):
@@ -242,29 +199,6 @@ def _lyapunov_batch(theta, p, lam, tau, n_steps: int, *, out=None):
             log_sum += c
     log_sum /= n_steps
     return log_sum
-
-
-def lyapunov_exponent(x0: PhasePoint, params: MapParams, n_steps: int) -> float:
-    """Largest Lyapunov exponent (per kick) from the tangent-map method."""
-    require_instance("x0", x0, PhasePoint)
-    require_instance("params", params, MapParams)
-    require_count("n_steps", n_steps, 1000)
-    return float(_lyapunov_batch(np.array([x0.theta]), np.array([x0.p]),
-                                 params.lam, params.tau, n_steps)[0])
-
-
-def classify_orbit(x0: PhasePoint, params: MapParams, n_steps: int,
-                   threshold: float = DEFAULT_THRESHOLD) -> OrbitClass:
-    """Chaotic iff the Lyapunov exponent exceeds the threshold.
-
-    Exact ties are classified Regular (conservative toward the
-    integrable side).
-    """
-    require_positive("threshold", threshold)
-    expo = lyapunov_exponent(x0, params, n_steps)
-    label = "Chaotic" if expo > threshold else "Regular"
-    return OrbitClass(label=label, lyapunov=expo, n_steps=n_steps,
-                      threshold=threshold)
 
 
 def _centred_grid(grid_side: int):
@@ -335,6 +269,7 @@ def estimate_chaotic_measures(params_list: list[MapParams], grid_side: int,
     require_count("n_steps", n_steps, 1)
     require_positive("threshold", threshold)
     require_count("threads", threads, 1)
+    require_instances("params_list", params_list, MapParams)
     if not params_list:
         return []
     theta, p = _centred_grid(grid_side)
@@ -378,21 +313,23 @@ def estimate_chaotic_measures(params_list: list[MapParams], grid_side: int,
     return estimates
 
 
-def estimate_chaotic_measure(params: MapParams, grid_side: int, n_steps: int,
-                             threshold: float = DEFAULT_THRESHOLD) -> RegionEstimate:
-    """Fraction of a uniform grid of initial conditions that is chaotic:
-    the one-kick-strength case of :func:`estimate_chaotic_measures`."""
-    return estimate_chaotic_measures([params], grid_side, n_steps, threshold)[0]
-
-
 @dataclass(frozen=True)
 class Cell:
-    """A rectangle [theta_min, theta_max) x [p_min, p_max) on the torus."""
+    """A rectangle [theta_min, theta_max) x [p_min, p_max) on the torus,
+    its bounds finite numbers, held as floats."""
 
     theta_min: float
     theta_max: float
     p_min: float
     p_max: float
+
+    def __post_init__(self):
+        for key in _CELL_KEYS:
+            bound = getattr(self, key)
+            if not is_real(bound):
+                raise ConfigurationError(
+                    f"{key} must be a finite number, got {bound!r}")
+            object.__setattr__(self, key, float(bound))
 
     def contains(self, theta, p):
         return ((theta >= self.theta_min) & (theta < self.theta_max)
@@ -403,38 +340,25 @@ _CELL_KEYS = ("theta_min", "theta_max", "p_min", "p_max")
 
 
 def _cell(index: int, spec) -> Cell:
-    """A Cell from one parsed JSON object whose four bounds are finite
-    numbers."""
+    """A Cell from one parsed JSON object with the four bounds as keys."""
     if not isinstance(spec, dict) or not all(k in spec for k in _CELL_KEYS):
         raise ConfigurationError(
             f"cell {index} must be an object with keys {', '.join(_CELL_KEYS)}")
-    bounds = [spec[k] for k in _CELL_KEYS]
-    for x in bounds:
-        if not is_real(x):
-            raise ConfigurationError(
-                f"cell {index}: bound {x!r} is not a finite number")
-    return Cell(*(float(x) for x in bounds))
+    return Cell(*(spec[k] for k in _CELL_KEYS))
 
 
 def cells_from_json(text: str) -> list[Cell]:
-    """Parse a JSON array of {theta_min, theta_max, p_min, p_max} objects
-    whose bounds are finite numbers."""
+    """Parse the str `text`, a JSON array of {theta_min, theta_max, p_min,
+    p_max} objects whose bounds are finite numbers."""
+    require_instance("text", text, str)
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise ConfigurationError(f"cell set is not valid JSON: {exc}") from None
-    if not isinstance(raw, list):
-        raise ConfigurationError("cell set must be a JSON array")
-    return [_cell(i, spec) for i, spec in enumerate(raw)]
-
-
-def _require_cells(name: str, cells) -> None:
-    """Refuse `cells` unless it is a list or tuple of Cell."""
-    bad = ([c for c in cells if not isinstance(c, Cell)]
-           if isinstance(cells, (list, tuple)) else [cells])
-    if bad:
         raise ConfigurationError(
-            f"{name} must be a list of Cell, got {bad[0]!r}")
+            f"cell set text is not valid JSON: {exc}") from None
+    if not isinstance(raw, list):
+        raise ConfigurationError("cell set text must be a JSON array")
+    return [_cell(i, spec) for i, spec in enumerate(raw)]
 
 
 def _membership(cells, theta, p):
@@ -465,8 +389,8 @@ def set_correlation(A: list[Cell], B: list[Cell], params: MapParams, t: int,
     so A = B = whole torus gives exactly zero. Empty A or B yields
     -mu(A)*mu(B) with the `empty_input` flag raised.
     """
-    _require_cells("A", A)
-    _require_cells("B", B)
+    require_instances("A", A, Cell)
+    require_instances("B", B, Cell)
     require_instance("params", params, MapParams)
     require_count("n_samples", n_samples, 10_000)
     require_count("t", t, 0)

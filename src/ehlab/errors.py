@@ -42,6 +42,17 @@ def require_instance(name: str, x, cls):
     return x
 
 
+def require_instances(name: str, items, cls):
+    """`items` if it is a list or tuple whose entries are instances of
+    `cls`."""
+    bad = ([x for x in items if not isinstance(x, cls)]
+           if isinstance(items, (list, tuple)) else [items])
+    if bad:
+        raise ConfigurationError(
+            f"{name} must be a list of {cls.__name__}, got {bad[0]!r}")
+    return items
+
+
 def require_positive(name: str, x):
     """`x` if it is a real number (:func:`is_real`) above zero."""
     if not is_real(x) or x <= 0:
@@ -104,6 +115,3 @@ class DegenerateSpectrumError(NumericError):
             + ("..." if len(self.pairs) > 10 else "")
         )
 
-
-class HermiticityError(NumericError):
-    """An expectation value came out with a non-negligible imaginary part."""

@@ -1,8 +1,9 @@
-"""Hilbert-Schmidt state geometry and the distance-measure identity.
+"""Region projectors and the Hilbert-Schmidt distance-measure identity.
 
 For a diagonal indicator projector I_A with rank mu, the uniform state
 rho_A = I_A / mu satisfies (d^2(rho_A, 1/N) + 1/N) * mu = 1 exactly,
-with d the Hilbert-Schmidt (Frobenius) distance.
+with d the Hilbert-Schmidt (Frobenius) distance. Both states are
+diagonal, so `verify_theorem2` evaluates d from their diagonals alone.
 """
 
 from __future__ import annotations
@@ -12,19 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import _require_cells
+from .classical import Cell
 from .errors import (ConfigurationError, EmptyRegionError, require_count,
-                     require_instance)
-from .quantum import QuantumParams, _complex_array, momentum_ladder
-
-
-def hs_distance(a, b) -> float:
-    """Hilbert-Schmidt distance (Tr((A-B)(A-B)^dagger))^(1/2)."""
-    a = _complex_array(a, "a")
-    b = _complex_array(b, "b")
-    if a.shape != b.shape:
-        raise ConfigurationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+                     require_instance, require_instances)
+from .quantum import QuantumParams, momentum_ladder
 
 
 @dataclass(frozen=True)
@@ -54,16 +46,6 @@ class RegionProjector:
         """Rank divided by the dimension; never mixed with mu_rank."""
         return len(self.indices) / self.dim
 
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        sel = np.array(self.indices)
-        m[sel, sel] = 1.0
-        return m
-
-    def uniform_state(self) -> np.ndarray:
-        """rho_A = I_A / mu."""
-        return self.matrix() / self.mu_rank
-
 
 def region_projector_from_cells(cells: Sequence, params: QuantumParams) -> RegionProjector:
     """Momentum-window projector from a list of Cell, read by their
@@ -73,7 +55,7 @@ def region_projector_from_cells(cells: Sequence, params: QuantumParams) -> Regio
     are closed on the left and open on the right so adjacent cells tile
     the ladder without double counting.
     """
-    _require_cells("cells", cells)
+    require_instances("cells", cells, Cell)
     require_instance("params", params, QuantumParams)
     ladder = momentum_ladder(params.dim)
     values = params.hbar * ladder
@@ -103,6 +85,7 @@ def verify_theorem2(projector: RegionProjector) -> IdentityCheck:
     Euclidean distance of their diagonals. Returns it with the identity
     residual, which must vanish to 1e-12 for exact diagonal projectors.
     """
+    require_instance("projector", projector, RegionProjector)
     n = projector.dim
     mu = projector.mu_rank
     diag = np.zeros(n)

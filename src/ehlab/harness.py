@@ -519,14 +519,15 @@ def run(config: ExperimentConfig) -> dict:
     memory (a ConfigurationError) while computing never leaves partial
     output files behind. Any old manifest is removed before the first
     write and each file is replaced whole, so `manifest.json` is present
-    only after a complete write.
+    only after a complete write. Every kind computes with numpy's OpenBLAS
+    held to one thread, its earlier count restored afterwards.
     """
     runner, table = _KINDS[config.kind]
     art = _Artifacts()
     start = time.perf_counter()
     try:
         params = _read(config.parameters, table, "parameters")
-        with quantum._blas_threads_for(params.get("dim")):
+        with quantum._one_blas_thread():
             runner(params, config.seed, art)
     except MemoryError as exc:  # numpy's _ArrayMemoryError too
         raise ConfigurationError(f"{config.kind} ran out of memory: "

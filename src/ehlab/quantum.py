@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import ctypes
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import inf, isfinite
@@ -37,8 +37,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigurationError, DegenerateSpectrumError,
-                     HermiticityError, NumericError, is_count, is_real,
-                     require_count, require_instance, require_positive,
+                     NumericError, is_count, is_real, require_count,
+                     require_instance, require_instances, require_positive,
                      require_table)
 
 DEFAULT_GAP_TOL = 1e-9
@@ -81,13 +81,11 @@ _CLUSTER_GAP = 1e-4
 _BULK_FRACTION = 0.9
 # The smallest dim whose Floquet build, given two threads, solves its two
 # parity blocks side by side: the second thread is the build's own, and
-# OpenBLAS's stays idle in the build at any dim. A run below it holds
-# OpenBLAS to one thread throughout, since OpenBLAS's worker spins on its
-# core for about 0.135 s after each call it shares, and starts no thread.
-# The build's worker alone pays from about N = 193 (minima of 15 builds on
-# 2 cores, one against two threads: 3.1 against 3.9 ms at N = 129, 5.4
-# against 4.9 at 193, 8.9 against 6.8 at 257, 27.4 against 18.3 at 561),
-# but a lower dim would also take its runs off the one-thread hold.
+# OpenBLAS's stays idle in the build at any dim. The build's worker alone
+# pays from about N = 193 (minima of 15 builds on 2 cores, one against two
+# threads: 3.1 against 3.9 ms at N = 129, 5.4 against 4.9 at 193, 8.9
+# against 6.8 at 257, 27.4 against 18.3 at 561), but then relax's N = 257
+# builds would each start a thread.
 _BLAS_THREADED_DIM = 561
 # (set, get) thread-count symbols of OpenBLAS: in numpy >= 2 wheels, in
 # numpy 1.x wheels, and unsuffixed
@@ -235,7 +233,7 @@ class ObservableMatrix(_Operator):
     shift = None
 
     def __init__(self, matrix, label: str):
-        self.matrix = _hermitian(matrix, f"observable '{label}'")
+        self.matrix = _hermitian(matrix, f"observable '{label}' matrix")
         self.label = label
 
     @classmethod
@@ -280,12 +278,9 @@ def momentum_eigenstate(dim: int, k: int) -> DensityState:
     return DensityState._pure(sel.astype(complex))
 
 
-def maximally_mixed(dim: int) -> DensityState:
-    return DensityState(np.eye(_dense_dim(dim)) / dim)
-
-
 def haar_random_pure(dim: int, rng: np.random.Generator) -> DensityState:
     """Haar-random pure state from a normalized complex Gaussian vector."""
+    require_instance("rng", rng, np.random.Generator)
     return DensityState._pure(_haar_vector(_dense_dim(dim), rng))
 
 
@@ -362,11 +357,6 @@ class FloquetSystem:
         b = self._z_dag(np.conj(a, out=a).T)
         return np.conj(b, out=b).T
 
-    def from_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
-        """Z M Z^dagger = Z (Z M^dagger)^dagger."""
-        a = self._z(np.conj(matrix).T)
-        return self._z(np.conj(a, out=a).T)
-
     def observable_in_eigenbasis(self, obs: ObservableMatrix,
                                  support=None) -> np.ndarray:
         """Z^dagger O Z on the rows and columns `support`, ascending indices
@@ -382,6 +372,7 @@ class FloquetSystem:
         wrap-around corner, so one V^T T V per block, with exact zeros
         across the parities.
         """
+        require_instance("obs", obs, ObservableMatrix)
         if obs.diagonal is None and obs.shift is None:
             m = self.to_eigenbasis(obs.matrix)
             return m if support is None else m[np.ix_(support, support)]
@@ -704,15 +695,6 @@ def _one_blas_thread():
         set_threads(before)
 
 
-def _blas_threads_for(dim):
-    """`_one_blas_thread` for a run of dimension `dim` below
-    _BLAS_THREADED_DIM; nothing for a larger one or without a dim (a
-    classical kind)."""
-    if dim is not None and dim < _BLAS_THREADED_DIM:
-        return _one_blas_thread()
-    return nullcontext()
-
-
 def build_floquet(params: QuantumParams, threads: int = 1) -> FloquetSystem:
     """Spectral decomposition of F = kick * free.
 
@@ -776,22 +758,6 @@ def build_floquet(params: QuantumParams, threads: int = 1) -> FloquetSystem:
                          degeneracy_flags=flags)
 
 
-def evolve(rho: DensityState, system: FloquetSystem, n: int) -> DensityState:
-    """F^n rho (F^n)^dagger, applied as phases in the eigenbasis."""
-    require_instance("system", system, FloquetSystem)
-    if rho.dim != system.dim:
-        raise ConfigurationError("dimension mismatch")
-    if not is_count(n):
-        raise ConfigurationError(f"kick count must be an integer, got {n!r}")
-    if n == 0:
-        return rho
-    rho_e = system.to_eigenbasis(rho.matrix)
-    v = np.exp(-1j * n * system.quasi_energies)
-    out = system.from_eigenbasis(v[:, None] * rho_e * v.conj()[None, :])
-    out = 0.5 * (out + out.conj().T)
-    return DensityState(out)
-
-
 def evolve_vector(psi: np.ndarray, system: FloquetSystem, n: int) -> np.ndarray:
     """F^n |psi> for pure-state work at large dimension.
 
@@ -808,41 +774,6 @@ def evolve_vector(psi: np.ndarray, system: FloquetSystem, n: int) -> np.ndarray:
     with _one_blas_thread():
         c = system._z_dag(psi)
         return system._z(np.exp(-1j * n * system.quasi_energies) * c)
-
-
-def cesaro_limit_state(rho0: DensityState, system: FloquetSystem,
-                       allow_degenerate: bool = False) -> DensityState:
-    """Diagonal part of rho0 in the Floquet eigenbasis.
-
-    With a degenerate quasi-energy spectrum the phase-averaging argument
-    behind the diagonal form breaks down, so the operation refuses unless
-    `allow_degenerate` is set.
-    """
-    require_instance("system", system, FloquetSystem)
-    if system.degeneracy_flags and not allow_degenerate:
-        raise DegenerateSpectrumError(system.degeneracy_flags)
-    if rho0.dim != system.dim:
-        raise ConfigurationError("dimension mismatch")
-    diag = np.diag(system.to_eigenbasis(rho0.matrix)).real
-    out = system.from_eigenbasis(np.diag(diag.astype(complex)))
-    out = 0.5 * (out + out.conj().T)
-    return DensityState(out)
-
-
-def expectation(rho: DensityState, obs: ObservableMatrix) -> float:
-    """tr(rho O); the imaginary residue must stay below 1e-10."""
-    if rho.dim != obs.dim:
-        raise ConfigurationError("dimension mismatch")
-    val = np.sum(rho.matrix * obs.matrix.T)
-    if not abs(val.imag) < 1e-10:
-        raise HermiticityError(f"imaginary residue {val.imag} in expectation")
-    return float(val.real)
-
-
-def quantum_correlation(rho_t: DensityState, obs: ObservableMatrix,
-                        rho_star: DensityState) -> float:
-    """C_Q = (rho(t)|O) - (rho*|O)."""
-    return expectation(rho_t, obs) - expectation(rho_star, obs)
 
 
 @dataclass
@@ -994,7 +925,9 @@ def correlation_series(rho0: DensityState, system: FloquetSystem,
     the indices where c is not zero; O enters through its structure,
     rotated on S x S alone (see `FloquetSystem.observable_in_eigenbasis`).
     """
+    require_instance("rho0", rho0, DensityState)
     require_instance("system", system, FloquetSystem)
+    require_instance("obs", obs, ObservableMatrix)
     if 8 * require_count("horizon", horizon, 2) > np.iinfo(np.intp).max:
         raise ConfigurationError(
             f"horizon = {horizon} is too large for an array of {horizon} floats")
@@ -1045,6 +978,7 @@ def mixing_volume_fraction(system: FloquetSystem,
     need.
     """
     require_instance("system", system, FloquetSystem)
+    require_instances("o_set", o_set, ObservableMatrix)
     if not o_set:
         raise ConfigurationError("observable set must not be empty")
     require_count("n_states", n_states, 100)
@@ -1074,15 +1008,6 @@ def mixing_volume_fraction(system: FloquetSystem,
             del sums  # before the sweep sums its next group
         n_ok += int(np.count_nonzero(worst < tol))
     return n_ok / n_states
-
-
-def momentum_distribution(rho: DensityState) -> list[tuple[int, float]]:
-    """Diagonal of rho in the momentum basis as (k, probability) pairs."""
-    probs = np.diag(rho.matrix).real
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise NumericError(f"probabilities sum to {total}, not 1")
-    return list(zip(momentum_ladder(rho.dim).tolist(), probs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -1127,7 +1052,3 @@ def localization_fit(distribution: Sequence[tuple[int, float]]) -> LocalizationF
     return LocalizationFit(length=float(length), slope=float(slope),
                            intercept=float(intercept), r_squared=r2)
 
-
-def localization_length(distribution: Sequence[tuple[int, float]]) -> float:
-    """Localization length l_s, or inf when no exponential decay is seen."""
-    return localization_fit(distribution).length

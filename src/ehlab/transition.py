@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, InsufficientDataError,
                      OutOfDomainError, SingularFitError, is_real,
-                     require_positive, require_table)
+                     require_instance, require_positive, require_table)
 
 # Validity window margin eps = EPS_FACTOR * lam_c used by the fit;
 # the Taylor remainder O(|lam - lam_c|^4) grows fast beyond lam_c.
@@ -55,6 +55,7 @@ def cubic_transition(lam: float, curve: TransitionCurve,
     `eps` bounds the validity window [0, lambda_c + eps]; it defaults to
     the largest accepted margin 0.5 * lambda_c.
     """
+    require_instance("curve", curve, TransitionCurve)
     if eps is None:
         eps = MAX_EPS_FACTOR * curve.lambda_c
     if not (is_real(eps) and 0 <= eps <= MAX_EPS_FACTOR * curve.lambda_c):
@@ -69,6 +70,7 @@ def cubic_transition(lam: float, curve: TransitionCurve,
 
 def quadratic_small_lambda(lam: float, curve: TransitionCurve) -> float:
     """Small-kick limit mu_c * 1.5 (lam/lam_c)^2 of the cubic law."""
+    require_instance("curve", curve, TransitionCurve)
     if not (is_real(lam) and lam >= 0):
         raise OutOfDomainError(f"lam must be a finite number >= 0, got {lam!r}")
     x = lam / curve.lambda_c
@@ -193,8 +195,13 @@ def fit_transition(samples: Sequence[tuple[float, float, float]],
     closed-form weighted solve; lambda_c itself is located by a coarse
     scan followed by golden-section refinement. Deterministic.
     """
-    if len(samples) < 6:
-        raise InsufficientDataError(f"need at least 6 samples, got {len(samples)}")
+    try:
+        n = len(samples)
+    except TypeError:  # not a sequence, or a 0-d array
+        raise ConfigurationError(
+            f"samples must be a sequence of rows, got {samples!r}") from None
+    if n < 6:
+        raise InsufficientDataError(f"need at least 6 samples, got {n}")
     rows = []
     for i, sample in enumerate(samples):
         try:

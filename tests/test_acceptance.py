@@ -194,9 +194,9 @@ def test_criterion_06_dynamical_localization():
 
 def test_criterion_07_classical_endpoints():
     # reduced 64^2-grid / 2000-step variant (must pass in under 2 minutes)
-    est0 = cl.estimate_chaotic_measure(cl.MapParams(0.0), 64, 2000)
+    est0 = cl.estimate_chaotic_measures([cl.MapParams(0.0)], 64, 2000)[0]
     assert est0.mu_A == 0.0
-    est10 = cl.estimate_chaotic_measure(cl.MapParams(10.0), 64, 2000)
+    est10 = cl.estimate_chaotic_measures([cl.MapParams(10.0)], 64, 2000)[0]
     assert est10.mu_A > 0.9
     report("7", f"mu(A) at lam=0 is exactly 0; at lam=10 is {est10.mu_A:.4f} > 0.9")
 

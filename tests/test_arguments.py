@@ -1,6 +1,8 @@
 """Every public entry point refuses a malformed scalar argument with a
-ConfigurationError that names the argument."""
+ConfigurationError that names the argument, and every public function and
+class of the compute modules has its row here."""
 
+import inspect
 import re
 from functools import cache
 
@@ -27,23 +29,18 @@ def system():
     return q.build_floquet(q.QuantumParams(dim=17, lam=10.0))
 
 
-def orbit(**kw):
-    return {"x0": cl.PhasePoint(1.0, 1.0), "params": cl.MapParams(1.0),
-            "n_steps": 1000, **kw}
-
-
 # (entry point, keyword arguments that it accepts, scalar arguments and
 # arguments that must be one parameter or system object)
 TABLE = [
-    (cl.PhasePoint, lambda: {"theta": 1.0, "p": 1.0}, ["theta", "p"]),
     (cl.MapParams, lambda: {"lam": 1.0, "tau": 1.0}, ["lam", "tau"]),
-    (cl.lyapunov_exponent, orbit, ["n_steps", "x0", "params"]),
-    (cl.classify_orbit, lambda: orbit(threshold=0.05),
-     ["n_steps", "threshold", "x0", "params"]),
     (cl.estimate_chaotic_measures,
      lambda: {"params_list": [cl.MapParams(1.0)], "grid_side": 16,
               "n_steps": 50, "threshold": 0.05, "threads": 1},
-     ["grid_side", "n_steps", "threshold", "threads"]),
+     ["grid_side", "n_steps", "threshold", "threads", "params_list"]),
+    (cl.Cell,
+     lambda: {"theta_min": 0.0, "theta_max": 1.0, "p_min": 0.0, "p_max": 1.0},
+     ["theta_min", "theta_max", "p_min", "p_max"]),
+    (cl.cells_from_json, lambda: {"text": "[]"}, ["text"]),
     (cl.set_correlation,
      lambda: {"A": CELL, "B": CELL, "params": cl.MapParams(1.0), "t": 1,
               "n_samples": 10_000, "seed": 0},
@@ -54,23 +51,19 @@ TABLE = [
     (q.build_floquet,
      lambda: {"params": q.QuantumParams(dim=17, lam=10.0), "threads": 1},
      ["params", "threads"]),
-    (q.evolve,
-     lambda: {"rho": q.momentum_eigenstate(17, 0), "system": system(),
-              "n": 3}, ["system"]),
     (q.evolve_vector,
      lambda: {"psi": q.momentum_eigenstate(17, 0).vector, "system": system(),
               "n": 3}, ["system"]),
-    (q.cesaro_limit_state,
-     lambda: {"rho0": q.momentum_eigenstate(17, 0), "system": system(),
-              "allow_degenerate": True}, ["system"]),
     (q.correlation_series,
      lambda: {"rho0": q.momentum_eigenstate(17, 0), "system": system(),
               "obs": q.cos_theta_observable(17), "horizon": 10},
-     ["horizon", "system"]),
+     ["horizon", "system", "rho0", "obs"]),
     (q.mixing_volume_fraction,
      lambda: {"system": system(), "o_set": [q.cos_theta_observable(17)],
               "n_states": 100, "horizon": 10, "tol": 0.1, "seed": 0},
-     ["n_states", "horizon", "tol", "seed", "system"]),
+     ["n_states", "horizon", "tol", "seed", "system", "o_set"]),
+    (q.FloquetSystem.observable_in_eigenbasis,
+     lambda: {"self": system(), "obs": q.cos_theta_observable(17)}, ["obs"]),
     (q.momentum_window_projector,
      lambda: {"dim": 17, "k_lo": 0.0, "k_hi": 5.0, "hbar": 1.0},
      ["k_lo", "k_hi", "dim", "hbar"]),
@@ -81,24 +74,26 @@ TABLE = [
     (q.momentum_eigenstate, lambda: {"dim": 17, "k": 1}, ["dim", "k"]),
     # states are not tied to the ladder: any dimension >= 1 will do
     (q.haar_random_pure,
-     lambda: {"dim": 16, "rng": np.random.default_rng(0)}, ["dim"]),
-    (q.maximally_mixed, lambda: {"dim": 16}, ["dim"]),
+     lambda: {"dim": 16, "rng": np.random.default_rng(0)}, ["dim", "rng"]),
     (tr.TransitionCurve, lambda: {"lambda_c": 0.97, "mu_c": 0.9},
      ["lambda_c", "mu_c"]),
     (tr.cubic_transition, lambda: {"lam": 0.5, "curve": CURVE, "eps": 0.1},
-     ["lam", "eps"]),
+     ["lam", "eps", "curve"]),
     (tr.quadratic_small_lambda, lambda: {"lam": 0.5, "curve": CURVE},
-     ["lam"]),
+     ["lam", "curve"]),
     (tr.check_critical_conditions,
      lambda: {"samples": [s[:2] for s in CUBIC], "lambda_c": 0.97},
      ["lambda_c"]),
     (tr.fit_transition, lambda: {"samples": CUBIC, "eps_factor": 0.2},
-     ["eps_factor"]),
+     ["eps_factor", "samples"]),
     (ge.RegionProjector, lambda: {"dim": 17, "indices": (0, 1)},
      ["dim", "indices"]),
     (ge.region_projector_from_cells,
      lambda: {"cells": CELL, "params": q.QuantumParams(dim=17, lam=1.0)},
      ["params"]),
+    (ge.verify_theorem2,
+     lambda: {"projector": ge.RegionProjector(dim=17, indices=(0, 1))},
+     ["projector"]),
 ]
 # optional arguments, for which None picks the default
 OPTIONAL = {(tr.cubic_transition, "eps")}
@@ -113,8 +108,7 @@ LADDER = [q.QuantumParams, q.momentum_window_projector, q.momentum_ladder,
           q.cos_theta_observable, q.l_squared_observable,
           q.momentum_eigenstate]
 MORE = {**{(entry, "dim"): [4, 2.5, 2**62 + 1, 2**31 + 1] for entry in LADDER},
-        **{(entry, "dim"): [2**62] for entry in
-           (q.maximally_mixed, q.haar_random_pure)},
+        (q.haar_random_pure, "dim"): [2**62],
         (q.correlation_series, "horizon"): [2**62],
         (cl.estimate_chaotic_measures, "grid_side"): [2**31],
         (cl.MapParams, "lam"): [1e20], (cl.MapParams, "tau"): [1e19],
@@ -150,8 +144,6 @@ BAD_DIST = [[], [(1,)], [(float("inf"), 0.1)] + DIST, ONE_K, HUGE_K]
 ARRAYS = [
     (q.localization_fit, lambda: {"distribution": DIST}, "distribution",
      BAD_DIST),
-    (q.localization_length, lambda: {"distribution": DIST}, "distribution",
-     BAD_DIST),
     (tr.check_critical_conditions,
      lambda: {"samples": SAMPLES, "lambda_c": 0.97}, "samples",
      [NAN_LAST, "abcdef", [(0.0,)] + SAMPLES[1:]]),
@@ -164,8 +156,13 @@ ARRAYS = [
     (ge.region_projector_from_cells,
      lambda: {"cells": CELL, "params": q.QuantumParams(dim=17, lam=1.0)},
      "cells", [[1]]),
-    (ge.hs_distance, lambda: {"a": np.eye(2), "b": np.eye(2)}, "a",
-     ["abc", [[1, 2], [3]]]),
+    (q.DensityState, lambda: {"matrix": np.eye(2) / 2}, "matrix",
+     ["abc", [[1, 2], [3]], np.ones(2) / 2, [[0.5, 1.0], [0.0, 0.5]],
+      np.full((2, 2), np.nan)]),
+    (q.ObservableMatrix, lambda: {"matrix": np.eye(2), "label": "x"},
+     "matrix", ["abc", [[1, 2], [3]], np.ones(2), [[0.0, 1.0], [0.0, 0.0]]]),
+    (q.pure_state, lambda: {"vector": [1.0, 1j]}, "vector",
+     ["abc", np.eye(2), [0.0, 0.0], [np.inf, 1.0]]),
 ]
 
 
@@ -177,3 +174,45 @@ def test_malformed_array_is_a_configuration_error(entry, valid, name, bad):
     entry(**valid())  # the table's own arguments are accepted
     with pytest.raises(ConfigurationError, match=rf"\b{re.escape(name)}\b"):
         entry(**{**valid(), name: bad})
+
+
+# public classes that only carry a result, and take no argument a caller
+# chooses
+RECORDS = {
+    cl.RegionEstimate: "a kick strength's result of estimate_chaotic_measures",
+    cl.CorrelationEstimate: "the result of set_correlation",
+    q.FloquetSystem: "the result of build_floquet",
+    q.CorrelationSeries: "the result of correlation_series",
+    q.LocalizationFit: "the result of localization_fit",
+    tr.CriticalReport: "the result of check_critical_conditions",
+    tr.FitResult: "the result of fit_transition",
+    ge.IdentityCheck: "the result of verify_theorem2",
+}
+MODULES = (cl, q, tr, ge)
+
+
+def unlisted(modules) -> set[str]:
+    """The public functions and classes that `modules` define with neither
+    a TABLE or ARRAYS row nor a RECORDS entry."""
+    rows = {entry for entry, *_ in TABLE + ARRAYS}
+    return {f"{module.__name__}.{name}" for module in modules
+            for name, obj in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__
+            and obj not in rows and obj not in RECORDS}
+
+
+def test_every_public_name_has_an_argument_row():
+    assert unlisted(MODULES) == set()
+    # and no exemption names a class the modules no longer hold
+    assert all(getattr(inspect.getmodule(record), record.__name__, None)
+               is record for record in RECORDS)
+
+
+def test_surface_check_fails_on_a_wrapper_added_back(monkeypatch):
+    def maximally_mixed(dim):
+        return q.DensityState(np.eye(dim) / dim)
+    maximally_mixed.__module__ = q.__name__
+    monkeypatch.setattr(q, "maximally_mixed", maximally_mixed, raising=False)
+    assert unlisted(MODULES) == {"ehlab.quantum.maximally_mixed"}

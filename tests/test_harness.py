@@ -331,12 +331,14 @@ class TestBlasThreads:
         pytest.param(classical, "estimate_chaotic_measures",
                      scan_config(None, lambdas=(1.0,), steps=10),
                      id="classical-scan")])
-    def test_count_unchanged_at_threaded_dim_and_without_dim(
+    def test_one_thread_inside_and_earlier_count_after(
             self, tmp_path, monkeypatch, blas_threads, module, name, config):
+        # every kind holds one thread: a quantum run at the threaded dim,
+        # and a classical one, which makes no BLAS call
         seen = record_blas_threads(monkeypatch, module, name)
         harness.run(harness.ExperimentConfig.from_dict(
             {**config, "output_dir": str(tmp_path)}))
-        assert seen == [blas_threads]
+        assert seen == [1]
         assert BLAS[1]() == blas_threads
 
     def test_evolve_vector_holds_one_thread(self, monkeypatch, blas_threads):

@@ -36,8 +36,8 @@ def imported_modules(tree) -> set[str]:
 def check_scan_batch(sources: dict[str, str]):
     """The scan runs as one sweep: a pool is started only by the sweep and
     by the Floquet build, which solves its two parity blocks side by side,
-    and only the sweep and the one-orbit exponent call the Lyapunov batch (a
-    nested function counts as part of the function that holds it)."""
+    and only the sweep calls the Lyapunov batch (a nested function counts as
+    part of the function that holds it)."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     assert "concurrent.futures" not in imported_modules(trees["harness.py"])
     assert {(name, getattr(f, "name", None)) for name, tree in trees.items()
@@ -48,7 +48,7 @@ def check_scan_batch(sources: dict[str, str]):
     callers = {f.name for f in trees["classical.py"].body
                if isinstance(f, ast.FunctionDef)
                and "_lyapunov_batch" in called_names(f)}
-    assert callers == {"estimate_chaotic_measures", "lyapunov_exponent"}
+    assert callers == {"estimate_chaotic_measures"}
 
 
 def package_sources() -> dict[str, str]:
